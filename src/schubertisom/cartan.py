@@ -11,6 +11,8 @@ from itertools import permutations
 
 from .errors import (
     DiagonalNotTwoError,
+    InvalidIndexSetError,
+    MalformedCartanError,
     NonSquareError,
     PositiveOffDiagonalError,
     TooLargeError,
@@ -28,11 +30,13 @@ class IndexSet:
     __slots__ = ("labels", "position")
 
     def __init__(self, labels):
-        labels = tuple(labels)
-        if not labels:
-            raise ValueError("index set must be nonempty")
-        if len(set(labels)) != len(labels):
-            raise ValueError("index set labels must be distinct")
+        try:
+            labels = tuple(labels)
+            valid = 0 < len(set(labels)) == len(labels)
+        except TypeError:
+            valid = False
+        if not valid:
+            raise InvalidIndexSetError("index set labels must be nonempty and distinct")
         self.labels = labels
         self.position = {s: i for i, s in enumerate(labels)}
 
@@ -57,7 +61,7 @@ class IndexSet:
     def index(self, label):
         try:
             return self.position[label]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownLabelError(label) from None
 
 
@@ -69,7 +73,10 @@ class CartanMatrix:
     def __init__(self, index_set, entries):
         if not isinstance(index_set, IndexSet):
             index_set = IndexSet(index_set)
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        try:
+            entries = tuple(tuple(int(x) for x in row) for row in entries)
+        except (TypeError, ValueError):
+            raise MalformedCartanError("matrix must be integer rows") from None
         n = len(index_set)
         if len(entries) != n or any(len(row) != n for row in entries):
             raise NonSquareError(len(entries), len(entries[0]) if entries else 0)
@@ -124,6 +131,8 @@ class CartanMatrix:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict) or not {"index_set", "matrix"} <= data.keys():
+            raise MalformedCartanError("expected keys index_set and matrix")
         return cls(IndexSet(data["index_set"]), data["matrix"])
 
 

@@ -224,17 +224,27 @@ class CohomologyOracle:
 
     @classmethod
     def from_json(cls, data):
-        basis = tuple((entry["id"], entry["degree"]) for entry in data["basis"])
-        generators = tuple(data["generators"])
-        products = {}
-        for key, terms in data["products"].items():
-            g, _, bid = key.partition("|")
-            if not bid:
-                raise MalformedOracleError(f"bad product key {key!r}")
-            products[(g, bid)] = tuple(
-                (entry["id"], entry["coeff"]) for entry in terms
-            )
+        try:
+            basis = tuple(_id_and_int(e, "degree") for e in data["basis"])
+            generators = tuple(data["generators"])
+            products = {}
+            for key, terms in data["products"].items():
+                g, _, bid = key.partition("|")
+                if not bid:
+                    raise MalformedOracleError(f"bad product key {key!r}")
+                products[(g, bid)] = tuple(_id_and_int(e, "coeff") for e in terms)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise MalformedOracleError(f"wrong shape: {exc!r}") from None
+        if not all(isinstance(g, str) for g in generators):
+            raise MalformedOracleError("generator ids must be strings")
         return cls(basis, generators, products)
+
+
+def _id_and_int(entry, key):
+    bid, value = entry["id"], entry[key]
+    if not isinstance(bid, str) or type(value) is not int:
+        raise MalformedOracleError(f"expected a string id and an integer {key}")
+    return bid, value
 
 
 def _fresh_ids(count, seed):

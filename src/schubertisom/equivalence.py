@@ -45,31 +45,11 @@ class EquivalenceWitness:
         }
 
 
-def _rho_image(A, word):
-    """The vector x(rho) of the product x of word, in fundamental weights.
-
-    Coordinate j is <h_j, x(rho)>, where rho has every coordinate 1, and
-    s_i acts by v_j -= v_i * A[j][i].  The left descents of x are the
-    negative coordinates of x(rho), so the vector fixes the greedy ShortLex
-    word and hence x, for every generalized Cartan matrix (Kac, Infinite
-    Dimensional Lie Algebras, 3.12).
-    """
-    rows = A.entries
-    index = A.index_set.index
-    v = [1] * len(rows)
-    for s in reversed(word):
-        i = index(s)
-        c = v[i]
-        for j, row in enumerate(rows):
-            v[j] -= c * row[i]
-    return tuple(v)
-
-
 _SUPPORT_DATA = {}
 
 
 def _support_data(w):
-    """(sorted support, constrained pair set, per-label entry profile, w(rho))."""
+    """(sorted support, constrained pair set, per-label entry profile)."""
     data = _SUPPORT_DATA.get(w)
     if data is not None:
         return data
@@ -87,7 +67,7 @@ def _support_data(w):
         out_entries = sorted(A.entry(s, t) for t in sup if (s, t) in pairs)
         in_entries = sorted(A.entry(t, s) for t in sup if (t, s) in pairs)
         profiles[s] = (tuple(out_entries), tuple(in_entries))
-    data = (sup, pairs, profiles, _rho_image(A, w.canonical_word))
+    data = (sup, pairs, profiles)
     _SUPPORT_DATA[w] = data
     return data
 
@@ -98,14 +78,14 @@ def check_equivalence(w, w_prime):
     Searches injections sigma over the supports in lexicographic order,
     backtracking on Cartan entry mismatches for pairs st <= w, and finally
     verifies that sigma applied to the canonical word of w multiplies to
-    w' (the image word is automatically reduced) by comparing the image
-    word's action on rho with w'(rho).
+    w' (the image word is automatically reduced).  That check builds the
+    image word's vector in O(n * length) and compares it with w'.
     """
     A, B = w.cartan, w_prime.cartan
     if w.length != w_prime.length:
         return None
-    src, src_pairs, src_profiles, _ = _support_data(w)
-    dst, _, dst_profiles, dst_rho = _support_data(w_prime)
+    src, src_pairs, src_profiles = _support_data(w)
+    dst, _, dst_profiles = _support_data(w_prime)
     if len(src) != len(dst):
         return None
 
@@ -122,7 +102,7 @@ def check_equivalence(w, w_prime):
     def extend(i):
         if i == len(src):
             image = tuple(sigma[s] for s in word)
-            return _rho_image(B, image) == dst_rho
+            return element_from_word(B, image) == w_prime
         s = src[i]
         for t in candidates[s]:
             if t in used:
@@ -185,7 +165,7 @@ def isom_classes(A, max_length, max_elements=weyl.DEFAULT_ELEMENT_CAP):
     buckets = {}
     classes = []
     for w in elements:
-        sup, _, profiles, _ = _support_data(w)
+        sup, _, profiles = _support_data(w)
         key = (w.length, tuple(sorted(profiles[s] for s in sup)))
         bucket = buckets.setdefault(key, [])
         for members in bucket:

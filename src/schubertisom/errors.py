@@ -36,6 +36,14 @@ class ZeroAsymmetryError(SchubertError):
         self.t = t
 
 
+class InvalidIndexSetError(SchubertError, ValueError):
+    """The labels of an index set are empty, repeated or unhashable."""
+
+
+class MalformedCartanError(SchubertError):
+    """A Cartan matrix given as JSON lacks a key or has entries of the wrong type."""
+
+
 class UnknownLabelError(SchubertError):
     def __init__(self, label):
         super().__init__(f"unknown generator label {label!r}")

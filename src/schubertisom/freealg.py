@@ -309,6 +309,8 @@ class _Parser:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
     def next(self):
+        if self.pos == len(self.tokens):
+            raise ParseError("unexpected end of input")
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok

@@ -1,17 +1,19 @@
-"""Weyl group arithmetic through the integral reflection representation.
+"""Weyl group arithmetic on the vectors w(rho).
 
-Group elements are identified by their faithful action on the root lattice
-(and, in parallel, on the coroot lattice), so equality is a matrix compare
-and descent tests are sign tests on columns.  Root and coroot vectors are
-plain integer tuples in the simple-root / simple-coroot bases, ordered by
-the Cartan matrix's label order.  All arithmetic is exact: coordinates are
-arbitrary-precision integers, so unbounded root growth in infinite types
-is handled without overflow.
+An element w is stored as w(rho) in fundamental-weight coordinates:
+coordinate j is <h_j, w(rho)>, and rho has every coordinate 1.  W acts
+simply transitively on the chambers of the Tits cone and rho is regular, so
+the vector determines w for every generalized Cartan matrix (Kac, Infinite
+Dimensional Lie Algebras, 3.12).  Left multiplication by s_i is the O(n)
+update v_j -= v_i * A[j][i], the left descents are the negative coordinates,
+and equality is a tuple compare.  The ShortLex word, inverse, right descents
+and the action on roots and coroots come from the canonical word in
+O(n * length).  Root and coroot vectors are integer tuples in the simple
+root / coroot bases, in label order; all arithmetic is exact.
 """
 
 from dataclasses import dataclass
 
-from .cartan import CartanMatrix
 from .errors import (
     LengthCapExceededError,
     EnumerationCapExceededError,
@@ -24,25 +26,28 @@ DEFAULT_LENGTH_CAP = 20
 DEFAULT_ELEMENT_CAP = 200_000
 
 
-def _matmul(a, b):
-    n = len(a)
-    rng = range(n)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in rng) for j in rng) for i in rng
-    )
+def _apply(columns, letters, v):
+    """The weight v after `letters`, last first: s_i(v) = v - v_i * alpha_i,
+    with columns[i] = alpha_i in fundamental weights, the nonzero (j, A[j][i])."""
+    v = list(v)
+    for i in reversed(letters):
+        c = v[i]
+        for j, a in columns[i]:
+            v[j] -= c * a
+    return tuple(v)
 
 
-def _matvec(a, v):
-    rng = range(len(a))
-    return tuple(sum(a[i][k] * v[k] for k in rng) for i in rng)
+def _first_negative(v):
+    """The least left descent of the element with vector v, or None."""
+    return next((i for i, c in enumerate(v) if c < 0), None)
 
 
-def _identity_matrix(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def is_negative_vector(coords):
-    return any(c < 0 for c in coords) and all(c <= 0 for c in coords)
+def _act(rows, letters, coords):
+    """`letters` applied, last first, to a root (rows of A) or coroot (columns)."""
+    v = list(coords)
+    for i in reversed(letters):
+        v[i] -= sum(a * v[j] for j, a in rows[i])
+    return tuple(v)
 
 
 def is_positive_vector(coords):
@@ -50,30 +55,30 @@ def is_positive_vector(coords):
 
 
 class WeylElement:
-    """A Weyl group element with its action on roots and coroots.
+    """A Weyl group element, stored as its vector w(rho).
 
-    `mat` has column t equal to the coordinates of w(alpha_t); `cmat` is the
-    analogous coroot action with column t the coordinates of w(h_t).  The
-    inverse matrices are carried along so that descents and inversion tests
-    never require matrix inversion.
+    `rho` is the tuple of <h_j, w(rho)> over the labels in order.  The
+    canonical word (as label indices) and the inverse vector w^{-1}(rho) are
+    computed on first use and cached.  Build elements with
+    `element_from_word`, `identity_element` or `simple_reflection`.
     """
 
-    __slots__ = ("cartan", "mat", "inv", "cmat", "cinv", "_word", "_hash")
+    __slots__ = ("cartan", "rho", "_ctx", "_indices", "_word", "_inv", "_hash")
 
-    def __init__(self, cartan, mat, inv, cmat, cinv, word=None):
-        self.cartan = cartan
-        self.mat = mat
-        self.inv = inv
-        self.cmat = cmat
-        self.cinv = cinv
-        self._word = word
-        self._hash = hash(mat)
+    def __init__(self, ctx, rho, indices=None):
+        self.cartan = ctx.cartan
+        self.rho = rho
+        self._ctx = ctx
+        self._indices = indices
+        self._word = None
+        self._inv = None
+        self._hash = hash(rho)
 
     def __eq__(self, other):
         return (
             isinstance(other, WeylElement)
-            and self.cartan == other.cartan
-            and self.mat == other.mat
+            and self.rho == other.rho
+            and self._ctx is other._ctx
         )
 
     def __hash__(self):
@@ -86,59 +91,63 @@ class WeylElement:
         return multiply(self, other)
 
     def is_identity(self):
-        return self.mat == _context(self.cartan).id_matrix
+        return self.rho == self._ctx.identity.rho
+
+    def _index_word(self):
+        """The canonical word as label indices."""
+        if self._indices is None:
+            v, word = self.rho, []
+            i = _first_negative(v)
+            while i is not None:
+                word.append(i)
+                v = _apply(self._ctx.columns, (i,), v)
+                i = _first_negative(v)
+            self._indices = tuple(word)
+        return self._indices
 
     @property
     def canonical_word(self):
         """The ShortLex-least reduced word, via greedy least-left-descent."""
         if self._word is None:
-            ctx = _context(self.cartan)
-            word = []
-            cur = self
-            while cur.mat != ctx.id_matrix:
-                s = min(cur.left_descents(), key=ctx.cartan.index_set.index)
-                word.append(s)
-                cur = multiply(ctx.gens[s], cur)
-            self._word = tuple(word)
+            labels = self.cartan.labels
+            self._word = tuple(labels[i] for i in self._index_word())
         return self._word
 
     @property
     def length(self):
-        return len(self.canonical_word)
+        return len(self._index_word())
+
+    def _inverse_rho(self):
+        if self._inv is None:
+            ctx = self._ctx
+            self._inv = _apply(ctx.columns, self._index_word()[::-1], ctx.identity.rho)
+        return self._inv
 
     def inverse(self):
-        return WeylElement(self.cartan, self.inv, self.mat, self.cinv, self.cmat)
+        out = WeylElement(self._ctx, self._inverse_rho())
+        out._inv = self.rho
+        return out
 
     def apply_to_root(self, coords):
-        return _matvec(self.mat, coords)
+        return _act(self._ctx.rows, self._index_word(), coords)
 
     def apply_inverse_to_root(self, coords):
-        return _matvec(self.inv, coords)
+        return _act(self._ctx.rows, self._index_word()[::-1], coords)
 
     def apply_to_coroot(self, coords):
-        return _matvec(self.cmat, coords)
+        return _act(self._ctx.columns, self._index_word(), coords)
 
     def apply_inverse_to_coroot(self, coords):
-        return _matvec(self.cinv, coords)
+        return _act(self._ctx.columns, self._index_word()[::-1], coords)
 
     def right_descents(self):
         """Labels s with w(alpha_s) a negative root."""
         labels = self.cartan.labels
-        n = len(labels)
-        return {
-            labels[j]
-            for j in range(n)
-            if all(self.mat[i][j] <= 0 for i in range(n))
-        }
+        return {labels[j] for j, c in enumerate(self._inverse_rho()) if c < 0}
 
     def left_descents(self):
         labels = self.cartan.labels
-        n = len(labels)
-        return {
-            labels[j]
-            for j in range(n)
-            if all(self.inv[i][j] <= 0 for i in range(n))
-        }
+        return {labels[j] for j, c in enumerate(self.rho) if c < 0}
 
 
 @dataclass(frozen=True)
@@ -151,28 +160,22 @@ class Reflection:
 
 
 class _Context:
-    """Per-Cartan-matrix caches: generator matrices and memo tables."""
+    """Per-Cartan-matrix data: sparse rows (j, A[i][j]) for the root action,
+    columns (j, A[j][i]) for the weight and coroot actions, generators and
+    memo tables."""
 
     def __init__(self, cartan):
-        n = len(cartan)
-        self.cartan = cartan
-        self.id_matrix = _identity_matrix(n)
-        identity = WeylElement(
-            cartan, self.id_matrix, self.id_matrix, self.id_matrix, self.id_matrix,
-            word=(),
-        )
-        self.identity = identity
-        self.gens = {}
         A = cartan.entries
-        for k, s in enumerate(cartan.labels):
-            mat = [list(row) for row in self.id_matrix]
-            cmat = [list(row) for row in self.id_matrix]
-            for j in range(n):
-                mat[k][j] -= A[k][j]
-                cmat[k][j] -= A[j][k]
-            mat = tuple(tuple(row) for row in mat)
-            cmat = tuple(tuple(row) for row in cmat)
-            self.gens[s] = WeylElement(cartan, mat, mat, cmat, cmat, word=(s,))
+        rng = range(len(A))
+        self.cartan = cartan
+        self.rows = tuple(tuple((j, A[i][j]) for j in rng if A[i][j]) for i in rng)
+        self.columns = tuple(tuple((j, A[j][i]) for j in rng if A[j][i]) for i in rng)
+        identity = WeylElement(self, tuple(1 for _ in rng), indices=())
+        self.identity = identity
+        self.gens = {
+            s: WeylElement(self, _apply(self.columns, (i,), identity.rho), indices=(i,))
+            for i, s in enumerate(cartan.labels)
+        }
         self.reduced_words = {identity: frozenset({()})}
         self.subword_products = {identity: frozenset({identity})}
 
@@ -197,32 +200,16 @@ def simple_reflection(A, s):
 
 
 def multiply(x, y):
-    if x.cartan != y.cartan:
+    """x * y: x's canonical word applied, last letter first, to y(rho)."""
+    if x._ctx is not y._ctx:
         raise MixedContextsError()
-    return WeylElement(
-        x.cartan,
-        _matmul(x.mat, y.mat),
-        _matmul(y.inv, x.inv),
-        _matmul(x.cmat, y.cmat),
-        _matmul(y.cinv, x.cinv),
-    )
+    return WeylElement(x._ctx, _apply(x._ctx.columns, x._index_word(), y.rho))
 
 
 def element_from_word(A, word):
     ctx = _context(A)
-    out = ctx.identity
-    for s in word:
-        A.index_set.index(s)
-        out = multiply(out, ctx.gens[s])
-    return out
-
-
-def left_descents(w):
-    return w.left_descents()
-
-
-def right_descents(w):
-    return w.right_descents()
+    letters = [A.index_set.index(s) for s in word]
+    return WeylElement(ctx, _apply(ctx.columns, letters, ctx.identity.rho))
 
 
 def support(w):
@@ -238,27 +225,22 @@ simple_coroot = simple_root
 
 
 def bruhat_leq(u, w):
-    """Bruhat order test by descent recursion.
+    """Bruhat order test by descent recursion on the two vectors.
 
     Strip the least left descent s from w; replace u by su whenever s is
     also a left descent of u.  Terminates at w = e with u <= w iff u = e.
     """
-    if u.cartan != w.cartan:
+    if u._ctx is not w._ctx:
         raise MixedContextsError()
-    ctx = _context(u.cartan)
-    order = u.cartan.index_set.index
-    lu, lw = u.length, w.length
-    while w.mat != ctx.id_matrix:
-        if lu > lw:
-            return False
-        s = min(w.left_descents(), key=order)
-        g = ctx.gens[s]
-        w = multiply(g, w)
-        lw -= 1
-        if s in u.left_descents():
-            u = multiply(g, u)
-            lu -= 1
-    return u.mat == ctx.id_matrix
+    columns = u._ctx.columns
+    x, y = u.rho, w.rho
+    i = _first_negative(y)
+    while i is not None:
+        y = _apply(columns, (i,), y)
+        if x[i] < 0:
+            x = _apply(columns, (i,), x)
+        i = _first_negative(y)
+    return _first_negative(x) is None
 
 
 def two_letter_leq(A, s, t, w):
@@ -284,24 +266,23 @@ def subword_products(w):
 
     By the subword property this set is exactly the Bruhat interval [e,w];
     it is the independent membership oracle used alongside bruhat_leq.
+    Built by left multiplication, from the last letter of the word back.
     """
-    ctx = _context(w.cartan)
+    ctx = w._ctx
     cached = ctx.subword_products.get(w)
     if cached is not None:
         return cached
-    elements = {ctx.identity}
-    for s in w.canonical_word:
-        g = ctx.gens[s]
-        elements |= {multiply(v, g) for v in elements}
-    result = frozenset(elements)
+    vectors = {ctx.identity.rho}
+    for i in reversed(w._index_word()):
+        vectors.update([_apply(ctx.columns, (i,), v) for v in vectors])
+    result = frozenset(WeylElement(ctx, v) for v in vectors)
     ctx.subword_products[w] = result
     return result
 
 
 def _element_sort_key(v):
-    order = v.cartan.index_set.index
-    word = v.canonical_word
-    return (len(word), tuple(order(s) for s in word))
+    word = v._index_word()
+    return (len(word), word)
 
 
 class BruhatInterval:
@@ -358,15 +339,17 @@ def reduced_words(w, length_cap=DEFAULT_LENGTH_CAP):
     """The set Red(w), as a frozenset of label tuples."""
     if w.length > length_cap:
         raise LengthCapExceededError(w.length, length_cap)
-    ctx = _context(w.cartan)
+    ctx = w._ctx
     cached = ctx.reduced_words.get(w)
     if cached is not None:
         return cached
+    labels = w.cartan.labels
     words = set()
-    for s in w.right_descents():
-        shorter = multiply(w, ctx.gens[s])
-        for word in reduced_words(shorter, length_cap):
-            words.add(word + (s,))
+    for i, c in enumerate(w.rho):
+        if c < 0:
+            shorter = WeylElement(ctx, _apply(ctx.columns, (i,), w.rho))
+            for word in reduced_words(shorter, length_cap):
+                words.add((labels[i],) + word)
     result = frozenset(words)
     ctx.reduced_words[w] = result
     return result
@@ -374,63 +357,69 @@ def reduced_words(w, length_cap=DEFAULT_LENGTH_CAP):
 
 def inversion_set(w):
     """The positive roots sent negative by w^{-1}; size equals length(w)."""
-    A = w.cartan
+    rows = w._ctx.rows
+    word = w._index_word()
     roots = set()
-    prefix = identity_element(A)
-    for s in w.canonical_word:
-        beta = prefix.apply_to_root(simple_root(A, s))
+    for k, s in enumerate(w.canonical_word):
+        beta = _act(rows, word[:k], simple_root(w.cartan, s))
         assert is_positive_vector(beta)
         roots.add(beta)
-        prefix = multiply(prefix, simple_reflection(A, s))
     return frozenset(roots)
 
 
 def cover_reflection(u, v):
     """The unique reflection r with r*u = v for a Bruhat cover u <| v.
 
-    Scans the prefix reflections t_l = s_1...s_{l-1} s_l s_{l-1}...s_1 of a
-    reduced word of v; the matching one is packaged with its positive root
-    beta = s_1...s_{l-1}(alpha_{s_l}) and the corresponding coroot.
+    Finds the letter s_l of v's canonical word s_1...s_m whose deletion
+    gives u, by comparing (s_1...s_{l-1})^{-1} u(rho) with
+    (s_{l+1}...s_m)(rho).  Then beta = s_1...s_{l-1}(alpha_{s_l}), with the
+    matching coroot, and r(rho) = rho - <beta_vee, rho> beta.
     """
-    if u.cartan != v.cartan:
+    if u._ctx is not v._ctx:
         raise MixedContextsError()
     if v.length != u.length + 1:
         raise NotACoverError()
-    A = u.cartan
-    prefix = identity_element(A)
-    for s in v.canonical_word:
-        g = simple_reflection(A, s)
-        refl = multiply(multiply(prefix, g), prefix.inverse())
-        if multiply(refl, u) == v:
-            root = prefix.apply_to_root(simple_root(A, s))
-            coroot = prefix.apply_to_coroot(simple_coroot(A, s))
-            if is_negative_vector(root):
-                root = tuple(-c for c in root)
-                coroot = tuple(-c for c in coroot)
-            return Reflection(refl, root, coroot)
-        prefix = multiply(prefix, g)
+    ctx = u._ctx
+    columns = ctx.columns
+    word = v._index_word()
+    suffixes = [ctx.identity.rho]  # suffixes[-1 - k] = (s_{k+1}...s_m)(rho)
+    for i in reversed(word[1:]):
+        suffixes.append(_apply(columns, (i,), suffixes[-1]))
+    x = u.rho
+    for k, i in enumerate(word):
+        if x == suffixes[-1 - k]:
+            simple = tuple(int(j == i) for j in range(len(x)))
+            root = _act(ctx.rows, word[:k], simple)
+            coroot = _act(columns, word[:k], simple)
+            height = sum(coroot)
+            weight = [sum(a * root[j] for j, a in row) for row in ctx.rows]
+            element = WeylElement(ctx, tuple(1 - height * c for c in weight))
+            return Reflection(element, root, coroot)
+        x = _apply(columns, (i,), x)
     raise NotACoverError()
 
 
 def enumerate_elements(A, max_length, max_elements=DEFAULT_ELEMENT_CAP):
-    """All w with length(w) <= max_length, BFS by right multiplication.
+    """All w with length(w) <= max_length, BFS by left multiplication.
 
     Sorted by (length, canonical word).  Raises if the element count cap is
     hit, since there is no general finiteness test for W(A).
     """
     ctx = _context(A)
-    seen = {ctx.identity}
-    frontier = [ctx.identity]
+    columns = ctx.columns
+    seen = {ctx.identity.rho}
+    frontier = [ctx.identity.rho]
     for _ in range(max_length):
         nxt = []
         for w in frontier:
-            ascents = set(A.labels) - w.right_descents()
-            for s in sorted(ascents, key=A.index_set.index):
-                v = multiply(w, ctx.gens[s])
+            for i, c in enumerate(w):
+                if c < 0:
+                    continue
+                v = _apply(columns, (i,), w)
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)
                     if len(seen) > max_elements:
                         raise EnumerationCapExceededError(max_elements)
         frontier = nxt
-    return sorted(seen, key=_element_sort_key)
+    return sorted((WeylElement(ctx, v) for v in seen), key=_element_sort_key)

@@ -53,6 +53,59 @@ class TestValidate:
         assert code == 2
 
 
+class TestInputErrors:
+    """Malformed input exits 2 with a typed error and prints nothing on stdout."""
+
+    def assert_typed(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"matrix": [[2, -1], [-1, 2]]},
+            {"index_set": ["s1", "s2"]},
+            [[2, -1], [-1, 2]],
+            {"index_set": ["s1", "s2"], "matrix": [[2, "x"], [-1, 2]]},
+        ],
+    )
+    def test_cartan_wrong_shape(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        self.assert_typed(capsys, "validate", str(path))
+
+    @pytest.mark.parametrize("labels", [["s1", "s1"], [], [["s1"], ["s2"]]])
+    def test_bad_index_set(self, capsys, tmp_path, labels):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"index_set": labels, "matrix": [[2, -1], [-1, 2]]}))
+        self.assert_typed(capsys, "validate", str(path))
+
+    def test_unhashable_letter(self, capsys, a3_file):
+        self.assert_typed(capsys, "word", a3_file, '["s1", ["s2"]]')
+
+    @pytest.mark.parametrize("expression", ["f[", "a[s1,", "h1 *"])
+    def test_truncated_expression(self, capsys, expression):
+        self.assert_typed(capsys, "normal-form", expression)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [],
+            {"basis": [1, 2], "generators": [], "products": {}},
+            {"basis": [{"id": "b0", "degree": 0}], "generators": []},
+            {"basis": [{"id": "b0", "degree": 0}], "generators": [], "products": []},
+            {"basis": [{"id": "b0", "degree": "0"}], "generators": [], "products": {}},
+            {"basis": [{"id": ["b0"], "degree": 0}], "generators": [], "products": {}},
+        ],
+    )
+    def test_oracle_wrong_shape(self, capsys, tmp_path, data):
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps(data))
+        self.assert_typed(capsys, "reconstruct", str(path))
+
+
 class TestWord:
     def test_full_report(self, capsys, a3_file):
         payload = run_json(capsys, "word", a3_file, "s2 s3 s1 s2")

@@ -60,6 +60,20 @@ class TestCheckEquivalence:
         assert v == u.inverse()
         assert check_equivalence(u, v) is None
 
+    def test_final_word_check_decides(self):
+        """Same length, support and constrained pairs, so sigma = id passes
+        every entry test; only the final check that the image word
+        multiplies to w' tells these apart."""
+        w, w_prime = words(A3, "s1 s2 s1 s3 s2", "s1 s2 s3 s2 s1")
+        assert w != w_prime
+        assert w.length == w_prime.length == 5
+        assert support(w) == support(w_prime)
+        labels = A3.labels
+        for s, t in itertools.permutations(labels, 2):
+            assert two_letter_leq(A3, s, t, w) == two_letter_leq(A3, s, t, w_prime)
+        assert check_equivalence(w, w_prime) is None
+        assert check_equivalence(w_prime, w) is None
+
     def test_reflexive(self, rng):
         for _ in range(20):
             A = random_cartan(rng)

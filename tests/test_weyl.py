@@ -31,7 +31,18 @@ from schubertisom.weyl import (
     support,
 )
 
-from conftest import A2, A3, C3, A1_AFFINE, random_cartan, random_word, type_a
+from conftest import (
+    A1_AFFINE,
+    A2,
+    A3,
+    C3,
+    D4,
+    G2,
+    random_cartan,
+    random_word,
+    type_a,
+    validate_cartan,
+)
 
 
 def brute_force_subword_leq(u, w):
@@ -362,3 +373,190 @@ def test_canonical_word_faithful(seed):
     assert again == w
     assert again.canonical_word == w.canonical_word
     assert w.length <= len(word)
+
+
+# --- the former four-matrix arithmetic, kept only as a test oracle -------------
+
+
+def _matmul(a, b):
+    rng = range(len(a))
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in rng) for j in rng) for i in rng
+    )
+
+
+def _matvec(a, v):
+    rng = range(len(a))
+    return tuple(sum(a[i][k] * v[k] for k in rng) for i in rng)
+
+
+class MatrixElement:
+    """w as its integral action on roots and coroots.
+
+    Column t of `mat` is w(alpha_t) and column t of `cmat` is w(h_t), in the
+    simple-root and simple-coroot bases; `inv` and `cinv` are the inverses.
+    Independent of the w(rho) vectors the library stores.
+    """
+
+    def __init__(self, A, mat, inv, cmat, cinv):
+        self.A, self.mat, self.inv, self.cmat, self.cinv = A, mat, inv, cmat, cinv
+
+    @classmethod
+    def from_word(cls, A, word):
+        n = len(A)
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        out = cls(A, ident, ident, ident, ident)
+        for s in word:
+            out = out * cls.generator(A, s)
+        return out
+
+    @classmethod
+    def generator(cls, A, s):
+        k = A.index_set.index(s)
+        n = len(A)
+        mat = [[int(i == j) for j in range(n)] for i in range(n)]
+        cmat = [[int(i == j) for j in range(n)] for i in range(n)]
+        for j in range(n):
+            mat[k][j] -= A.entries[k][j]
+            cmat[k][j] -= A.entries[j][k]
+        mat = tuple(map(tuple, mat))
+        cmat = tuple(map(tuple, cmat))
+        return cls(A, mat, mat, cmat, cmat)
+
+    def __mul__(self, other):
+        return MatrixElement(
+            self.A,
+            _matmul(self.mat, other.mat),
+            _matmul(other.inv, self.inv),
+            _matmul(self.cmat, other.cmat),
+            _matmul(other.cinv, self.cinv),
+        )
+
+    def __eq__(self, other):
+        return self.mat == other.mat
+
+    def __hash__(self):
+        return hash(self.mat)
+
+    def inverse(self):
+        return MatrixElement(self.A, self.inv, self.mat, self.cinv, self.cmat)
+
+    def _negative_columns(self, mat):
+        n = len(mat)
+        return {
+            s
+            for j, s in enumerate(self.A.labels)
+            if all(mat[i][j] <= 0 for i in range(n))
+        }
+
+    def left_descents(self):
+        return self._negative_columns(self.inv)
+
+    def right_descents(self):
+        return self._negative_columns(self.mat)
+
+    def canonical_word(self):
+        word = []
+        cur = self
+        while cur.left_descents():
+            s = min(cur.left_descents(), key=self.A.index_set.index)
+            word.append(s)
+            cur = MatrixElement.generator(self.A, s) * cur
+        return tuple(word)
+
+
+def matrix_cover_reflection(A, u, v):
+    """Root and coroot of the reflection r with r*u = v, by scanning the
+    prefix reflections of v's reduced word with matrix products."""
+    word = v.canonical_word()
+    prefix = MatrixElement.from_word(A, ())
+    for s in word:
+        g = MatrixElement.generator(A, s)
+        refl = prefix * g * prefix.inverse()
+        if refl * u == v:
+            unit = simple_root(A, s)
+            return refl, _matvec(prefix.mat, unit), _matvec(prefix.cmat, unit)
+        prefix = prefix * g
+    raise AssertionError("not a cover")
+
+
+def _non_symmetrizable_rank_4(rng):
+    """A random rank-4 matrix with a triangle whose cycle products differ,
+    which rules out a symmetrization."""
+    labels = ["s1", "s2", "s3", "s4"]
+    while True:
+        e = [[2 if i == j else -rng.randint(1, 3) for j in range(4)] for i in range(4)]
+        if any(
+            e[i][j] * e[j][k] * e[k][i] != e[j][i] * e[k][j] * e[i][k]
+            for i, j, k in itertools.combinations(range(4), 3)
+        ):
+            return validate_cartan(e, labels)
+
+
+B4 = validate_cartan(
+    [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
+    ["s1", "s2", "s3", "s4"],
+)
+A2_AFFINE = validate_cartan(
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], ["s0", "s1", "s2"]
+)
+
+
+ORACLE_MATRICES = {
+    "A4": type_a(4),
+    "B4": B4,
+    "D4": D4,
+    "G2": G2,
+    "A2aff": A2_AFFINE,
+    "A1aff": A1_AFFINE,
+    **{f"nonsym4_{k}": _non_symmetrizable_rank_4(random.Random(k)) for k in range(3)},
+}
+
+
+class TestAgainstMatrixOracle:
+    """The w(rho) vectors agree with the four-matrix action on every query."""
+
+    @pytest.mark.parametrize("name", ORACLE_MATRICES)
+    def test_element_queries(self, name):
+        A = ORACLE_MATRICES[name]
+        rng = random.Random(name)
+        n = len(A)
+        by_rho, by_mat = {}, {}
+        for k in range(60):
+            word = random_word(rng, A, 9)
+            w = element_from_word(A, word)
+            ref = MatrixElement.from_word(A, word)
+            by_rho.setdefault(w.rho, set()).add(k)
+            by_mat.setdefault(ref.mat, set()).add(k)
+            assert w.canonical_word == ref.canonical_word()
+            assert w.left_descents() == ref.left_descents()
+            assert w.right_descents() == ref.right_descents()
+            assert w.inverse().canonical_word == ref.inverse().canonical_word()
+            assert w.inverse() == element_from_word(A, word[::-1])
+            vectors = [simple_root(A, s) for s in A.labels]
+            vectors.append(tuple(rng.randint(-3, 3) for _ in range(n)))
+            for x in vectors:
+                assert w.apply_to_root(x) == _matvec(ref.mat, x)
+                assert w.apply_inverse_to_root(x) == _matvec(ref.inv, x)
+                assert w.apply_to_coroot(x) == _matvec(ref.cmat, x)
+                assert w.apply_inverse_to_coroot(x) == _matvec(ref.cinv, x)
+        # equality: words group into the same elements either way
+        assert sorted(map(sorted, by_rho.values())) == sorted(
+            map(sorted, by_mat.values())
+        )
+
+    @pytest.mark.parametrize("name", ORACLE_MATRICES)
+    def test_cover_reflections(self, name):
+        A = ORACLE_MATRICES[name]
+        rng = random.Random(name)
+        for _ in range(3):
+            w = element_from_word(A, random_word(rng, A, 5))
+            itv = interval(w)
+            for u in itv:
+                ref_u = MatrixElement.from_word(A, u.canonical_word)
+                for v in itv.covers_up[u]:
+                    ref_v = MatrixElement.from_word(A, v.canonical_word)
+                    refl = cover_reflection(u, v)
+                    ref_refl, root, coroot = matrix_cover_reflection(A, ref_u, ref_v)
+                    assert (refl.root, refl.coroot) == (root, coroot)
+                    assert refl.element.canonical_word == ref_refl.canonical_word()
