@@ -1,4 +1,4 @@
-"""Cartan matrices, Coxeter exponents, simple Coxeter graphs, automorphisms.
+"""Cartan matrices, Coxeter exponents, graphs and the label-bijection search.
 
 A (generalized) Cartan matrix is an integer matrix A indexed by a finite
 label set S with A[s][s] = 2, A[s][t] <= 0 for s != t, and A[s][t] = 0
@@ -7,7 +7,6 @@ the canonical total order used for all lexicographic tie-breaking.
 """
 
 import math
-from itertools import permutations
 
 from .errors import (
     DiagonalNotTwoError,
@@ -20,7 +19,8 @@ from .errors import (
     ZeroAsymmetryError,
 )
 
-# Brute-force automorphism search is factorial; keep inputs tiny.
+# The profile-pruned search costs about as much as the maps it returns,
+# and an edgeless diagram has n! of them, so the rank stays capped.
 AUTOMORPHISM_CAP = 12
 
 
@@ -68,7 +68,7 @@ class IndexSet:
 class CartanMatrix:
     """A validated generalized Cartan matrix over an ordered index set."""
 
-    __slots__ = ("index_set", "entries", "_hash")
+    __slots__ = ("index_set", "entries", "table", "_hash")
 
     def __init__(self, index_set, entries):
         if not isinstance(index_set, IndexSet):
@@ -93,6 +93,12 @@ class CartanMatrix:
                     raise ZeroAsymmetryError(s, t)
         self.index_set = index_set
         self.entries = entries
+        # (s, t) -> A[s][t], looked up by label.
+        self.table = {
+            (s, t): entries[i][j]
+            for i, s in enumerate(labels)
+            for j, t in enumerate(labels)
+        }
         self._hash = hash((index_set.labels, entries))
 
     @property
@@ -146,8 +152,7 @@ def submatrix(A, J):
     for s in J:
         A.index_set.index(s)
     keep = [s for s in A.labels if s in set(J)]
-    idx = [A.index_set.index(s) for s in keep]
-    rows = [[A.entries[i][j] for j in idx] for i in idx]
+    rows = [[A.table[s, t] for t in keep] for s in keep]
     return CartanMatrix(IndexSet(keep), rows)
 
 
@@ -194,18 +199,72 @@ class SimpleCoxeterGraph:
 
 
 def simple_graph(A):
-    labels = A.labels
-    edges = set()
-    for i, s in enumerate(labels):
-        for j in range(i + 1, len(labels)):
-            if A.entries[i][j] != 0:
-                edges.add(frozenset((s, labels[j])))
+    edges = [(s, t) for (s, t), a in A.table.items() if s != t and a != 0]
     return SimpleCoxeterGraph(A.index_set, edges)
 
 
-def _check_cap(n):
-    if n > AUTOMORPHISM_CAP:
-        raise TooLargeError(n, AUTOMORPHISM_CAP)
+def search_injections(candidates, constraints, target, accept):
+    """Backtracking search for label injections, in lexicographic image order.
+
+    `candidates` lists (label, allowed images) in search order, and images
+    are tried in the order given.  Every source pair (s, t) in
+    `constraints` requires target[sigma[s], sigma[t]] == constraints[s, t];
+    each pair is checked as soon as both labels are mapped.  `accept` sees
+    each complete injection in turn, and the search stops at the first one
+    it accepts.  Returns a copy of that injection, or None.
+    """
+    if not all(images for _, images in candidates):
+        return None
+    # checks[i]: (earlier label r, value, whether the pair is (s_i, r)).
+    position = {s: i for i, (s, _) in enumerate(candidates)}
+    checks = [[] for _ in candidates]
+    for (s, t), v in constraints.items():
+        if position[s] > position[t]:
+            checks[position[s]].append((t, v, True))
+        elif position[s] < position[t]:
+            checks[position[t]].append((s, v, False))
+    sigma = {}
+    used = set()
+
+    def extend(i):
+        if i == len(candidates):
+            return accept(sigma)
+        s, images = candidates[i]
+        for t in images:
+            if t in used:
+                continue
+            for r, v, outgoing in checks[i]:
+                if (target[t, sigma[r]] if outgoing else target[sigma[r], t]) != v:
+                    break
+            else:
+                sigma[s] = t
+                used.add(t)
+                if extend(i + 1):
+                    return True
+                del sigma[s]
+                used.discard(t)
+        return False
+
+    return dict(sigma) if extend(0) else None
+
+
+def _automorphisms(labels, table):
+    """Every bijection of labels preserving table, in lexicographic order.
+
+    A label can only go to a label with the same sorted row and column of
+    table entries, so those profiles are the candidate lists.
+    """
+    if len(labels) > AUTOMORPHISM_CAP:
+        raise TooLargeError(len(labels), AUTOMORPHISM_CAP)
+
+    def profile(s):
+        return sorted(table[s, t] for t in labels), sorted(table[t, s] for t in labels)
+
+    profiles = {s: profile(s) for s in labels}
+    candidates = [(s, [t for t in labels if profiles[t] == profiles[s]]) for s in labels]
+    autos = []  # append returns None, so the search collects every map
+    search_injections(candidates, table, table, lambda sigma: autos.append(dict(sigma)))
+    return autos
 
 
 def graph_automorphisms(G):
@@ -215,28 +274,10 @@ def graph_automorphisms(G):
     vertex order, so the identity always comes first.
     """
     labels = G.vertices.labels
-    _check_cap(len(labels))
-    autos = []
-    for images in permutations(labels):
-        sigma = dict(zip(labels, images))
-        if all(G.has_edge(sigma[s], sigma[t]) == G.has_edge(s, t)
-               for i, s in enumerate(labels) for t in labels[i + 1:]):
-            autos.append(sigma)
-    return autos
+    table = {(s, t): G.has_edge(s, t) for s in labels for t in labels}
+    return _automorphisms(labels, table)
 
 
 def diagram_automorphisms(A):
     """All vertex bijections preserving every Cartan entry, lexicographically."""
-    labels = A.labels
-    _check_cap(len(labels))
-    pos = A.index_set.position
-    autos = []
-    for images in permutations(labels):
-        sigma = dict(zip(labels, images))
-        if all(
-            A.entries[pos[s]][pos[t]] == A.entries[pos[sigma[s]]][pos[sigma[t]]]
-            for s in labels
-            for t in labels
-        ):
-            autos.append(sigma)
-    return autos
+    return _automorphisms(A.labels, A.table)

@@ -127,6 +127,18 @@ def minimal_coset_reps(J, itv):
     return frozenset(u for u in itv if not (u.right_descents() & J))
 
 
+def closure_from(start, successors):
+    """The least set containing start and closed under successors(u)."""
+    closure = {start}
+    frontier = [start]
+    while frontier:
+        for v in successors(frontier.pop()):
+            if v not in closure:
+                closure.add(v)
+                frontier.append(v)
+    return frozenset(closure)
+
+
 def support_closure(J, itv):
     """E^J: the union of supports over the subring generated by S(w) \\ J.
 
@@ -139,16 +151,9 @@ def support_closure(J, itv):
     )
     unit = itv.elements[0]
     assert unit.is_identity()
-    closure = {unit}
-    frontier = [unit]
-    while frontier:
-        u = frontier.pop()
-        for s in generators:
-            for v in support(chevalley_product(s, u, itv)):
-                if v not in closure:
-                    closure.add(v)
-                    frontier.append(v)
-    return frozenset(closure)
+    return closure_from(
+        unit, lambda u: (v for s in generators for v in support(chevalley_product(s, u, itv)))
+    )
 
 
 @dataclass
@@ -159,6 +164,7 @@ class CohomologyOracle:
     generators: tuple  # ids of degree 2
     products: dict  # (generator id, basis id) -> tuple of (basis id, coeff)
     _degrees: dict = field(default=None, repr=False, compare=False)
+    _closures: dict = field(default_factory=dict, repr=False, compare=False)  # J -> E^J
 
     def degree(self, bid):
         if self._degrees is None:

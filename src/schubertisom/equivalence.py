@@ -9,7 +9,8 @@ words, pruned by per-generator entry profiles.
 
 from dataclasses import dataclass
 
-from .cartan import diagram_automorphisms, graph_automorphisms, simple_graph, submatrix
+from .cartan import diagram_automorphisms, graph_automorphisms, search_injections
+from .cartan import simple_graph, submatrix
 from .errors import NotFullySupportedError
 from . import weyl
 from .weyl import (
@@ -49,25 +50,24 @@ _SUPPORT_DATA = {}
 
 
 def _support_data(w):
-    """(sorted support, constrained pair set, per-label entry profile)."""
+    """(sorted support, constrained pair -> entry, per-label entry profile)."""
     data = _SUPPORT_DATA.get(w)
     if data is not None:
         return data
     A = w.cartan
-    order = A.index_set.index
-    sup = sorted(support(w), key=order)
-    pairs = {
-        (s, t)
+    sup = sorted(support(w), key=A.index_set.index)
+    constraints = {
+        (s, t): A.table[s, t]
         for s in sup
         for t in sup
         if s != t and two_letter_leq(A, s, t, w)
     }
     profiles = {}
     for s in sup:
-        out_entries = sorted(A.entry(s, t) for t in sup if (s, t) in pairs)
-        in_entries = sorted(A.entry(t, s) for t in sup if (t, s) in pairs)
+        out_entries = sorted(A.table[s, t] for t in sup if (s, t) in constraints)
+        in_entries = sorted(A.table[t, s] for t in sup if (t, s) in constraints)
         profiles[s] = (tuple(out_entries), tuple(in_entries))
-    data = (sup, pairs, profiles)
+    data = (sup, constraints, profiles)
     _SUPPORT_DATA[w] = data
     return data
 
@@ -81,53 +81,23 @@ def check_equivalence(w, w_prime):
     w' (the image word is automatically reduced).  That check builds the
     image word's vector in O(n * length) and compares it with w'.
     """
-    A, B = w.cartan, w_prime.cartan
+    B = w_prime.cartan
     if w.length != w_prime.length:
         return None
-    src, src_pairs, src_profiles = _support_data(w)
+    src, constraints, src_profiles = _support_data(w)
     dst, _, dst_profiles = _support_data(w_prime)
     if len(src) != len(dst):
         return None
-
-    candidates = {
-        s: [t for t in dst if dst_profiles[t] == src_profiles[s]] for s in src
-    }
-    if any(not opts for opts in candidates.values()):
-        return None
-
+    candidates = [
+        (s, [t for t in dst if dst_profiles[t] == src_profiles[s]]) for s in src
+    ]
     word = w.canonical_word
-    sigma = {}
-    used = set()
 
-    def extend(i):
-        if i == len(src):
-            image = tuple(sigma[s] for s in word)
-            return element_from_word(B, image) == w_prime
-        s = src[i]
-        for t in candidates[s]:
-            if t in used:
-                continue
-            ok = True
-            for r in src[:i]:
-                if (s, r) in src_pairs and A.entry(s, r) != B.entry(t, sigma[r]):
-                    ok = False
-                    break
-                if (r, s) in src_pairs and A.entry(r, s) != B.entry(sigma[r], t):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            sigma[s] = t
-            used.add(t)
-            if extend(i + 1):
-                return True
-            del sigma[s]
-            used.discard(t)
-        return False
+    def multiplies_to_w_prime(sigma):
+        return element_from_word(B, tuple(sigma[s] for s in word)) == w_prime
 
-    if extend(0):
-        return EquivalenceWitness(w, w_prime, dict(sigma))
-    return None
+    sigma = search_injections(candidates, constraints, B.table, multiplies_to_w_prime)
+    return None if sigma is None else EquivalenceWitness(w, w_prime, sigma)
 
 
 def transport_interval(witness, length_cap=weyl.DEFAULT_LENGTH_CAP):

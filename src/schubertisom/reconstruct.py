@@ -10,6 +10,7 @@ Cartan equivalent to the reconstructed one.
 from dataclasses import dataclass
 
 from .cartan import CartanMatrix, IndexSet
+from .cohomology import closure_from
 from .errors import MalformedOracleError, SchubertError
 from .weyl import element_from_word
 
@@ -78,34 +79,15 @@ def recover_cartan(oracle):
     return cartan, frozenset(free)
 
 
-def _closures(oracle):
-    # E^{{zeta}} for each generator zeta, cached on the oracle instance.
-    cached = getattr(oracle, "_closure_cache", None)
-    if cached is None:
-        cached = {}
-        oracle._closure_cache = cached
-    return cached
-
-
 def support_closure(oracle, J):
     """E^J over the oracle: fixpoint from the unit under generators not in J."""
     J = frozenset(J)
-    cache = _closures(oracle)
-    if J in cache:
-        return cache[J]
-    allowed = [g for g in oracle.generators if g not in J]
-    closure = {oracle.unit_id}
-    frontier = [oracle.unit_id]
-    while frontier:
-        u = frontier.pop()
-        for g in allowed:
-            for v in _supp(oracle, g, u):
-                if v not in closure:
-                    closure.add(v)
-                    frontier.append(v)
-    result = frozenset(closure)
-    cache[J] = result
-    return result
+    if J not in oracle._closures:
+        allowed = [g for g in oracle.generators if g not in J]
+        oracle._closures[J] = closure_from(
+            oracle.unit_id, lambda u: (v for g in allowed for v in _supp(oracle, g, u))
+        )
+    return oracle._closures[J]
 
 
 def descent_set(oracle, v):

@@ -1,6 +1,7 @@
 """Shared matrices, random generators, and brute-force oracles."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -68,6 +69,46 @@ def random_cartan(rng, max_rank=4, min_entry=-3):
 
 def random_word(rng, A, max_len=8):
     return tuple(rng.choice(A.labels) for _ in range(rng.randint(0, max_len)))
+
+
+# A_11 affine: the 12-cycle s1 - s2 - ... - s12 - s1
+A11_AFFINE = validate_cartan(
+    [
+        [2 if i == j else (-1 if (i - j) % 12 in (1, 11) else 0) for j in range(12)]
+        for i in range(12)
+    ],
+    [f"s{i}" for i in range(1, 13)],
+)
+
+
+def brute_force_graph_automorphisms(G):
+    """Reference: every vertex permutation preserving edges, in the
+    lexicographic order of the image tuple."""
+    labels = G.vertices.labels
+    autos = []
+    for images in permutations(labels):
+        sigma = dict(zip(labels, images))
+        if all(G.has_edge(sigma[s], sigma[t]) == G.has_edge(s, t)
+               for i, s in enumerate(labels) for t in labels[i + 1:]):
+            autos.append(sigma)
+    return autos
+
+
+def brute_force_diagram_automorphisms(A):
+    """Reference: every label permutation preserving all Cartan entries, in
+    the lexicographic order of the image tuple."""
+    labels = A.labels
+    pos = A.index_set.position
+    autos = []
+    for images in permutations(labels):
+        sigma = dict(zip(labels, images))
+        if all(
+            A.entries[pos[s]][pos[t]] == A.entries[pos[sigma[s]]][pos[sigma[t]]]
+            for s in labels
+            for t in labels
+        ):
+            autos.append(sigma)
+    return autos
 
 
 @pytest.fixture

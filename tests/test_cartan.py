@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from schubertisom import (
     submatrix,
     validate_cartan,
 )
+from schubertisom.cartan import AUTOMORPHISM_CAP, search_injections
 from schubertisom.errors import (
     DiagonalNotTwoError,
     NonSquareError,
@@ -22,7 +25,21 @@ from schubertisom.errors import (
     ZeroAsymmetryError,
 )
 
-from conftest import A3, B2, B3, C3, D4, G2, A1_AFFINE, random_cartan, type_a
+from conftest import (
+    A1_AFFINE,
+    A11_AFFINE,
+    A3,
+    B2,
+    B3,
+    C3,
+    D4,
+    D4_AFFINE,
+    G2,
+    brute_force_diagram_automorphisms,
+    brute_force_graph_automorphisms,
+    random_cartan,
+    type_a,
+)
 
 
 class TestValidate:
@@ -125,6 +142,31 @@ class TestSimpleGraph:
         assert simple_graph(D4).degree("s1") == 1
 
 
+class TestSearchInjections:
+    def test_checks_pairs_in_both_orientations(self):
+        """(a, b) is checked when b is mapped, though a comes first."""
+        target = {("x", "y"): 0, ("y", "x"): 1, ("x", "x"): 2, ("y", "y"): 2}
+        candidates = [("a", ["x", "y"]), ("b", ["x", "y"])]
+        found = search_injections(candidates, {("a", "b"): 1}, target, lambda sigma: True)
+        assert found == {"a": "y", "b": "x"}
+
+    def test_stops_at_first_accepted_in_lexicographic_order(self):
+        seen = []
+
+        def accept(sigma):
+            seen.append(tuple(sigma.values()))
+            return len(seen) == 3
+
+        candidates = [(s, ["x", "y", "z"]) for s in "abc"]
+        found = search_injections(candidates, {}, {}, accept)
+        assert seen == [("x", "y", "z"), ("x", "z", "y"), ("y", "x", "z")]
+        assert found == {"a": "y", "b": "x", "c": "z"}
+
+    def test_label_without_images(self):
+        candidates = [("a", ["x"]), ("b", [])]
+        assert search_injections(candidates, {}, {}, lambda sigma: True) is None
+
+
 class TestAutomorphisms:
     def test_path3_graph(self):
         assert len(graph_automorphisms(simple_graph(A3))) == 2
@@ -152,6 +194,39 @@ class TestAutomorphisms:
         A = type_a(13)
         with pytest.raises(TooLargeError):
             diagram_automorphisms(A)
+
+    def test_rank_cap_boundary(self):
+        """At the cap the search costs about as much as the maps it returns,
+        not 12! permutations."""
+        assert AUTOMORPHISM_CAP == 12
+        for A, count in ((type_a(12), 2), (A11_AFFINE, 24)):
+            start = time.perf_counter()
+            assert len(diagram_automorphisms(A)) == count
+            assert len(graph_automorphisms(simple_graph(A))) == count
+            assert time.perf_counter() - start < 1.0
+        with pytest.raises(TooLargeError):
+            graph_automorphisms(simple_graph(type_a(13)))
+
+    @pytest.mark.parametrize(
+        "A", [A3, B2, B3, C3, D4, D4_AFFINE, G2, A1_AFFINE],
+        ids=["A3", "B2", "B3", "C3", "D4", "D4_affine", "G2", "A1_affine"],
+    )
+    def test_equal_brute_force_on_named_matrices(self, A):
+        """Same maps in the same order as the permutation search."""
+        assert diagram_automorphisms(A) == brute_force_diagram_automorphisms(A)
+        G = simple_graph(A)
+        assert graph_automorphisms(G) == brute_force_graph_automorphisms(G)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from([-1, -3]))
+    def test_equal_brute_force(self, seed, min_entry):
+        """Same maps in the same order as the permutation search, on random
+        matrices up to rank 6; min_entry -1 makes them simply laced, which
+        gives larger groups."""
+        A = random_cartan(random.Random(seed), max_rank=6, min_entry=min_entry)
+        assert diagram_automorphisms(A) == brute_force_diagram_automorphisms(A)
+        G = simple_graph(A)
+        assert graph_automorphisms(G) == brute_force_graph_automorphisms(G)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9))

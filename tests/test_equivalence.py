@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from schubertisom import (
     support,
     transport_interval,
     two_letter_leq,
+    validate_cartan,
 )
 from schubertisom.errors import NotFullySupportedError
 from schubertisom.weyl import enumerate_elements, identity_element, multiply
@@ -41,7 +43,63 @@ def verify_witness(wit):
                 assert A.entry(s, t) == B.entry(sigma[s], sigma[t])
 
 
+def brute_force_equivalence(w, w_prime):
+    """Reference: the first support bijection, in lexicographic image order,
+    that matches A[s][t] for every pair st <= w and sends the canonical word
+    of w to a reduced word of w'; None when there is none."""
+    A, B = w.cartan, w_prime.cartan
+    src = sorted(support(w), key=A.index_set.index)
+    dst = sorted(support(w_prime), key=B.index_set.index)
+    if len(src) != len(dst):
+        return None
+    constrained = [
+        (s, t) for s, t in itertools.permutations(src, 2) if two_letter_leq(A, s, t, w)
+    ]
+    for images in itertools.permutations(dst):
+        sigma = dict(zip(src, images))
+        if any(A.entry(s, t) != B.entry(sigma[s], sigma[t]) for s, t in constrained):
+            continue
+        image = [sigma[s] for s in w.canonical_word]
+        if len(image) == w_prime.length and element_from_word(B, image) == w_prime:
+            return sigma
+    return None
+
+
+def _relabeled(rng, A):
+    """A copy of A under a random bijection pi onto labels u1..un, listed in a
+    random order; returns (B, pi)."""
+    names = [f"u{i}" for i in range(1, len(A) + 1)]
+    rng.shuffle(names)
+    pi = dict(zip(A.labels, rng.sample(names, len(names))))
+    back = {t: s for s, t in pi.items()}
+    rows = [[A.entry(back[x], back[y]) for y in names] for x in names]
+    nonzero = [(i, j) for i, row in enumerate(rows) for j, a in enumerate(row) if a < 0]
+    if nonzero and rng.random() < 0.3:  # one changed entry gives near misses
+        i, j = rng.choice(nonzero)
+        rows[i][j] = -2 if rows[i][j] == -1 else -1
+    return validate_cartan(rows, names), pi
+
+
 class TestCheckEquivalence:
+    def test_first_witness_matches_brute_force(self):
+        """check_equivalence returns the lexicographically first bijection the
+        brute-force search accepts, or None exactly when it finds none."""
+        rng = random.Random(20261018)
+        found = 0
+        for _ in range(400):
+            A = random_cartan(rng, max_rank=4)
+            w = element_from_word(A, random_word(rng, A, 6))
+            if rng.random() < 0.5:
+                B, pi = _relabeled(rng, A)
+                w_prime = element_from_word(B, [pi[s] for s in w.canonical_word])
+            else:
+                B = A if rng.random() < 0.5 else random_cartan(rng, max_rank=4)
+                w_prime = element_from_word(B, random_word(rng, B, 6))
+            expected = brute_force_equivalence(w, w_prime)
+            wit = check_equivalence(w, w_prime)
+            assert (None if wit is None else wit.sigma) == expected
+            found += expected is not None
+        assert found > 150
     def test_a3_c3_decreasing_word_differs(self):
         u = element_from_word(A3, ["s3", "s2", "s1"])
         v = element_from_word(C3, ["s3", "s2", "s1"])

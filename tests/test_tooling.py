@@ -4,7 +4,8 @@ import ast
 import importlib
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _span_targets():
@@ -26,3 +27,22 @@ def test_span_targets_resolve():
     for module, function in targets:
         mod = importlib.import_module(f"schubertisom.{module}")
         assert callable(getattr(mod, function, None)), f"{module}.{function}"
+
+
+def test_no_permutation_search_in_src():
+    """itertools.permutations is reserved for the tests' brute-force
+    oracles; the package searches bijections by backtracking only."""
+    offenders = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+                if {"permutations", "*"} & {alias.name for alias in node.names}:
+                    offenders.append(f"{path.name}:{node.lineno}")
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "permutations"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "itertools"
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
