@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import MalformedOracleError, NotInIntervalError, UnknownLabelError
 from . import weyl
-from .weyl import cover_reflection, element_from_word
+from .weyl import element_from_word
 
 
 @dataclass
@@ -59,20 +59,6 @@ def basis_class(itv, v):
     return SchubertClass(itv, {v: 1})
 
 
-# Chevalley data for a cover u <| v depends only on the pair, not on the
-# ambient interval, so it is memoized globally.
-_COVER_COROOT = {}
-
-
-def _cover_coroot(u, v):
-    cached = _COVER_COROOT.get((u, v))
-    if cached is None:
-        refl = cover_reflection(u, v)
-        cached = u.apply_inverse_to_coroot(refl.coroot)
-        _COVER_COROOT[(u, v)] = cached
-    return cached
-
-
 def chevalley_product(s, u, itv):
     """Expand xi_s * xi_u on the Schubert basis of the interval."""
     if s not in weyl.support(itv.top):
@@ -82,7 +68,7 @@ def chevalley_product(s, u, itv):
     k = itv.cartan.index_set.index(s)
     coeffs = {}
     for v in itv.covers_up[u]:
-        c = _cover_coroot(u, v)[k]
+        c = itv.coroots[u, v][k]
         assert c >= 0, "Chevalley coefficient must be nonnegative"
         if c:
             coeffs[v] = c
@@ -254,11 +240,12 @@ def _id_and_int(entry, key):
 
 
 def _fresh_ids(count, seed):
+    """count distinct seeded ids in draw order, independent of str hashing."""
     rng = random.Random(seed)
-    ids = set()
+    ids = {}
     while len(ids) < count:
-        ids.add("b" + "".join(rng.choice("0123456789abcdef") for _ in range(8)))
-    return sorted(ids, key=lambda _: rng.random())
+        ids["b" + "".join(rng.choice("0123456789abcdef") for _ in range(8))] = None
+    return list(ids)
 
 
 def export_oracle_with_map(w, seed=0, length_cap=weyl.DEFAULT_LENGTH_CAP):

@@ -161,8 +161,8 @@ class Reflection:
 
 class _Context:
     """Per-Cartan-matrix data: sparse rows (j, A[i][j]) for the root action,
-    columns (j, A[j][i]) for the weight and coroot actions, generators and
-    memo tables."""
+    columns (j, A[j][i]) for the weight and coroot actions, the identity and
+    the generators."""
 
     def __init__(self, cartan):
         A = cartan.entries
@@ -176,8 +176,6 @@ class _Context:
             s: WeylElement(self, _apply(self.columns, (i,), identity.rho), indices=(i,))
             for i, s in enumerate(cartan.labels)
         }
-        self.reduced_words = {identity: frozenset({()})}
-        self.subword_products = {identity: frozenset({identity})}
 
 
 _CONTEXTS = {}
@@ -269,15 +267,33 @@ def subword_products(w):
     Built by left multiplication, from the last letter of the word back.
     """
     ctx = w._ctx
-    cached = ctx.subword_products.get(w)
-    if cached is not None:
-        return cached
     vectors = {ctx.identity.rho}
     for i in reversed(w._index_word()):
         vectors.update([_apply(ctx.columns, (i,), v) for v in vectors])
-    result = frozenset(WeylElement(ctx, v) for v in vectors)
-    ctx.subword_products[w] = result
-    return result
+    return frozenset(WeylElement(ctx, v) for v in vectors)
+
+
+def _lower_covers(v):
+    """Yield (k, u(rho)) for each 0-based position k, last first, of v's
+    canonical word s_1...s_m whose deletion leaves a reduced word u.  By
+    strong exchange these u are the lower covers of v (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, 1.4 and 2.2).  s_{k-1}, ..., s_1 are
+    applied one at a time to (s_{k+1}...s_m)(rho); the word stays reduced
+    while each s_i meets a positive coordinate x_i."""
+    columns = v._ctx.columns
+    word = v._index_word()
+    suffix = v._ctx.identity.rho  # (s_{k+1}...s_m)(rho)
+    for k in range(len(word) - 1, -1, -1):
+        x = list(suffix)
+        for i in reversed(word[:k]):
+            c = x[i]
+            if c < 0:
+                break
+            for j, a in columns[i]:
+                x[j] -= c * a
+        else:
+            yield k, tuple(x)
+        suffix = _apply(columns, (word[k],), suffix)
 
 
 def _element_sort_key(v):
@@ -286,15 +302,17 @@ def _element_sort_key(v):
 
 
 class BruhatInterval:
-    """The interval [e,w] with its cover relations, in sorted order."""
+    """The interval [e,w] with its cover relations, in sorted order.
+    coroots[u, v] = u^{-1}(beta_vee) for the cover v = s_beta u."""
 
-    __slots__ = ("top", "elements", "covers_up", "covers_down", "_members")
+    __slots__ = ("top", "elements", "covers_up", "covers_down", "coroots", "_members")
 
-    def __init__(self, top, elements, covers_up, covers_down):
+    def __init__(self, top, elements, covers_up, covers_down, coroots):
         self.top = top
         self.elements = elements
         self.covers_up = covers_up
         self.covers_down = covers_down
+        self.coroots = coroots
         self._members = frozenset(elements)
 
     def __len__(self):
@@ -312,27 +330,27 @@ class BruhatInterval:
 
 
 def interval(w, length_cap=DEFAULT_LENGTH_CAP):
+    """[e,w] with covers by `_lower_covers`: deleting s_k from v's word
+    s_1...s_m gives u <| v with u^{-1}(beta_vee) = s_m...s_{k+1}(alpha_vee_k)."""
     if w.length > length_cap:
         raise LengthCapExceededError(w.length, length_cap)
     elements = sorted(subword_products(w), key=_element_sort_key)
-    by_length = {}
-    for v in elements:
-        by_length.setdefault(v.length, []).append(v)
+    position = {v.rho: n for n, v in enumerate(elements)}
+    columns = w._ctx.columns
     covers_up = {v: [] for v in elements}
-    covers_down = {v: [] for v in elements}
-    for k, level in by_length.items():
-        for v in by_length.get(k + 1, []):
-            below = subword_products(v)
-            for u in level:
-                if u in below:
-                    covers_up[u].append(v)
-                    covers_down[v].append(u)
-    return BruhatInterval(
-        w,
-        tuple(elements),
-        {v: tuple(ups) for v, ups in covers_up.items()},
-        {v: tuple(downs) for v, downs in covers_down.items()},
-    )
+    covers_down = {}
+    coroots = {}
+    for v in elements:
+        word = v._index_word()
+        downs = sorted((position[rho], k) for k, rho in _lower_covers(v))
+        for p, k in downs:
+            u = elements[p]
+            covers_up[u].append(v)
+            simple = tuple(int(j == word[k]) for j in range(len(columns)))
+            coroots[u, v] = _act(columns, word[k + 1:][::-1], simple)
+        covers_down[v] = tuple(elements[p] for p, _ in downs)
+    covers_up = {v: tuple(ups) for v, ups in covers_up.items()}
+    return BruhatInterval(w, tuple(elements), covers_up, covers_down, coroots)
 
 
 def reduced_words(w, length_cap=DEFAULT_LENGTH_CAP):
@@ -340,19 +358,20 @@ def reduced_words(w, length_cap=DEFAULT_LENGTH_CAP):
     if w.length > length_cap:
         raise LengthCapExceededError(w.length, length_cap)
     ctx = w._ctx
-    cached = ctx.reduced_words.get(w)
-    if cached is not None:
-        return cached
     labels = w.cartan.labels
-    words = set()
-    for i, c in enumerate(w.rho):
-        if c < 0:
-            shorter = WeylElement(ctx, _apply(ctx.columns, (i,), w.rho))
-            for word in reduced_words(shorter, length_cap):
-                words.add((labels[i],) + word)
-    result = frozenset(words)
-    ctx.reduced_words[w] = result
-    return result
+    memo = {ctx.identity.rho: frozenset({()})}  # rho-tuple -> Red
+
+    def words_of(rho):
+        if rho not in memo:
+            memo[rho] = frozenset(
+                (labels[i],) + word
+                for i, c in enumerate(rho)
+                if c < 0
+                for word in words_of(_apply(ctx.columns, (i,), rho))
+            )
+        return memo[rho]
+
+    return words_of(w.rho)
 
 
 def inversion_set(w):
@@ -371,31 +390,22 @@ def cover_reflection(u, v):
     """The unique reflection r with r*u = v for a Bruhat cover u <| v.
 
     Finds the letter s_l of v's canonical word s_1...s_m whose deletion
-    gives u, by comparing (s_1...s_{l-1})^{-1} u(rho) with
-    (s_{l+1}...s_m)(rho).  Then beta = s_1...s_{l-1}(alpha_{s_l}), with the
-    matching coroot, and r(rho) = rho - <beta_vee, rho> beta.
+    gives u (`_lower_covers`).  Then beta = s_1...s_{l-1}(alpha_{s_l}), with
+    the matching coroot, and r(rho) = rho - <beta_vee, rho> beta.
     """
     if u._ctx is not v._ctx:
         raise MixedContextsError()
-    if v.length != u.length + 1:
-        raise NotACoverError()
     ctx = u._ctx
-    columns = ctx.columns
     word = v._index_word()
-    suffixes = [ctx.identity.rho]  # suffixes[-1 - k] = (s_{k+1}...s_m)(rho)
-    for i in reversed(word[1:]):
-        suffixes.append(_apply(columns, (i,), suffixes[-1]))
-    x = u.rho
-    for k, i in enumerate(word):
-        if x == suffixes[-1 - k]:
-            simple = tuple(int(j == i) for j in range(len(x)))
+    for k, rho in _lower_covers(v):
+        if rho == u.rho:
+            simple = tuple(int(j == word[k]) for j in range(len(rho)))
             root = _act(ctx.rows, word[:k], simple)
-            coroot = _act(columns, word[:k], simple)
+            coroot = _act(ctx.columns, word[:k], simple)
             height = sum(coroot)
             weight = [sum(a * root[j] for j, a in row) for row in ctx.rows]
             element = WeylElement(ctx, tuple(1 - height * c for c in weight))
             return Reflection(element, root, coroot)
-        x = _apply(columns, (i,), x)
     raise NotACoverError()
 
 

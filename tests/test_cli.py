@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import schubertisom
 from schubertisom.cli import main
 
 from conftest import A2, A3, C3, D4, D4_AFFINE
@@ -227,6 +232,19 @@ class TestOracleRoundTrip:
         other = run_json(capsys, "--seed", "10", "export-oracle", a3_file, "s1 s2")
         assert one == two
         assert one != other
+
+    def test_stdout_independent_of_hash_seed(self, a3_file):
+        """The oracle's bytes do not depend on str hashing."""
+        src = str(Path(schubertisom.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "schubertisom.cli", "--seed", "5",
+                "export-oracle", a3_file, "s1 s2 s3"]
+        outs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True,
+                                  timeout=60)
+            outs.append(done.stdout)
+        assert outs[0] and outs[0] == outs[1]
 
 
 class TestNormalForm:

@@ -18,6 +18,7 @@ from schubertisom import (
     two_letter_leq,
     validate_cartan,
 )
+from schubertisom.equivalence import EquivalenceWitness
 from schubertisom.errors import NotFullySupportedError
 from schubertisom.weyl import enumerate_elements, identity_element, multiply
 
@@ -212,6 +213,14 @@ class TestTransportInterval:
         assert len(mapping) == 8
         assert mapping[identity_element(A3)] == identity_element(C3)
         assert mapping[u] == v
+
+    def test_wrong_sigma_fails(self):
+        """Swapping the letters of s1 s2 sends it to s2 s1, outside [e, s1 s2]."""
+        w = element_from_word(A3, ["s1", "s2"])
+        assert check_equivalence(w, w).sigma == {"s1": "s1", "s2": "s2"}
+        wrong = EquivalenceWitness(w, w, {"s1": "s2", "s2": "s1"})
+        with pytest.raises(AssertionError):
+            transport_interval(wrong)
 
     def test_preserves_length(self, rng):
         found = 0

@@ -46,3 +46,31 @@ def test_no_permutation_search_in_src():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
+
+
+# Module-level mutable tables that may stay: one context per Cartan matrix
+# and the per-element support data of the equivalence search.
+MODULE_TABLES = {("weyl", "_CONTEXTS"), ("equivalence", "_SUPPORT_DATA")}
+_MUTABLE_LITERALS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
+
+
+def test_no_new_module_memo_tables():
+    """A module-level dict, set or list in src/ is a cache that outlives every
+    call; new ones must not appear beside the two allowed above."""
+    found = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign):
+                targets, value = [node.target], node.value
+            else:
+                continue
+            mutable = isinstance(value, _MUTABLE_LITERALS) or (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in {"dict", "set", "list", "defaultdict", "OrderedDict"}
+            )
+            if mutable:
+                found |= {(path.stem, t.id) for t in targets if isinstance(t, ast.Name)}
+    assert found - MODULE_TABLES == set()

@@ -246,6 +246,35 @@ class TestInterval:
         with pytest.raises(LengthCapExceededError):
             interval(w)
 
+    @staticmethod
+    def _seeded_intervals():
+        """Intervals over the oracle matrices (non-symmetrizable rank 4 and
+        affine among them) and random matrices, from seeded words."""
+        rng = random.Random(17)
+        matrices = list(ORACLE_MATRICES.values())
+        matrices += [random_cartan(rng) for _ in range(6)]
+        for A in matrices:
+            for _ in range(3):
+                yield interval(element_from_word(A, random_word(rng, A, 6)))
+
+    def test_covers_down_are_subword_products_one_shorter(self):
+        for itv in self._seeded_intervals():
+            for v in itv:
+                below = subword_products(v)
+                expected = [
+                    u for u in itv.elements if u.length == v.length - 1 and u in below
+                ]
+                assert list(itv.covers_down[v]) == expected
+
+    def test_coroots_match_cover_reflections(self):
+        """coroots[u, v] against u^{-1}(beta_vee) from the cover reflection."""
+        for itv in self._seeded_intervals():
+            pairs = {(u, v) for u in itv for v in itv.covers_up[u]}
+            assert set(itv.coroots) == pairs
+            for u, v in pairs:
+                coroot = cover_reflection(u, v).coroot
+                assert itv.coroots[u, v] == u.apply_inverse_to_coroot(coroot)
+
 
 class TestSupport:
     def test_identity(self):
