@@ -29,6 +29,7 @@ from .cohomology import (
 )
 from .equivalence import (
     EquivalenceWitness,
+    canonical_key,
     check_equivalence,
     isom_class_bound,
     isom_classes,

@@ -4,7 +4,9 @@ Two pairs are Cartan equivalent when a bijection of supports matches some
 reduced word of w letterwise to a reduced word of w' and matches the Cartan
 entries A[s][t] for every pair with st <= w.  Any reduced word works, so the
 decision procedure searches bijections of supports rather than reduced
-words, pruned by per-generator entry profiles.
+words, pruned by per-generator entry profiles.  Classes are found without
+any search: `canonical_key` is a complete invariant, so `isom_classes`
+groups elements by it.
 """
 
 from dataclasses import dataclass
@@ -13,12 +15,7 @@ from .cartan import diagram_automorphisms, graph_automorphisms, search_injection
 from .cartan import simple_graph, submatrix
 from .errors import NotFullySupportedError
 from . import weyl
-from .weyl import (
-    element_from_word,
-    enumerate_elements,
-    support,
-    two_letter_leq,
-)
+from .weyl import element_from_word, enumerate_elements, support
 
 
 @dataclass(frozen=True)
@@ -45,30 +42,37 @@ class EquivalenceWitness:
         }
 
 
-_SUPPORT_DATA = {}
+def _constraints(w):
+    """(support in label order, {(s, t): A[s][t] over the pairs with st <= w}).
 
-
-def _support_data(w):
-    """(sorted support, constrained pair -> entry, per-label entry profile)."""
-    data = _SUPPORT_DATA.get(w)
-    if data is not None:
-        return data
+    st <= w exactly when A[s][t] = 0 or t occurs after the first s in a
+    reduced word (`two_letter_leq`); one pass over the canonical word finds
+    each letter's first and last position.
+    """
+    first, last = {}, {}
+    for k, s in enumerate(w.canonical_word):
+        first.setdefault(s, k)
+        last[s] = k
     A = w.cartan
-    sup = sorted(support(w), key=A.index_set.index)
+    sup = sorted(first, key=A.index_set.index)
     constraints = {
         (s, t): A.table[s, t]
         for s in sup
         for t in sup
-        if s != t and two_letter_leq(A, s, t, w)
+        if s != t and (A.table[s, t] == 0 or last[t] > first[s])
     }
-    profiles = {}
-    for s in sup:
-        out_entries = sorted(A.table[s, t] for t in sup if (s, t) in constraints)
-        in_entries = sorted(A.table[t, s] for t in sup if (t, s) in constraints)
-        profiles[s] = (tuple(out_entries), tuple(in_entries))
-    data = (sup, constraints, profiles)
-    _SUPPORT_DATA[w] = data
-    return data
+    return sup, constraints
+
+
+def _profiles(sup, constraints):
+    """Per label, the sorted constrained entries out of it and into it."""
+    return {
+        s: (
+            tuple(sorted(constraints[s, t] for t in sup if (s, t) in constraints)),
+            tuple(sorted(constraints[t, s] for t in sup if (t, s) in constraints)),
+        )
+        for s in sup
+    }
 
 
 def check_equivalence(w, w_prime):
@@ -83,10 +87,12 @@ def check_equivalence(w, w_prime):
     B = w_prime.cartan
     if w.length != w_prime.length:
         return None
-    src, constraints, src_profiles = _support_data(w)
-    dst, _, dst_profiles = _support_data(w_prime)
+    src, constraints = _constraints(w)
+    dst, dst_constraints = _constraints(w_prime)
     if len(src) != len(dst):
         return None
+    src_profiles = _profiles(src, constraints)
+    dst_profiles = _profiles(dst, dst_constraints)
     candidates = [
         (s, [t for t in dst if dst_profiles[t] == src_profiles[s]]) for s in src
     ]
@@ -125,35 +131,123 @@ def transport_interval(witness, length_cap=weyl.DEFAULT_LENGTH_CAP):
     return mapping
 
 
+def _components(A, sup):
+    """The connected components, as sets, of the support under A[s][t] != 0."""
+    components = []
+    for s in sup:
+        linked = [c for c in components if any(A.table[s, t] for t in c)]
+        components = [c for c in components if c not in linked]
+        components.append({s}.union(*linked))
+    return components
+
+
+def _component_key(w, letters, length, entries):
+    """The key of the factor of w on one component (as label indices), which
+    has `length` letters; `entries` maps its constrained index pairs to A.
+
+    Breadth first over the left descents inside the component: a state is
+    (remaining vector, letters in naming order).  Its next symbol is its
+    least named descent, or, if no descent is named yet, the next new name,
+    reached by every unnamed descent.  Only the states whose symbol is least
+    survive each step, so they all share the least renamed word.  The
+    entries tie-break is the least over the surviving namings.
+    """
+    columns = w._ctx.columns
+    states = {(w.rho, ())}
+    word = []
+    for _ in range(length):
+        best, chosen = len(letters), []
+        for v, named in states:
+            for symbol, i in enumerate(named):
+                if v[i] < 0:
+                    break
+            else:
+                symbol, i = len(named), None
+            if symbol < best:
+                best, chosen = symbol, []
+            if symbol == best:
+                chosen.append((v, named, i))
+        states = set()
+        for v, named, i in chosen:
+            if i is None:
+                moves = [(j, named + (j,)) for j in letters if v[j] < 0 and j not in named]
+            else:
+                moves = ((i, named),)
+            states.update((weyl._apply(columns, (i,), v), after) for i, after in moves)
+        word.append(best)
+
+    def renamed_entries(named):
+        rank = {i: name for name, i in enumerate(named)}
+        return tuple(sorted((rank[i], rank[j], a) for (i, j), a in entries.items()))
+
+    return tuple(word), min(renamed_entries(named) for _, named in states)
+
+
+def canonical_key(w):
+    """A complete invariant of Cartan equivalence: X(w, A) and X(w', A') are
+    Cartan equivalent exactly when canonical_key(w) == canonical_key(w').
+
+    Keys from different Cartan matrices compare directly.  Let r range over
+    the reduced words Red(w), rename the letters of r to 0, 1, ... by first
+    occurrence, and rename the constrained pairs (s, t) (those with st <= w)
+    along with it, each carrying its entry A[s][t].  The key of w with a
+    connected support is the least (renamed r, sorted renamed entries).
+
+    Invariance under a witness sigma from (w, A) to (w', A').  sigma sends
+    one reduced word of w to one of w', and it keeps the entry of every
+    constrained pair.  By Matsumoto-Tits (Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, Thm 3.3.1) braid moves connect Red(w).  A commutation
+    of s, t needs A[s][t] = 0, a constrained entry; a braid move of length
+    m_st >= 3 needs st <= w and ts <= w, so both entries are constrained and
+    sigma keeps m_st.  Every move therefore carries over, sigma(Red(w)) =
+    Red(w'), and st <= w iff sigma(s)sigma(t) <= w' (the order of first
+    occurrences in corresponding words).  Corresponding words have the same
+    renaming and the same renamed entries, so the keys are equal.
+
+    Equal keys give a witness.  If r in Red(w) and r' in Red(w') reach the
+    same least pair, sigma = (naming of r')^-1 o (naming of r) sends r to
+    r', a reduced word of w', and matches the constrained pairs of w with
+    those of w', entry for entry.
+
+    Factorisation along components.  Two support letters s, t with
+    A[s][t] != 0 always make a constrained pair one way round, so the graph
+    of nonzero constrained entries is the graph A[s][t] != 0 on the support,
+    and letters of different components commute.  w is the product of its
+    factors on the components, Red(w) is the set of shuffles of their
+    reduced words, and every pair across components is constrained with
+    entry 0 both ways.  A witness keeps that graph, so it maps components
+    onto components, and witnesses of the factors combine into one of w.
+    The key of w is therefore (length, sorted keys of the factors), which
+    avoids the k! namings of k commuting letters.  `_component_key` finds
+    the key of each factor.
+    """
+    sup, constraints = _constraints(w)
+    position = w.cartan.index_set.position
+    keys = []
+    for component in _components(w.cartan, sup):
+        letters = [position[s] for s in component]
+        entries = {
+            (position[s], position[t]): a
+            for (s, t), a in constraints.items()
+            if s in component and t in component
+        }
+        length = sum(s in component for s in w.canonical_word)
+        keys.append(_component_key(w, letters, length, entries))
+    return w.length, tuple(sorted(keys))
+
+
 def isom_classes(A, max_length, max_elements=weyl.DEFAULT_ELEMENT_CAP):
     """Partition {w : length(w) <= max_length} into Cartan equivalence classes.
 
-    Each new element is compared against one representative per class,
-    bucketed by a cheap invariant.  Classes come out sorted by their least
-    member under (length, ShortLex); members are sorted the same way.
+    Elements are grouped by `canonical_key`, one key per element and no
+    pairwise checks.  The elements are enumerated in (length, ShortLex)
+    order and a dict keeps its insertion order, so members come out in that
+    order and classes come out sorted by their least member.
     """
-    elements = enumerate_elements(A, max_length, max_elements)
-    order = A.index_set.index
-    buckets = {}
-    classes = []
-    for w in elements:
-        sup, _, profiles = _support_data(w)
-        key = (w.length, tuple(sorted(profiles[s] for s in sup)))
-        bucket = buckets.setdefault(key, [])
-        for members in bucket:
-            if check_equivalence(members[0], w) is not None:
-                members.append(w)
-                break
-        else:
-            members = [w]
-            bucket.append(members)
-            classes.append(members)
-
-    def class_key(members):
-        word = members[0].canonical_word
-        return (len(word), tuple(order(s) for s in word))
-
-    return sorted(classes, key=class_key)
+    classes = {}
+    for w in enumerate_elements(A, max_length, max_elements):
+        classes.setdefault(canonical_key(w), []).append(w)
+    return list(classes.values())
 
 
 def isom_class_bound(A, w):

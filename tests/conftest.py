@@ -5,7 +5,15 @@ from itertools import permutations
 
 import pytest
 
-from schubertisom import CartanMatrix, IndexSet, validate_cartan
+from schubertisom import (
+    CartanMatrix,
+    IndexSet,
+    check_equivalence,
+    support,
+    two_letter_leq,
+    validate_cartan,
+)
+from schubertisom.weyl import enumerate_elements
 
 
 def type_a(n):
@@ -26,9 +34,20 @@ C3 = validate_cartan(
 B3 = validate_cartan(
     [[2, -1, 0], [-1, 2, -2], [0, -1, 2]], ["s1", "s2", "s3"]
 )
+B4 = validate_cartan(
+    [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
+    ["s1", "s2", "s3", "s4"],
+)
 B2 = validate_cartan([[2, -2], [-1, 2]], ["s1", "s2"])
 G2 = validate_cartan([[2, -3], [-1, 2]], ["s1", "s2"])
 A1_AFFINE = validate_cartan([[2, -2], [-2, 2]], ["s1", "s2"])
+A2_AFFINE = validate_cartan(
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], ["s0", "s1", "s2"]
+)
+# Hyperbolic and not symmetrizable: the two cycle products -4 and -1 differ.
+H3 = validate_cartan(
+    [[2, -2, -1], [-1, 2, -1], [-2, -1, 2]], ["s1", "s2", "s3"]
+)
 
 # star with center s2
 D4 = validate_cartan(
@@ -109,6 +128,46 @@ def brute_force_diagram_automorphisms(A):
         ):
             autos.append(sigma)
     return autos
+
+
+def pairwise_isom_classes(A, max_length):
+    """Reference: Cartan equivalence classes by pairwise check_equivalence.
+
+    Each new element is compared against one representative per class,
+    bucketed by its length and the multiset of per-letter constrained entry
+    profiles.  Classes come out sorted by their least member under (length,
+    ShortLex); members are sorted the same way.
+    """
+    order = A.index_set.index
+    buckets = {}
+    classes = []
+    for w in enumerate_elements(A, max_length):
+        sup = support(w)
+        constrained = {
+            (s, t) for s in sup for t in sup if s != t and two_letter_leq(A, s, t, w)
+        }
+        profiles = sorted(
+            (
+                tuple(sorted(A.entry(s, t) for t in sup if (s, t) in constrained)),
+                tuple(sorted(A.entry(t, s) for t in sup if (t, s) in constrained)),
+            )
+            for s in sup
+        )
+        bucket = buckets.setdefault((w.length, tuple(profiles)), [])
+        for members in bucket:
+            if check_equivalence(members[0], w) is not None:
+                members.append(w)
+                break
+        else:
+            members = [w]
+            bucket.append(members)
+            classes.append(members)
+
+    def class_key(members):
+        word = members[0].canonical_word
+        return (len(word), tuple(order(s) for s in word))
+
+    return sorted(classes, key=class_key)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import schubertisom
+from schubertisom import CartanMatrix
 from schubertisom.cli import main
 
 from conftest import A2, A3, C3, D4, D4_AFFINE
@@ -308,3 +310,26 @@ class TestFormatting:
         one = run(capsys, "word", a3_file, "s2 s1 s3 s2")[1]
         two = run(capsys, "word", a3_file, "s2 s1 s3 s2")[1]
         assert one == two
+
+
+def _readme_cli_lines():
+    """The command lines of the README's CLI example block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    """Every README CLI line exits 0, in order (reconstruct reads the oracle
+    that export-oracle wrote), against fixture files of the README's names."""
+    numbered = CartanMatrix(["1", "2", "3"], A3.entries)
+    for name, A in [("a3", A3), ("c3", C3), ("d4", D4), ("a3-numbered", numbered)]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(A.to_json()))
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) == 10
+    for line in lines:
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "schubertisom"
+        code, _, err = run(capsys, *argv)
+        assert code == 0, f"{line}: {err}"

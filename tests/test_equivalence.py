@@ -1,10 +1,13 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schubertisom import (
     bruhat_leq,
+    canonical_key,
     check_equivalence,
     element_from_word,
     interval,
@@ -18,11 +21,26 @@ from schubertisom import (
     two_letter_leq,
     validate_cartan,
 )
+from schubertisom import equivalence
 from schubertisom.equivalence import EquivalenceWitness
 from schubertisom.errors import NotFullySupportedError
 from schubertisom.weyl import enumerate_elements, identity_element, multiply
 
-from conftest import A2, A3, C3, D4, random_cartan, random_word, type_a
+from conftest import (
+    A1_AFFINE,
+    A2,
+    A2_AFFINE,
+    A3,
+    B4,
+    C3,
+    D4,
+    G2,
+    H3,
+    pairwise_isom_classes,
+    random_cartan,
+    random_word,
+    type_a,
+)
 
 
 def words(A, *seqs):
@@ -355,7 +373,7 @@ def _type_a_class_key(p):
 
 
 def test_type_a_class_counts_from_permutations():
-    """An independent count of Cartan equivalence classes in A2..A5.
+    """An independent count of Cartan equivalence classes in A2..A6.
 
     A Burnside check of the A5 figure: 461 indecomposable permutations of 6,
     35 of them fixed by reverse-complement, give 248 full-support classes;
@@ -363,9 +381,9 @@ def test_type_a_class_counts_from_permutations():
     """
     counts = [
         len({_type_a_class_key(p) for p in itertools.permutations(range(n + 1))})
-        for n in range(2, 6)
+        for n in range(2, 7)
     ]
-    assert counts == [4, 14, 54, 315]
+    assert counts == [4, 14, 54, 315, 2114]
     full = [
         p
         for p in itertools.permutations(range(6))
@@ -374,8 +392,124 @@ def test_type_a_class_counts_from_permutations():
     fixed = [p for p in full if p == tuple(5 - p[5 - k] for k in range(6))]
     assert (len(full), len(fixed)) == (461, 35)
     assert len({_type_a_class_key(p) for p in full}) == (461 + 35) // 2 == 248
-    for n, count in zip(range(2, 5), counts):
+    start = time.monotonic()
+    for n, count in zip(range(2, 7), counts):
         assert len(isom_classes(type_a(n), n * (n + 1) // 2)) == count
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0, f"A2..A6 took {elapsed:.1f}s"  # about 1 s
+
+
+def test_type_a7_class_count():
+    """All 40,320 elements of A7 fall into 17,197 classes, by the permutation
+    count and by isom_classes."""
+    count = len({_type_a_class_key(p) for p in itertools.permutations(range(8))})
+    start = time.monotonic()
+    classes = isom_classes(type_a(7), 28)
+    elapsed = time.monotonic() - start
+    assert count == len(classes) == 17_197
+    assert elapsed < 60.0, f"A7 took {elapsed:.1f}s"  # about 10 s; pairwise took 702 s
+
+
+PARTITION_CASES = {
+    "A3": (A3, 6),
+    "A4": (type_a(4), 10),
+    "A5": (type_a(5), 15),
+    "B4": (B4, 16),
+    "G2": (G2, 6),
+    "A1aff": (A1_AFFINE, 10),
+    "A2aff": (A2_AFFINE, 7),
+    "H3": (H3, 6),
+}
+
+
+def _factors(w):
+    """w's factors on the components of its support, where s and t are
+    adjacent when A[s][t] != 0, each over its own submatrix."""
+    A = w.cartan
+    components = []
+    for s in sorted(support(w), key=A.index_set.index):
+        linked = [c for c in components if any(A.entry(s, t) for t in c)]
+        merged = {s}.union(*linked)
+        components = [c for c in components if c not in linked] + [merged]
+    return [
+        element_from_word(submatrix(A, sorted(c, key=A.index_set.index)),
+                          [s for s in w.canonical_word if s in c])
+        for c in components
+    ]
+
+
+class TestCanonicalKey:
+    @pytest.mark.parametrize("name", PARTITION_CASES)
+    def test_same_partition_as_pairwise(self, name):
+        A, max_length = PARTITION_CASES[name]
+        assert isom_classes(A, max_length) == pairwise_isom_classes(A, max_length)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_same_partition_on_random_matrices(self, seed):
+        """Random rank 2-4 matrices, entries in [-3, 0], many of them not
+        symmetrizable."""
+        A = random_cartan(random.Random(seed), max_rank=4)
+        assert isom_classes(A, 4) == pairwise_isom_classes(A, 4)
+
+    def test_equal_keys_iff_equivalent_across_matrices(self):
+        """Seeded same-length pairs from 40 matrices, half of them relabeled
+        copies of the others (some with one entry changed): the keys are
+        equal exactly when check_equivalence finds a witness."""
+        rng = random.Random(20261019)
+        pairs, by_length = [], {}
+        for _ in range(20):
+            A = random_cartan(rng, max_rank=4)
+            B, pi = _relabeled(rng, A)
+            for _ in range(20):
+                w = element_from_word(A, random_word(rng, A, 6))
+                w_prime = element_from_word(B, [pi[s] for s in w.canonical_word])
+                pairs.append((w, w_prime))
+                if w.length > 1:
+                    by_length.setdefault(w.length, []).extend([w, w_prime])
+        for elements in by_length.values():
+            pairs += [(rng.choice(elements), rng.choice(elements)) for _ in elements * 5]
+        verdicts = [
+            (canonical_key(w) == canonical_key(w_prime), check_equivalence(w, w_prime) is not None)
+            for w, w_prime in pairs
+        ]
+        assert all(same_key == equivalent for same_key, equivalent in verdicts)
+        positive = sum(equivalent for _, equivalent in verdicts)
+        assert positive > 500 and len(pairs) - positive > 1000
+
+    def test_a3_c3(self):
+        """The same renamed word; only the entries tell s3 s2 s1 apart."""
+        u, v = [element_from_word(A, ["s3", "s2", "s1"]) for A in (A3, C3)]
+        assert canonical_key(u) != canonical_key(v)
+        u, v = [element_from_word(A, ["s1", "s2", "s3"]) for A in (A3, C3)]
+        assert canonical_key(u) == canonical_key(v)
+
+    def test_commuting_letters_key_apart(self):
+        """Eight commuting letters give eight one-letter factors, not 8!
+        namings of one word."""
+        labels = [f"s{i}" for i in range(1, 9)]
+        A = validate_cartan([[2 if i == j else 0 for j in range(8)] for i in range(8)], labels)
+        assert canonical_key(element_from_word(A, labels)) == (8, (((0,), ()),) * 8)
+
+    def test_factorises_along_components(self, rng):
+        found = 0
+        while found < 30:
+            A = random_cartan(rng, max_rank=4, min_entry=-2)
+            w = element_from_word(A, random_word(rng, A, 8))
+            factors = _factors(w)
+            if len(factors) < 2:
+                continue
+            keys = [canonical_key(f) for f in factors]
+            assert all(len(key[1]) == 1 for key in keys)
+            assert canonical_key(w) == (w.length, tuple(sorted(key[1][0] for key in keys)))
+            found += 1
+
+    def test_isom_classes_makes_no_pairwise_checks(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("isom_classes called check_equivalence")
+
+        monkeypatch.setattr(equivalence, "check_equivalence", fail)
+        assert len(isom_classes(type_a(4), 10)) == 54
 
 
 class TestIsomClassBound:

@@ -48,15 +48,14 @@ def test_no_permutation_search_in_src():
     assert not offenders, offenders
 
 
-# Module-level mutable tables that may stay: one context per Cartan matrix
-# and the per-element support data of the equivalence search.
-MODULE_TABLES = {("weyl", "_CONTEXTS"), ("equivalence", "_SUPPORT_DATA")}
+# Module-level mutable tables that may stay: one context per Cartan matrix.
+MODULE_TABLES = {("weyl", "_CONTEXTS")}
 _MUTABLE_LITERALS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
 
 
 def test_no_new_module_memo_tables():
     """A module-level dict, set or list in src/ is a cache that outlives every
-    call; new ones must not appear beside the two allowed above."""
+    call; new ones must not appear beside the one allowed above."""
     found = set()
     for path in sorted((ROOT / "src").rglob("*.py")):
         for node in ast.parse(path.read_text()).body:

@@ -34,7 +34,9 @@ from schubertisom.weyl import (
 from conftest import (
     A1_AFFINE,
     A2,
+    A2_AFFINE,
     A3,
+    B4,
     C3,
     D4,
     G2,
@@ -520,15 +522,6 @@ def _non_symmetrizable_rank_4(rng):
             for i, j, k in itertools.combinations(range(4), 3)
         ):
             return validate_cartan(e, labels)
-
-
-B4 = validate_cartan(
-    [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
-    ["s1", "s2", "s3", "s4"],
-)
-A2_AFFINE = validate_cartan(
-    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], ["s0", "s1", "s2"]
-)
 
 
 ORACLE_MATRICES = {
