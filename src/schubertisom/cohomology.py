@@ -12,7 +12,7 @@ that downstream reconstruction cannot peek at element names.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MalformedOracleError, NotInIntervalError, UnknownLabelError
 from . import weyl
@@ -149,13 +149,9 @@ class CohomologyOracle:
     basis: tuple  # of (id, degree) pairs
     generators: tuple  # ids of degree 2
     products: dict  # (generator id, basis id) -> tuple of (basis id, coeff)
-    _degrees: dict = field(default=None, repr=False, compare=False)
-    _closures: dict = field(default_factory=dict, repr=False, compare=False)  # J -> E^J
 
     def degree(self, bid):
-        if self._degrees is None:
-            self._degrees = dict(self.basis)
-        return self._degrees[bid]
+        return dict(self.basis)[bid]
 
     @property
     def unit_id(self):
@@ -180,14 +176,15 @@ class CohomologyOracle:
         tops = [bid for bid, d in self.basis if d == top_degree]
         if len(tops) != 1:
             raise MalformedOracleError("exactly one top-degree basis element required")
-        if set(self.generators) != {bid for bid, d in self.basis if d == 2}:
+        generators = set(self.generators)
+        if generators != {bid for bid, d in self.basis if d == 2}:
             raise MalformedOracleError("generators must be exactly the degree-2 ids")
         for g in self.generators:
             for bid in degrees:
                 if (g, bid) not in self.products:
                     raise MalformedOracleError(f"missing product ({g}, {bid})")
         for (g, bid), terms in self.products.items():
-            if g not in set(self.generators) or bid not in degrees:
+            if g not in generators or bid not in degrees:
                 raise MalformedOracleError(f"product ({g}, {bid}) uses unknown ids")
             for vid, coeff in terms:
                 if vid not in degrees:
@@ -198,6 +195,8 @@ class CohomologyOracle:
                     )
                 if coeff == 0:
                     raise MalformedOracleError("zero coefficients must be omitted")
+            if len({vid for vid, _ in terms}) != len(terms):
+                raise MalformedOracleError(f"product ({g}, {bid}) repeats an id")
         unit = units[0]
         for g in self.generators:
             if self.products[(g, unit)] != ((g, 1),):

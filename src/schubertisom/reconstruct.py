@@ -29,10 +29,6 @@ class ReconstructedPresentation:
         }
 
 
-def _product(oracle, g, bid):
-    return dict(oracle.products[(g, bid)])
-
-
 def _supp(oracle, g, bid):
     return frozenset(dict(oracle.products[(g, bid)]))
 
@@ -51,7 +47,7 @@ def recover_cartan(oracle):
     pos = {g: i for i, g in enumerate(gens)}
     entries = [[2 if i == j else None for j in range(n)] for i in range(n)]
     free = set()
-    squares = {g: _product(oracle, g, g) for g in gens}
+    squares = {g: dict(oracle.products[(g, g)]) for g in gens}
     for z1 in gens:
         for z2 in gens:
             if z1 == z2:
@@ -81,64 +77,66 @@ def recover_cartan(oracle):
 
 def support_closure(oracle, J):
     """E^J over the oracle: fixpoint from the unit under generators not in J."""
-    J = frozenset(J)
-    if J not in oracle._closures:
-        allowed = [g for g in oracle.generators if g not in J]
-        oracle._closures[J] = closure_from(
-            oracle.unit_id, lambda u: (v for g in allowed for v in _supp(oracle, g, u))
-        )
-    return oracle._closures[J]
+    allowed = [g for g in oracle.generators if g not in J]
+    return closure_from(
+        oracle.unit_id, lambda u: (v for g in allowed for v, _ in oracle.products[g, u])
+    )
 
 
 def descent_set(oracle, v):
     """The abstract right descent set: generators whose omission drops v."""
     if v not in {bid for bid, _ in oracle.basis}:
         raise MalformedOracleError(f"unknown basis id {v!r}")
-    return frozenset(
-        g for g in oracle.generators if v not in support_closure(oracle, {g})
-    )
+    return frozenset(g for g in oracle.generators if v not in support_closure(oracle, {g}))
 
 
-def reduced_word_sets(oracle):
-    """All abstract reduced words for every basis element, bottom-up.
-
-    For each descent g of v there must be a unique u one degree down with
-    u in E^{{g}} and v in supp(g*u); the words of v are those of u with g
-    appended.
-    """
-    by_degree = sorted(oracle.basis, key=lambda p: p[1])
-    words = {}
-    for v, degree in by_degree:
-        if degree == 0:
-            words[v] = frozenset({()})
-            continue
-        descents = descent_set(oracle, v)
-        if not descents:
-            raise MalformedOracleError(f"basis element {v!r} has no descents")
-        collected = set()
-        for g in descents:
-            closure = support_closure(oracle, {g})
-            candidates = [
-                u
-                for u, d in oracle.basis
-                if d == degree - 2 and u in closure and v in _supp(oracle, g, u)
-            ]
-            if len(candidates) != 1:
+def _predecessors(oracle):
+    """Yield (v, pairs) for each basis id v, bottom-up by degree: one pair
+    (g, u) per descent g of v, with u the unique element of E^{g} such that
+    v is in supp(g*u).  Each E^{g} is built once, and the product table is
+    inverted once into pred[g, v]."""
+    closures = {g: support_closure(oracle, {g}) for g in oracle.generators}
+    pred = {}
+    for (g, u), terms in oracle.products.items():
+        if u in closures[g]:
+            for v, _ in terms:
+                pred.setdefault((g, v), set()).add(u)
+    for v, degree in sorted(oracle.basis, key=lambda p: p[1]):
+        pairs = []
+        for g in oracle.generators:
+            if v in closures[g]:
+                continue
+            if len(pred.get((g, v), ())) != 1:
                 raise MalformedOracleError(
                     f"descent {g!r} of {v!r} does not determine a unique predecessor"
                 )
-            u = candidates[0]
-            collected |= {word + (g,) for word in words[u]}
-        words[v] = frozenset(collected)
+            pairs.append((g, *pred[g, v]))
+        if degree and not pairs:
+            raise MalformedOracleError(f"basis element {v!r} has no descents")
+        yield v, pairs
+
+
+def reduced_word_sets(oracle):
+    """All abstract reduced words for every basis element: the words of each
+    predecessor u of v with its descent g appended."""
+    words = {}
+    for v, pairs in _predecessors(oracle):
+        words[v] = frozenset([w + (g,) for g, u in pairs for w in words[u]] or [()])
     return words
 
 
 def reconstruct(oracle):
-    """Build a full presentation: Cartan matrix plus ShortLex-least top word."""
+    """Build a full presentation: Cartan matrix plus ShortLex-least top word.
+
+    All words of v have length deg(v)/2, so the least word of v is the least
+    of least(u) + (g,) over its predecessor pairs (g, u); only it is kept.
+    """
     oracle.validate()
     cartan, free = recover_cartan(oracle)
-    words = reduced_word_sets(oracle)
-    word = min(words[oracle.top_id])
+    least = {}
+    for v, pairs in _predecessors(oracle):
+        least[v] = min((least[u] + (g,) for g, u in pairs), default=())
+    word = least[oracle.top_id]
     element = element_from_word(cartan, word)
     expected_length = oracle.degree(oracle.top_id) // 2
     if element.length != expected_length or len(word) != expected_length:

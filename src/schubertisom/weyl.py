@@ -12,6 +12,7 @@ O(n * length).  Root and coroot vectors are integer tuples in the simple
 root / coroot bases, in label order; all arithmetic is exact.
 """
 
+import weakref
 from dataclasses import dataclass
 
 from .errors import (
@@ -178,7 +179,8 @@ class _Context:
         }
 
 
-_CONTEXTS = {}
+# One context per Cartan matrix, held only while some element refers to it.
+_CONTEXTS = weakref.WeakValueDictionary()
 
 
 def _context(cartan):

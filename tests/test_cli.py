@@ -1,17 +1,22 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import schubertisom
-from schubertisom import CartanMatrix
+from schubertisom import CartanMatrix, element_from_word, export_oracle
 from schubertisom.cli import main
 
-from conftest import A2, A3, C3, D4, D4_AFFINE
+from conftest import A2, A2_AFFINE, A3, B2, C3, D4, D4_AFFINE
 
 
 @pytest.fixture
@@ -247,6 +252,89 @@ class TestOracleRoundTrip:
                                   timeout=60)
             outs.append(done.stdout)
         assert outs[0] and outs[0] == outs[1]
+
+
+# Exported oracles to mutate: one finite, one rank-2 non-simply-laced and
+# one affine, each small enough to reconstruct in milliseconds.
+FUZZ_ORACLES = [
+    export_oracle(element_from_word(A, word), seed=seed).to_json()
+    for A, word, seed in (
+        (A3, ["s1", "s2", "s1", "s3"], 1),
+        (B2, ["s1", "s2", "s1"], 2),
+        (A2_AFFINE, ["s0", "s1", "s2", "s0"], 3),
+    )
+]
+WRONG_TYPES = (None, 1, 1.5, True, "2", [1], {"id": 1})
+
+# One mutation: (kind, two picks that index into whatever the kind edits, a value).
+MUTATIONS = st.tuples(
+    st.sampled_from(
+        ["repeat", "drop", "empty", "basis_id", "term_id", "retarget", "degree", "coeff",
+         "generators"]
+    ),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(WRONG_TYPES + (-2, 0, 3, 4, -1, "bzz")),
+)
+
+
+def _mutate(data, kind, i, j, value):
+    """Apply one mutation to oracle JSON in place."""
+    products = data["products"]
+    key = sorted(products)[i % len(products)] if products else None
+    terms = products.get(key) or []
+    if kind == "repeat" and terms:
+        term = dict(terms[j % len(terms)])
+        if type(value) is int:
+            term["coeff"] = value
+        terms.append(term)
+    elif kind == "drop" and key:
+        del products[key]
+    elif kind == "empty" and key:
+        products[key] = []
+    elif kind == "basis_id":
+        data["basis"][i % len(data["basis"])]["id"] = value
+    elif kind == "term_id" and terms:
+        terms[j % len(terms)]["id"] = value
+    elif kind == "retarget" and terms:
+        terms[j % len(terms)]["id"] = data["basis"][i % len(data["basis"])]["id"]
+    elif kind == "degree":
+        data["basis"][i % len(data["basis"])]["degree"] = value
+    elif kind == "coeff" and terms:
+        terms[j % len(terms)]["coeff"] = value
+    elif kind == "generators":
+        gens = data["generators"]
+        ids = [entry["id"] for entry in data["basis"]]
+        if j % 4 == 0 and gens:
+            gens.pop(i % len(gens))
+        elif j % 4 == 1:
+            gens.append(ids[i % len(ids)])
+        elif j % 4 == 2 and gens:
+            gens[i % len(gens)] = value
+        else:
+            gens.reverse()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(FUZZ_ORACLES) - 1), st.lists(MUTATIONS, min_size=1, max_size=3))
+def test_reconstruct_fuzzed_oracle_exits_cleanly(which, mutations):
+    """A mutated oracle file either reconstructs (exit 0) or is rejected as
+    a typed error (exit 2); no exception escapes cli.main."""
+    data = copy.deepcopy(FUZZ_ORACLES[which])
+    for mutation in mutations:
+        _mutate(data, *mutation)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "oracle.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["reconstruct", path])
+    assert code in (0, 2)
+    if code == 0:
+        assert set(json.loads(out.getvalue())) == {"cartan", "word", "free_entries"}
+    else:
+        assert err.getvalue().startswith("error: ")
 
 
 class TestNormalForm:

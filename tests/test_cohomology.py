@@ -10,6 +10,7 @@ from schubertisom import (
     export_oracle_with_map,
     interval,
     multiply_by_simple,
+    reconstruct,
     simple_square_closed_form,
     support_closure,
     validate_cartan,
@@ -270,3 +271,16 @@ class TestOracleValidation:
         products[(g, o.unit_id)] = ((g, 2),)
         with pytest.raises(MalformedOracleError):
             CohomologyOracle(o.basis, o.generators, products).validate()
+
+    def test_repeated_term_id(self):
+        """A product naming one id twice is rejected, not read as its last term."""
+        o = self._oracle()
+        products = dict(o.products)
+        key = next(k for k, terms in sorted(products.items()) if terms and k[1] != o.unit_id)
+        vid, c = products[key][0]
+        products[key] += ((vid, c + 1),)
+        bad = CohomologyOracle(o.basis, o.generators, products)
+        with pytest.raises(MalformedOracleError, match="repeats an id"):
+            bad.validate()
+        with pytest.raises(MalformedOracleError):
+            reconstruct(bad)

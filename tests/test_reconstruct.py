@@ -1,3 +1,8 @@
+import dataclasses
+import importlib
+import random
+import time
+
 import pytest
 
 from schubertisom import (
@@ -18,9 +23,10 @@ from schubertisom.reconstruct import (
     support_closure,
 )
 
-from conftest import A2, A3, random_cartan, random_word
+from conftest import A2, A3, random_cartan, random_word, type_a
 
 from test_cohomology import hirzebruch
+from test_weyl import ORACLE_MATRICES, _non_symmetrizable_rank_4
 
 
 def _inverse_naming(naming):
@@ -196,3 +202,69 @@ class TestReconstruct:
         data = reconstruct(export_oracle(w, seed=9)).to_json()
         assert set(data) == {"cartan", "word", "free_entries"}
         assert data["cartan"]["matrix"][0][0] == 2
+
+
+# the module, which the package's `reconstruct` function shadows as an attribute
+reconstruct_module = importlib.import_module("schubertisom.reconstruct")
+
+
+def _least_word_cases():
+    """Seeded non-identity (A, word) cases over ORACLE_MATRICES, plus random
+    non-symmetrizable matrices and random affine type-A cycles."""
+    rng = random.Random(7)
+    matrices = dict(ORACLE_MATRICES)
+    for k in range(4):
+        matrices[f"nonsym_{k}"] = _non_symmetrizable_rank_4(rng)
+    for k in range(4):
+        n = rng.randint(3, 5)
+        matrices[f"affine_{k}"] = validate_cartan(
+            [[2 if i == j else (-1 if (i - j) % n in (1, n - 1) else 0) for j in range(n)]
+             for i in range(n)],
+            [f"s{i}" for i in range(n)],
+        )
+    cases = []
+    for name, A in matrices.items():
+        for k in range(3):
+            word = random_word(rng, A, 7)
+            if not element_from_word(A, word).is_identity():
+                cases.append(pytest.param(A, word, id=f"{name}-{k}"))
+    return cases
+
+
+class TestLeastWordWalk:
+    @pytest.mark.parametrize("A, word", _least_word_cases())
+    def test_least_word_is_least_of_all_words(self, A, word):
+        oracle = export_oracle(element_from_word(A, word), seed=len(word))
+        words = reduced_word_sets(oracle)
+        assert reconstruct(oracle).word == min(words[oracle.top_id])
+
+    def test_round_trips_never_list_all_words(self, monkeypatch, rng):
+        def fail(*args):
+            raise AssertionError("reconstruct called reduced_word_sets")
+
+        monkeypatch.setattr(reconstruct_module, "reduced_word_sets", fail)
+        for _ in range(10):
+            A = random_cartan(rng, max_rank=4)
+            w = element_from_word(A, random_word(rng, A, 7))
+            if w.is_identity():
+                continue
+            rp = reconstruct(export_oracle(w, seed=rng.randrange(10**6)))
+            assert check_equivalence(w, element_from_word(rp.cartan, rp.word)) is not None
+
+    def test_oracle_is_a_plain_record(self):
+        names = [f.name for f in dataclasses.fields(CohomologyOracle)]
+        assert names == ["basis", "generators", "products"]
+
+    def test_longest_a6_round_trip(self):
+        """w0 of A6 (5,040 basis elements, length 21) exports and rebuilds."""
+        A6 = type_a(6)
+        w0 = element_from_word(
+            A6, [f"s{j}" for i in range(6, 0, -1) for j in range(1, i + 1)]
+        )
+        start = time.monotonic()
+        oracle = export_oracle(w0, seed=6, length_cap=21)
+        rp = reconstruct(oracle)
+        elapsed = time.monotonic() - start
+        assert len(oracle.basis) == 5040
+        assert check_equivalence(w0, element_from_word(rp.cartan, rp.word)) is not None
+        assert elapsed < 6.0, f"w0 of A6 took {elapsed:.1f}s"  # about 1.2 s

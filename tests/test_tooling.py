@@ -48,8 +48,9 @@ def test_no_permutation_search_in_src():
     assert not offenders, offenders
 
 
-# Module-level mutable tables that may stay: one context per Cartan matrix.
-MODULE_TABLES = {("weyl", "_CONTEXTS")}
+# Module-level mutable tables that may stay: none.  weyl._CONTEXTS is a
+# WeakValueDictionary, which keeps a context only while an element uses it.
+MODULE_TABLES = set()
 _MUTABLE_LITERALS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -23,6 +24,7 @@ from schubertisom.errors import (
     NotInSupportError,
     UnknownLabelError,
 )
+from schubertisom import weyl
 from schubertisom.weyl import (
     identity_element,
     multiply,
@@ -96,6 +98,22 @@ class TestMultiply:
     def test_mixed_contexts(self):
         with pytest.raises(MixedContextsError):
             multiply(simple_reflection(A3, "s1"), simple_reflection(C3, "s1"))
+
+    def test_context_table_keeps_only_held_matrices(self):
+        """The per-matrix context goes with the last element that uses it."""
+        held = element_from_word(A3, ["s1", "s2"])
+        gc.collect()
+        before = set(weyl._CONTEXTS.keys())
+        elements = [
+            element_from_word(validate_cartan([[2, -k - 1], [-1, 2]], ["s1", "s2"]), ["s1", "s2"])
+            for k in range(300)
+        ]
+        assert len(weyl._CONTEXTS) >= 300
+        del elements
+        gc.collect()
+        assert set(weyl._CONTEXTS.keys()) <= before
+        assert weyl._CONTEXTS[A3] is held._ctx
+        assert element_from_word(A3, ["s1", "s2"]) == held
 
     def test_inverse(self):
         w = element_from_word(A3, ["s1", "s2", "s3"])
