@@ -139,7 +139,15 @@ class CartanMatrix:
     def from_json(cls, data):
         if not isinstance(data, dict) or not {"index_set", "matrix"} <= data.keys():
             raise MalformedCartanError("expected keys index_set and matrix")
-        return cls(IndexSet(data["index_set"]), data["matrix"])
+        labels, matrix = data["index_set"], data["matrix"]
+        if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+            raise InvalidIndexSetError("index_set must be a list of string labels")
+        # The constructor's int() would read -1.7, "-1" and false as entries.
+        if not isinstance(matrix, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in matrix
+        ):
+            raise MalformedCartanError("matrix must be a list of rows of integers")
+        return cls(IndexSet(labels), matrix)
 
 
 def validate_cartan(entries, labels):

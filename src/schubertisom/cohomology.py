@@ -177,6 +177,8 @@ class CohomologyOracle:
         if len(tops) != 1:
             raise MalformedOracleError("exactly one top-degree basis element required")
         generators = set(self.generators)
+        if len(generators) != len(self.generators):
+            raise MalformedOracleError("generators repeat an id")
         if generators != {bid for bid, d in self.basis if d == 2}:
             raise MalformedOracleError("generators must be exactly the degree-2 ids")
         for g in self.generators:

@@ -13,7 +13,8 @@ No Serre-type relations are imposed; this is rewriting in the free algebra.
 Text syntax: symbols like ``f2``, ``h1``, ``e3`` (or ``f[s1]`` for longer
 indices), variables like ``a12`` (or ``a[s1,s2]``), products joined by
 ``*``, terms joined by ``+``/``-``, polynomial coefficients in parentheses,
-e.g. ``(-a12+3)*f2*e2``.
+e.g. ``(-a12+3)*f2*e2``.  A coefficient is parsed by the same sum and product
+rules, but holds only numbers and a-variables and no nested parentheses.
 """
 
 import re
@@ -32,21 +33,83 @@ def _var_str(key):
     return f"a[{s},{t}]"
 
 
-class Poly:
+class _SparseSum:
+    """A finite sum of monomials (tuples) with nonzero coefficients.
+
+    Like monomials merge and zero terms drop.  A subclass says how two
+    monomials join in a product (`_join`), how a scalar lifts (`_lift`) and,
+    if it converts them, how coefficients are stored (`_coefficient`).
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        for mono, coeff in (terms or {}).items():
+            coeff = self._coefficient(coeff)
+            if coeff:
+                self.terms[mono] = coeff
+
+    @staticmethod
+    def _coefficient(coeff):
+        return coeff
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.terms == other.terms
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            terms[mono] = terms[mono] + coeff if mono in terms else coeff
+        return type(self)(terms)
+
+    def __neg__(self):
+        return type(self)({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            other = self._lift(other)
+        terms = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono, coeff = self._join(m1, m2), c1 * c2
+                terms[mono] = terms[mono] + coeff if mono in terms else coeff
+        return type(self)(terms)
+
+
+def _signed_sum(parts, pad):
+    """Join rendered terms with '+', or with '-' for a term that starts with one."""
+    out = parts[0]
+    for part in parts[1:]:
+        sign, part = ("-", part[1:]) if part.startswith("-") else ("+", part)
+        out += f"{pad}{sign}{pad}{part}"
+    return out
+
+
+class Poly(_SparseSum):
     """An integer polynomial in the commuting variables a_st.
 
     Stored as a map from monomials (sorted tuples of variable keys, with
     repetition) to nonzero integer coefficients.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
+    __slots__ = ()
 
     @classmethod
     def const(cls, c):
         return cls({(): int(c)})
+
+    _lift = const
+
+    @staticmethod
+    def _join(m1, m2):
+        return tuple(sorted(m1 + m2))
 
     @classmethod
     def variable(cls, s, t):
@@ -64,31 +127,6 @@ class Poly:
 
     def variables(self):
         return {key for mono in self.terms for key in mono}
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.terms == other.terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return Poly(terms)
-
-    def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = Poly.const(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2))
-                terms[mono] = terms.get(mono, 0) + c1 * c2
-        return Poly(terms)
 
     def substitute(self, values):
         """Evaluate at integer values per variable key."""
@@ -113,35 +151,29 @@ class Poly:
                 body = factors
             else:
                 body = f"{abs(coeff)}*{factors}"
-            sign = "-" if coeff < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f"{sign}{body}"
-        return out
+            parts.append(("-" if coeff < 0 else "") + body)
+        return _signed_sum(parts, "")
 
     def __repr__(self):
         return f"Poly({self})"
 
 
-class FreeAlgebraElement:
+class FreeAlgebraElement(_SparseSum):
     """A finite sum of noncommutative monomials with Poly coefficients.
 
     Monomials are tuples of symbols (kind, index) with kind one of
     'f', 'h', 'e'.  Like monomials are always merged and zero terms dropped.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        merged = {}
-        for mono, poly in (terms or {}).items():
-            if not isinstance(poly, Poly):
-                poly = Poly.const(poly)
-            if not poly.is_zero():
-                merged[mono] = poly
-        self.terms = merged
+    @staticmethod
+    def _coefficient(coeff):
+        return coeff if isinstance(coeff, Poly) else Poly.const(coeff)
+
+    @staticmethod
+    def _join(m1, m2):
+        return m1 + m2
 
     @classmethod
     def zero(cls):
@@ -154,35 +186,9 @@ class FreeAlgebraElement:
 
     @classmethod
     def scalar(cls, poly):
-        if not isinstance(poly, Poly):
-            poly = Poly.const(poly)
         return cls({(): poly})
 
-    def __eq__(self, other):
-        return isinstance(other, FreeAlgebraElement) and self.terms == other.terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for mono, poly in other.terms.items():
-            terms[mono] = terms.get(mono, Poly()) + poly
-        return FreeAlgebraElement(terms)
-
-    def __neg__(self):
-        return FreeAlgebraElement({m: -p for m, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Poly)):
-            other = FreeAlgebraElement.scalar(other)
-        terms = {}
-        for m1, p1 in self.terms.items():
-            for m2, p2 in other.terms.items():
-                mono = m1 + m2
-                prod = p1 * p2
-                terms[mono] = terms.get(mono, Poly()) + prod
-        return FreeAlgebraElement(terms)
+    _lift = scalar
 
     def __rmul__(self, other):
         return FreeAlgebraElement.scalar(other) * self
@@ -203,21 +209,10 @@ class FreeAlgebraElement:
                 parts.append(str(poly) if poly.is_constant() else f"({poly})")
             elif poly.is_constant():
                 c = poly.constant_value()
-                if c == 1:
-                    parts.append(factors)
-                elif c == -1:
-                    parts.append(f"-{factors}")
-                else:
-                    parts.append(f"{c}*{factors}")
+                parts.append({1: "", -1: "-"}.get(c, f"{c}*") + factors)
             else:
                 parts.append(f"({poly})*{factors}")
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += f" - {part[1:]}"
-            else:
-                out += f" + {part}"
-        return out
+        return _signed_sum(parts, " ")
 
     def __repr__(self):
         return f"FreeAlgebraElement({self})"
@@ -320,45 +315,48 @@ class _Parser:
             raise ParseError(f"expected {kind!r} at token {self.pos}")
         return self.next()
 
-    def parse_element(self):
-        out = self.parse_signed_term()
+    def parse_sum(self, coefficient=False):
+        """Signed products joined by + and -.  In a coefficient (inside
+        parentheses) only numbers and a-variables may appear."""
+        negate = self.peek() == "-"
+        if negate:
+            self.next()
+        out = self.parse_product(coefficient)
+        if negate:
+            out = -out
         while self.peek() in ("+", "-"):
             op, _ = self.next()
-            term = self.parse_term()
+            term = self.parse_product(coefficient)
             out = out + (term if op == "+" else -term)
-        if self.pos != len(self.tokens):
-            raise ParseError("trailing input")
         return out
 
-    def parse_signed_term(self):
-        if self.peek() == "-":
-            self.next()
-            return -self.parse_term()
-        return self.parse_term()
-
-    def parse_term(self):
-        out = self.parse_factor()
+    def parse_product(self, coefficient):
+        out = self.parse_factor(coefficient)
         while self.peek() == "*":
             self.next()
-            out = out * self.parse_factor()
+            out = out * self.parse_factor(coefficient)
         return out
 
-    def parse_factor(self):
+    def parse_factor(self, coefficient):
         kind = self.peek()
         if kind == "num":
             return FreeAlgebraElement.scalar(self.next()[1])
-        if kind == "(":
+        if kind == "(" and not coefficient:
             self.next()
-            poly = self.parse_poly()
+            out = self.parse_sum(coefficient=True)
             self.expect(")")
-            return FreeAlgebraElement.scalar(poly)
+            return out
         if kind == "name":
-            return self.parse_name()
+            return self.parse_name(coefficient)
         raise ParseError(f"unexpected token at position {self.pos}")
 
-    def parse_name(self):
+    def parse_name(self, coefficient):
         _, name = self.next()
         head, rest = name[0], name[1:]
+        if head == "a":
+            return FreeAlgebraElement.scalar(self.parse_var_indices(rest))
+        if coefficient:
+            raise ParseError(f"only a-variables allowed in coefficients: {name!r}")
         if head in "fhe":
             if rest:
                 return FreeAlgebraElement.generator(head, rest)
@@ -366,8 +364,6 @@ class _Parser:
             _, idx = self.expect("name") if self.peek() == "name" else self.next()
             self.expect("]")
             return FreeAlgebraElement.generator(head, str(idx))
-        if head == "a":
-            return FreeAlgebraElement.scalar(self.parse_var_indices(rest))
         raise ParseError(f"unknown symbol {name!r}")
 
     def parse_var_indices(self, rest):
@@ -392,42 +388,11 @@ class _Parser:
             return str(value)
         raise ParseError("expected an index label")
 
-    def parse_poly(self):
-        out = self.parse_poly_signed_term()
-        while self.peek() in ("+", "-"):
-            op, _ = self.next()
-            term = self.parse_poly_term()
-            out = out + (term if op == "+" else -term)
-        return out
-
-    def parse_poly_signed_term(self):
-        if self.peek() == "-":
-            self.next()
-            return -self.parse_poly_term()
-        return self.parse_poly_term()
-
-    def parse_poly_term(self):
-        out = self.parse_poly_factor()
-        while self.peek() == "*":
-            self.next()
-            out = out * self.parse_poly_factor()
-        return out
-
-    def parse_poly_factor(self):
-        kind = self.peek()
-        if kind == "num":
-            return Poly.const(self.next()[1])
-        if kind == "name":
-            _, name = self.next()
-            if name[0] != "a":
-                raise ParseError(f"only a-variables allowed in coefficients: {name!r}")
-            return self.parse_var_indices(name[1:])
-        raise ParseError("bad polynomial factor")
-
 
 def parse(text):
     """Parse the text syntax into a FreeAlgebraElement."""
-    text = text.strip()
-    if text == "0":
-        return FreeAlgebraElement.zero()
-    return _Parser(_tokenize(text)).parse_element()
+    parser = _Parser(_tokenize(text))
+    out = parser.parse_sum()
+    if parser.pos != len(parser.tokens):
+        raise ParseError("trailing input")
+    return out

@@ -51,6 +51,11 @@ def _act(rows, letters, coords):
     return tuple(v)
 
 
+def _rows(cartan):
+    """The sparse rows (j, A[i][j]) of A, for the action on roots."""
+    return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in cartan.entries)
+
+
 def is_positive_vector(coords):
     return any(c > 0 for c in coords) and all(c >= 0 for c in coords)
 
@@ -130,10 +135,10 @@ class WeylElement:
         return out
 
     def apply_to_root(self, coords):
-        return _act(self._ctx.rows, self._index_word(), coords)
+        return _act(_rows(self.cartan), self._index_word(), coords)
 
     def apply_inverse_to_root(self, coords):
-        return _act(self._ctx.rows, self._index_word()[::-1], coords)
+        return _act(_rows(self.cartan), self._index_word()[::-1], coords)
 
     def apply_to_coroot(self, coords):
         return _act(self._ctx.columns, self._index_word(), coords)
@@ -161,15 +166,13 @@ class Reflection:
 
 
 class _Context:
-    """Per-Cartan-matrix data: sparse rows (j, A[i][j]) for the root action,
-    columns (j, A[j][i]) for the weight and coroot actions, the identity and
-    the generators."""
+    """Per-Cartan-matrix data: sparse columns (j, A[j][i]) for the weight and
+    coroot actions, the identity and the generators."""
 
     def __init__(self, cartan):
         A = cartan.entries
         rng = range(len(A))
         self.cartan = cartan
-        self.rows = tuple(tuple((j, A[i][j]) for j in rng if A[i][j]) for i in rng)
         self.columns = tuple(tuple((j, A[j][i]) for j in rng if A[j][i]) for i in rng)
         identity = WeylElement(self, tuple(1 for _ in rng), indices=())
         self.identity = identity
@@ -219,9 +222,6 @@ def support(w):
 def simple_root(A, s):
     k = A.index_set.index(s)
     return tuple(int(i == k) for i in range(len(A)))
-
-
-simple_coroot = simple_root
 
 
 def bruhat_leq(u, w):
@@ -307,7 +307,7 @@ class BruhatInterval:
     """The interval [e,w] with its cover relations, in sorted order.
     coroots[u, v] = u^{-1}(beta_vee) for the cover v = s_beta u."""
 
-    __slots__ = ("top", "elements", "covers_up", "covers_down", "coroots", "_members")
+    __slots__ = ("top", "elements", "covers_up", "covers_down", "coroots")
 
     def __init__(self, top, elements, covers_up, covers_down, coroots):
         self.top = top
@@ -315,7 +315,6 @@ class BruhatInterval:
         self.covers_up = covers_up
         self.covers_down = covers_down
         self.coroots = coroots
-        self._members = frozenset(elements)
 
     def __len__(self):
         return len(self.elements)
@@ -324,7 +323,7 @@ class BruhatInterval:
         return iter(self.elements)
 
     def __contains__(self, v):
-        return v in self._members
+        return v in self.covers_up
 
     @property
     def cartan(self):
@@ -378,7 +377,7 @@ def reduced_words(w, length_cap=DEFAULT_LENGTH_CAP):
 
 def inversion_set(w):
     """The positive roots sent negative by w^{-1}; size equals length(w)."""
-    rows = w._ctx.rows
+    rows = _rows(w.cartan)
     word = w._index_word()
     roots = set()
     for k, s in enumerate(w.canonical_word):
@@ -397,15 +396,15 @@ def cover_reflection(u, v):
     """
     if u._ctx is not v._ctx:
         raise MixedContextsError()
-    ctx = u._ctx
+    ctx, rows = u._ctx, _rows(u.cartan)
     word = v._index_word()
     for k, rho in _lower_covers(v):
         if rho == u.rho:
             simple = tuple(int(j == word[k]) for j in range(len(rho)))
-            root = _act(ctx.rows, word[:k], simple)
+            root = _act(rows, word[:k], simple)
             coroot = _act(ctx.columns, word[:k], simple)
             height = sum(coroot)
-            weight = [sum(a * root[j] for j, a in row) for row in ctx.rows]
+            weight = [sum(a * root[j] for j, a in row) for row in rows]
             element = WeylElement(ctx, tuple(1 - height * c for c in weight))
             return Reflection(element, root, coroot)
     raise NotACoverError()

@@ -81,6 +81,11 @@ class TestInputErrors:
             {"index_set": ["s1", "s2"]},
             [[2, -1], [-1, 2]],
             {"index_set": ["s1", "s2"], "matrix": [[2, "x"], [-1, 2]]},
+            {"index_set": ["s1", "s2"], "matrix": [[2, -1.7], [-1, 2]]},
+            {"index_set": ["s1", "s2"], "matrix": [[2, "-1"], [-1, 2]]},
+            {"index_set": ["s1", "s2"], "matrix": [[2, False], [False, 2]]},
+            {"index_set": ["s1", "s2"], "matrix": [[2.0, -1], [-1, 2]]},
+            {"index_set": ["s1", "s2"], "matrix": "22"},
         ],
     )
     def test_cartan_wrong_shape(self, capsys, tmp_path, data):
@@ -88,7 +93,9 @@ class TestInputErrors:
         path.write_text(json.dumps(data))
         self.assert_typed(capsys, "validate", str(path))
 
-    @pytest.mark.parametrize("labels", [["s1", "s1"], [], [["s1"], ["s2"]]])
+    @pytest.mark.parametrize(
+        "labels", [["s1", "s1"], [], [["s1"], ["s2"]], "ab", {"a": 0, "b": 1}, ["s1", None]]
+    )
     def test_bad_index_set(self, capsys, tmp_path, labels):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"index_set": labels, "matrix": [[2, -1], [-1, 2]]}))
@@ -334,6 +341,126 @@ def test_reconstruct_fuzzed_oracle_exits_cleanly(which, mutations):
     if code == 0:
         assert set(json.loads(out.getvalue())) == {"cartan", "word", "free_entries"}
     else:
+        assert err.getvalue().startswith("error: ")
+
+
+# Valid matrices to mutate; at the lengths the fuzz passes, every command
+# answers on each of them in milliseconds.
+FUZZ_CARTANS = [A.to_json() for A in (A3, B2, A2_AFFINE, D4)]
+ENTRY_VALUES = (None, 1.5, -1.7, 2.0, True, False, "2", "-1", [1], {}, -1, 0, 1, 2, -2, -3,
+                -10**20)
+LABEL_VALUES = ("s1", "s9", "", "1", 1, True, None, [1], {"s": 1})
+SHAPE_VALUES = ("ab", "s1s2", {"s1": 0, "s2": 1}, None, 3, [], [[2]], "22")
+
+CARTAN_MUTATIONS = st.tuples(
+    st.sampled_from(["entry", "label", "index_set", "matrix", "drop_row", "drop_entry",
+                     "drop_key", "extra_key", "top"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(ENTRY_VALUES + LABEL_VALUES + SHAPE_VALUES),
+)
+# After the JSON is written: cut it at a position, or put one byte there.
+BYTE_MUTATIONS = st.none() | st.tuples(st.integers(0, 10**6), st.none() | st.integers(0, 255))
+
+# Words mix labels (the first five tokens, drawn more often), unknown labels
+# and JSON-array syntax; expressions are drawn from the tokens of the
+# free-algebra parser.
+WORD_TOKENS = ("s0", "s1", "s2", "s3", "s4", "s9", "1", "[", "]", '"s1"', '"s2"', ",", "")
+EXPRESSION_TOKENS = ("f1", "h2", "e3", "e1", "f[s1]", "h[s2]", "e[s2]", "a12", "a[s1,s2]",
+                     "a", "f", "g1", "(", ")", "[", "]", ",", "*", "+", "-", "0", "3", " ")
+WORDS = st.lists(st.sampled_from(WORD_TOKENS[:5]) | st.sampled_from(WORD_TOKENS),
+                 max_size=8).map(" ".join)
+EXPRESSIONS = st.lists(st.sampled_from(EXPRESSION_TOKENS), min_size=1, max_size=10).map("".join)
+COMMANDS = ("validate", "word", "bruhat", "equiv", "isom-classes", "cohomology",
+            "export-oracle", "automorphisms", "normal-form")
+
+
+def _mutate_cartan(data, kind, i, j, value):
+    """Apply one mutation to Cartan JSON; returns the (possibly new) document."""
+    if not isinstance(data, dict):
+        return data
+    value = copy.deepcopy(value)
+    labels, matrix = data.get("index_set"), data.get("matrix")
+    rows = [row for row in matrix if isinstance(row, list)] if isinstance(matrix, list) else []
+    if kind == "entry" and rows and rows[i % len(rows)]:
+        row = rows[i % len(rows)]
+        row[j % len(row)] = value
+    elif kind == "label" and isinstance(labels, list) and labels:
+        labels[i % len(labels)] = value
+    elif kind == "index_set":
+        data["index_set"] = value
+    elif kind == "matrix":
+        data["matrix"] = value
+    elif kind == "drop_row" and rows:
+        matrix.remove(rows[i % len(rows)])
+    elif kind == "drop_entry" and rows and rows[i % len(rows)]:
+        rows[i % len(rows)].pop(j % len(rows[i % len(rows)]))
+    elif kind == "drop_key":
+        data.pop(("index_set", "matrix")[i % 2], None)
+    elif kind == "extra_key":
+        data["extra"] = value
+    elif kind == "top":
+        return [data] if i % 2 else value
+    return data
+
+
+def _cli_argv(command, path, words, expression, flag):
+    """argv for one request; '--' keeps a value that starts with '-' positional."""
+    if command == "validate":
+        return ["validate", path]
+    if command == "word":
+        return ["word"] + ["--canonical"] * flag + ["--", path, words[0]]
+    if command == "bruhat":
+        return ["bruhat", "--", path, words[0], words[1]]
+    if command == "equiv":
+        return ["equiv", "--left", f"{path}:{words[0]}", "--right", f"{path}:{words[1]}"]
+    if command == "isom-classes":
+        return ["--max-length", "3", "isom-classes", path]
+    if command in ("cohomology", "export-oracle"):
+        return ["--max-length", "4", command, "--", path, words[0]]
+    if command == "automorphisms":
+        return ["automorphisms"] + ["--graph"] * flag + [path]
+    return ["normal-form"] + ["--specialize", path] * flag + ["--", expression]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, len(FUZZ_CARTANS) - 1),
+    st.lists(CARTAN_MUTATIONS, max_size=3),
+    BYTE_MUTATIONS,
+    st.sampled_from(COMMANDS),
+    st.tuples(WORDS, WORDS),
+    EXPRESSIONS,
+    st.booleans(),
+)
+def test_cli_fuzzed_input_exits_cleanly(which, mutations, cut, command, words, expression,
+                                        flag):
+    """Mutated Cartan JSON and CLI arguments either succeed (exit 0, and
+    `validate` echoes the input matrix exactly) or are rejected as a typed
+    error (exit 2, an `error:` line and nothing on stdout); no exception
+    escapes cli.main."""
+    data = copy.deepcopy(FUZZ_CARTANS[which])
+    for mutation in mutations:
+        data = _mutate_cartan(data, *mutation)
+    raw = json.dumps(data).encode()
+    if cut is not None:
+        at, byte = cut[0] % (len(raw) + 1), cut[1]
+        raw = raw[:at] + (bytes([byte]) + raw[at:] if byte is not None else b"")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cartan.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(_cli_argv(command, path, words, expression, flag))
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        payload = json.loads(out.getvalue())
+        if command == "validate":
+            source = json.loads(raw)
+            assert payload["cartan"] == {key: source[key] for key in ("index_set", "matrix")}
+    else:
+        assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
 
 

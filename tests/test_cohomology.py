@@ -284,3 +284,13 @@ class TestOracleValidation:
             bad.validate()
         with pytest.raises(MalformedOracleError):
             reconstruct(bad)
+
+    def test_repeated_generator_id(self):
+        """A generator listed twice is named as such, not reported later as a
+        recovered matrix that is not Cartan."""
+        o = self._oracle()
+        bad = CohomologyOracle(o.basis, o.generators + o.generators[:1], o.products)
+        with pytest.raises(MalformedOracleError, match="generators repeat an id"):
+            bad.validate()
+        with pytest.raises(MalformedOracleError, match="generators repeat an id"):
+            reconstruct(bad)

@@ -255,6 +255,13 @@ class TestParse:
         ) * F("2")
         assert parse("0") == FreeAlgebraElement.zero()
         assert parse("3") == FreeAlgebraElement.scalar(3)
+        assert parse("(-a12+3)*f2*e2") == FreeAlgebraElement.scalar(
+            Poly.const(3) - A("1", "2")
+        ) * F("2") * E("2")
+        assert parse("(2*a12*a21-a11)") == FreeAlgebraElement.scalar(
+            A("1", "2") * A("2", "1") * 2 - A("1", "1")
+        )
+        assert parse("(a12-a12)*f1") == FreeAlgebraElement.zero()
 
     def test_bracket_syntax(self):
         assert parse("f[s1]*h[s2]") == F("s1") * H("s2")
@@ -263,7 +270,11 @@ class TestParse:
         )
 
     def test_errors(self):
-        for text in ("g1", "f2**e1", "(a12", "a123", "f2 +", "e[]"):
+        for text in (
+            "g1", "f2**e1", "(a12", "a123", "f2 +", "e[]",
+            # a coefficient holds only numbers and a-variables, unnested
+            "((a12))*f1", "(f2)*e1", "(a12*f2)", "(h[s1])", "(3*(a12))", "()*f1",
+        ):
             with pytest.raises(ParseError):
                 parse(text)
 
