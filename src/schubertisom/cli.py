@@ -10,16 +10,24 @@ from .cartan import CartanMatrix, diagram_automorphisms, graph_automorphisms, si
 from .errors import SchubertError
 
 
+def _json_loads(text):
+    """json.loads, reporting input nested too deep for the decoder as a typed error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SchubertError("JSON input is nested too deeply") from None
+
+
 def _load_cartan(path):
     with open(path) as fh:
-        data = json.load(fh)
+        data = _json_loads(fh.read())
     return CartanMatrix.from_json(data)
 
 
 def _parse_word(text):
     text = text.strip()
     if text.startswith("["):
-        return tuple(json.loads(text))
+        return tuple(_json_loads(text))
     return tuple(text.split())
 
 
@@ -135,14 +143,13 @@ def cmd_cohomology(args):
     order = A.index_set.index
     products = {}
     for s in sorted(weyl.support(w), key=order):
+        k = order(s)
         for u in itv:
-            F = cohomology.chevalley_product(s, u, itv)
-            key = f"{s}|{' '.join(u.canonical_word)}"
-            products[key] = [
-                {"word": list(v.canonical_word), "coeff": c}
-                for v, c in sorted(
-                    F.coeffs.items(), key=lambda vc: vc[0].canonical_word
-                )
+            terms = sorted(
+                cohomology._chevalley_terms(k, u, itv), key=lambda vc: vc[0].canonical_word
+            )
+            products[f"{s}|{' '.join(u.canonical_word)}"] = [
+                {"word": list(v.canonical_word), "coeff": c} for v, c in terms
             ]
     return _emit(args, {"interval_size": len(itv), "products": products})
 
@@ -156,7 +163,7 @@ def cmd_export_oracle(args):
 
 def cmd_reconstruct(args):
     with open(args.oracle) as fh:
-        oracle = cohomology.CohomologyOracle.from_json(json.load(fh))
+        oracle = cohomology.CohomologyOracle.from_json(_json_loads(fh.read()))
     presentation = _reconstruct_oracle(oracle)
     return _emit(args, presentation.to_json())
 

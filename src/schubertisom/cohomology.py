@@ -66,13 +66,18 @@ def chevalley_product(s, u, itv):
     if u not in itv:
         raise NotInIntervalError(u.canonical_word)
     k = itv.cartan.index_set.index(s)
-    coeffs = {}
+    return SchubertClass(itv, dict(_chevalley_terms(k, u, itv)))
+
+
+def _chevalley_terms(k, u, itv):
+    """The terms (v, c) of xi_s * xi_u for s of index k, in cover order:
+    c is entry k of the coroot u^{-1}(beta_vee) of each cover v of u."""
+    coroots = itv.coroots
     for v in itv.covers_up[u]:
-        c = itv.coroots[u, v][k]
+        c = coroots[u, v][k]
         assert c >= 0, "Chevalley coefficient must be nonnegative"
         if c:
-            coeffs[v] = c
-    return SchubertClass(itv, coeffs)
+            yield v, c
 
 
 def multiply_by_simple(s, F):
@@ -259,15 +264,14 @@ def export_oracle_with_map(w, seed=0, length_cap=weyl.DEFAULT_LENGTH_CAP):
     )
     generators = tuple(sorted(naming[v] for v in itv if v.length == 1))
     products = {}
-    label_of = {naming[v]: v.canonical_word[0] for v in itv if v.length == 1}
+    index = itv.cartan.index_set.index
+    index_of = {naming[v]: index(v.canonical_word[0]) for v in itv if v.length == 1}
     for gid in generators:
-        s = label_of[gid]
+        k = index_of[gid]
         for u in itv:
-            F = chevalley_product(s, u, itv)
-            terms = tuple(
-                sorted((naming[v], c) for v, c in F.coeffs.items())
+            products[gid, naming[u]] = tuple(
+                sorted([(naming[v], c) for v, c in _chevalley_terms(k, u, itv)])
             )
-            products[(gid, naming[u])] = terms
     oracle = CohomologyOracle(basis, generators, products).validate()
     return oracle, naming
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -16,7 +17,7 @@ import schubertisom
 from schubertisom import CartanMatrix, element_from_word, export_oracle
 from schubertisom.cli import main
 
-from conftest import A2, A2_AFFINE, A3, B2, C3, D4, D4_AFFINE
+from conftest import A2, A2_AFFINE, A3, B2, B4, C3, D4, D4_AFFINE
 
 
 @pytest.fixture
@@ -103,6 +104,17 @@ class TestInputErrors:
 
     def test_unhashable_letter(self, capsys, a3_file):
         self.assert_typed(capsys, "word", a3_file, '["s1", ["s2"]]')
+
+    DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize("command", ["validate", "reconstruct"])
+    def test_deeply_nested_json_file(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text(self.DEEP_JSON)
+        self.assert_typed(capsys, command, str(path))
+
+    def test_deeply_nested_json_word(self, capsys, a3_file):
+        self.assert_typed(capsys, "word", a3_file, self.DEEP_JSON)
 
     @pytest.mark.parametrize("expression", ["f[", "a[s1,", "h1 *"])
     def test_truncated_expression(self, capsys, expression):
@@ -218,6 +230,38 @@ class TestCohomology:
             {"word": ["s2", "s1"], "coeff": 1}
         ]
         assert payload["products"]["s1|"] == [{"word": ["s1"], "coeff": 1}]
+
+
+# sha256 of stdout at a fixed revision: refactors must keep these bytes.
+PINNED_OUTPUTS = [
+    pytest.param(A3, ["--seed", "0", "export-oracle"], "s3 s2 s1 s3 s2 s3",
+                 "2cec35bab81dbebad5a74b2d9f3345c8ef25bf398a2f45f0eadeae2cbdce4197",
+                 id="export-A3-w0"),
+    pytest.param(B4, ["export-oracle"], "s1 s2 s3 s4",
+                 "6d170e5d9d0ac18df66f8a45d090dd7c4a1c99aad783886136613f0ca9a1c99c",
+                 id="export-B4-coxeter"),
+    pytest.param(B4, ["export-oracle"], "s4 s3 s4 s2 s3 s4 s1 s2",
+                 "bad6342e21460a9977f0b288966e89c01832fbd2ac608c09050c9d5eea1da603",
+                 id="export-B4-length-8"),
+    pytest.param(A2_AFFINE, ["--seed", "7", "export-oracle"], "s0 s1 s2 s0 s1 s2 s0",
+                 "5c03878394c49fd11595aeafeb4f0434ea16aaf3061c0c88772d8f2cc3ab57d9",
+                 id="export-A2-affine"),
+    pytest.param(A3, ["cohomology"], "s1 s2",
+                 "539e13a8c0668f3b758f7056e1f3cfb8805ddd53a6820c7bbcc9485e5f79f88c",
+                 id="cohomology-json"),
+    pytest.param(A3, ["--format", "table", "cohomology"], "s1 s2",
+                 "89aea31b0923352d68c41752c327484163d2dc3ec22ee24c472d52761f960634",
+                 id="cohomology-table"),
+]
+
+
+@pytest.mark.parametrize("A, argv, word, digest", PINNED_OUTPUTS)
+def test_output_bytes_pinned(capsys, tmp_path, A, argv, word, digest):
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps(A.to_json()))
+    code, out, err = run(capsys, *argv, str(path), word)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOracleRoundTrip:

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import json
 import random
 import time
 
@@ -8,9 +9,11 @@ import pytest
 from schubertisom import (
     CohomologyOracle,
     check_equivalence,
+    chevalley_product,
     element_from_word,
     export_oracle,
     export_oracle_with_map,
+    interval,
     reconstruct,
     recover_cartan,
     reduced_words,
@@ -22,6 +25,7 @@ from schubertisom.reconstruct import (
     reduced_word_sets,
     support_closure,
 )
+from schubertisom.cli import main
 
 from conftest import A2, A3, random_cartan, random_word, type_a
 
@@ -206,9 +210,10 @@ class TestReconstruct:
 
 # the module, which the package's `reconstruct` function shadows as an attribute
 reconstruct_module = importlib.import_module("schubertisom.reconstruct")
+cohomology_module = importlib.import_module("schubertisom.cohomology")
 
 
-def _least_word_cases():
+def _seeded_cases():
     """Seeded non-identity (A, word) cases over ORACLE_MATRICES, plus random
     non-symmetrizable matrices and random affine type-A cycles."""
     rng = random.Random(7)
@@ -232,7 +237,7 @@ def _least_word_cases():
 
 
 class TestLeastWordWalk:
-    @pytest.mark.parametrize("A, word", _least_word_cases())
+    @pytest.mark.parametrize("A, word", _seeded_cases())
     def test_least_word_is_least_of_all_words(self, A, word):
         oracle = export_oracle(element_from_word(A, word), seed=len(word))
         words = reduced_word_sets(oracle)
@@ -268,3 +273,42 @@ class TestLeastWordWalk:
         assert len(oracle.basis) == 5040
         assert check_equivalence(w0, element_from_word(rp.cartan, rp.word)) is not None
         assert elapsed < 6.0, f"w0 of A6 took {elapsed:.1f}s"  # about 1.2 s
+
+
+class TestExportReader:
+    """export_oracle reads each product off the interval's cover table;
+    chevalley_product, one (generator, element) pair at a time, is the reference."""
+
+    @pytest.mark.parametrize("A, word", _seeded_cases())
+    def test_products_match_chevalley_product(self, A, word):
+        w = element_from_word(A, word)
+        itv = interval(w)
+        oracle, naming = export_oracle_with_map(w, seed=len(word))
+        simples = sorted((v for v in itv if v.length == 1), key=naming.get)
+        expected = {
+            (naming[s], naming[u]): tuple(sorted(
+                (naming[v], c)
+                for v, c in chevalley_product(s.canonical_word[0], u, itv).coeffs.items()
+            ))
+            for s in simples
+            for u in itv
+        }
+        assert list(oracle.products.items()) == list(expected.items())
+
+    def test_export_never_calls_chevalley_product(self, monkeypatch, rng, tmp_path, capsys):
+        def fail(*args):
+            raise AssertionError("a product was built through chevalley_product")
+
+        monkeypatch.setattr(cohomology_module, "chevalley_product", fail)
+        monkeypatch.setattr(cohomology_module, "SchubertClass", fail)
+        path = tmp_path / "cartan.json"
+        for _ in range(10):
+            A = random_cartan(rng, max_rank=4)
+            w = element_from_word(A, random_word(rng, A, 7))
+            if w.is_identity():
+                continue
+            rp = reconstruct(export_oracle(w, seed=rng.randrange(10**6)))
+            assert check_equivalence(w, element_from_word(rp.cartan, rp.word)) is not None
+            path.write_text(json.dumps(A.to_json()))
+            assert main(["cohomology", str(path), " ".join(w.canonical_word)]) == 0
+            capsys.readouterr()
