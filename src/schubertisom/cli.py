@@ -261,9 +261,22 @@ def build_parser():
     return parser
 
 
+# The parser main builds on its first call and reuses on every later one;
+# parse_args keeps no state between calls, so each request parses as it
+# would with a fresh parser.
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one request and return its exit status, argparse's included:
+    0 for --help, 2 for a usage error."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    try:
+        args = _parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         return args.func(args)
     except SchubertError as exc:

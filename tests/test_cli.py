@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import schubertisom
 from schubertisom import CartanMatrix, element_from_word, export_oracle
+from schubertisom import cli
 from schubertisom.cli import main
 
 from conftest import A2, A2_AFFINE, A3, B2, B4, C3, D4, D4_AFFINE
@@ -528,6 +529,14 @@ class TestNormalForm:
         code, _, err = run(capsys, "normal-form", "g1*f2")
         assert code == 2
 
+    def test_leading_dash_is_a_usage_error(self, capsys):
+        """Without '--', argparse reads '-h1' as its -h option: main returns
+        the usage error's status instead of raising SystemExit."""
+        code, out, err = run(capsys, "normal-form", "-h1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: ")
+
 
 class TestAutomorphisms:
     def test_d4_diagram(self, capsys, tmp_path):
@@ -569,6 +578,73 @@ class TestFormatting:
         one = run(capsys, "word", a3_file, "s2 s1 s3 s2")[1]
         two = run(capsys, "word", a3_file, "s2 s1 s3 s2")[1]
         assert one == two
+
+
+def _mixed_requests(cartan, tmp_path):
+    """Requests that set each global option, and the same requests without
+    it, with typed errors, usage errors and help among them."""
+    out = str(tmp_path / "out.json")
+    return [
+        ["word", cartan, "s2 s3 s1 s2"],
+        ["--format", "table", "word", cartan, "s2 s3 s1 s2"],
+        ["word", cartan, "s1 s2", "--canonical"],
+        ["word", cartan, "s1 s2"],
+        ["--strict", "bruhat", cartan, "s1 s2", "s2 s1"],
+        ["bruhat", cartan, "s1 s2", "s2 s1"],
+        ["--output", out, "validate", cartan],
+        ["validate", cartan],
+        ["--max-length", "4", "isom-classes", cartan],
+        ["isom-classes", cartan],
+        ["--seed", "7", "export-oracle", cartan, "s1 s2 s3"],
+        ["export-oracle", cartan, "s1 s2 s3"],
+        ["--max-length", "2", "cohomology", cartan, "s1 s2 s3"],
+        ["automorphisms", cartan, "--graph"],
+        ["automorphisms", cartan],
+        ["normal-form", "h1*e2*e3*f2"],
+        ["word", cartan, "s7"],
+        ["normal-form", "g1*f2"],
+        ["normal-form", "-h1"],
+        ["--max-length", "x", "isom-classes", cartan],
+        ["frobnicate"],
+        ["bruhat", cartan],
+        ["--help"],
+        ["word", "--help"],
+    ]
+
+
+def test_parser_built_once(capsys, monkeypatch, a3_file, tmp_path):
+    """Every request in a process after the first reuses the first's parser."""
+    monkeypatch.setattr(cli, "_parser", None)
+    builds = []
+    build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    requests = _mixed_requests(a3_file, tmp_path)
+    for argv in requests + requests[::-1]:
+        run(capsys, *argv)
+    assert len(builds) == 1
+
+
+def test_shared_parser_answers_as_a_fresh_one(capsys, monkeypatch, a3_file, tmp_path):
+    """A request's (status, stdout, stderr) does not depend on which requests
+    the held parser served before it: forward and reversed through one
+    parser, and through a fresh parser per request, all agree."""
+    monkeypatch.setenv("COLUMNS", "80")
+    requests = _mixed_requests(a3_file, tmp_path)
+    monkeypatch.setattr(cli, "_parser", None)
+    forward = [run(capsys, *argv) for argv in requests]
+    reversed_ = [run(capsys, *argv) for argv in requests[::-1]][::-1]
+    fresh = []
+    for argv in requests:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(capsys, *argv))
+    assert forward == reversed_ == fresh
+    statuses = [code for code, _, _ in fresh]
+    assert statuses.count(0) >= 14 and {1, 2} <= set(statuses)
 
 
 def _readme_cli_lines():

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,3 +100,11 @@ def test_no_new_module_memo_tables():
                 found |= {(path.stem, node.name, _called_name(d)) for d in node.decorator_list
                           if _called_name(d) in _CACHE_DECORATORS}
     assert found - MODULE_TABLES == set()
+
+
+def test_cli_import_builds_no_parser():
+    """cli.main builds its parser on first use: the benchmark's workers and
+    other importers that never call main do not pay for it."""
+    code = "import schubertisom.cli as cli; assert cli._parser is None"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
