@@ -48,7 +48,6 @@ from .weyl import (
     enumerate_elements,
     interval,
     inversion_set,
-    reduced_words,
     simple_reflection,
     support,
     two_letter_leq,

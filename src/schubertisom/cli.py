@@ -139,7 +139,7 @@ def cmd_isom_classes(args):
 def cmd_cohomology(args):
     A = _load_cartan(args.cartan)
     w = weyl.element_from_word(A, _parse_word(args.word))
-    itv = weyl.interval(w, args.max_length)
+    itv = weyl.interval(w, args.max_elements)
     order = A.index_set.index
     products = {}
     for s in sorted(weyl.support(w), key=order):
@@ -157,7 +157,7 @@ def cmd_cohomology(args):
 def cmd_export_oracle(args):
     A = _load_cartan(args.cartan)
     w = weyl.element_from_word(A, _parse_word(args.word))
-    oracle = cohomology.export_oracle(w, seed=args.seed, length_cap=args.max_length)
+    oracle = cohomology.export_oracle(w, seed=args.seed, max_elements=args.max_elements)
     return _emit(args, oracle.to_json())
 
 
@@ -202,8 +202,13 @@ def build_parser():
     parser.add_argument("--output", metavar="FILE", default=None)
     parser.add_argument("--strict", action="store_true",
                         help="exit 1 on negative domain results")
-    parser.add_argument("--max-length", type=int, default=weyl.DEFAULT_LENGTH_CAP)
-    parser.add_argument("--max-elements", type=int, default=weyl.DEFAULT_ELEMENT_CAP)
+    parser.add_argument("--max-length", type=int, default=20,
+                        help="isom-classes: classify the elements of at most this length "
+                             "(default %(default)s)")
+    parser.add_argument("--max-elements", type=int, default=weyl.DEFAULT_ELEMENT_CAP,
+                        help="isom-classes, cohomology, export-oracle: exit 2 rather "
+                             "than enumerate more than this many elements "
+                             "(default %(default)s)")
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -254,9 +254,9 @@ def _fresh_ids(count, seed):
     return list(ids)
 
 
-def export_oracle_with_map(w, seed=0, length_cap=weyl.DEFAULT_LENGTH_CAP):
+def export_oracle_with_map(w, seed=0, max_elements=weyl.DEFAULT_ELEMENT_CAP):
     """Build the anonymized oracle of H*(X(w,A)) plus the element -> id map."""
-    itv = weyl.interval(w, length_cap)
+    itv = weyl.interval(w, max_elements)
     ids = _fresh_ids(len(itv), seed)
     naming = dict(zip(itv.elements, ids))
     basis = tuple(
@@ -276,5 +276,5 @@ def export_oracle_with_map(w, seed=0, length_cap=weyl.DEFAULT_LENGTH_CAP):
     return oracle, naming
 
 
-def export_oracle(w, seed=0, length_cap=weyl.DEFAULT_LENGTH_CAP):
-    return export_oracle_with_map(w, seed, length_cap)[0]
+def export_oracle(w, seed=0, max_elements=weyl.DEFAULT_ELEMENT_CAP):
+    return export_oracle_with_map(w, seed, max_elements)[0]

@@ -105,7 +105,7 @@ def check_equivalence(w, w_prime):
     return None if sigma is None else EquivalenceWitness(w, w_prime, sigma)
 
 
-def transport_interval(witness, length_cap=weyl.DEFAULT_LENGTH_CAP):
+def transport_interval(witness):
     """The induced poset isomorphism [e,w] -> [e,w'] of a witness.
 
     Each v <= w is sent to the product of the sigma-image of its canonical
@@ -114,8 +114,8 @@ def transport_interval(witness, length_cap=weyl.DEFAULT_LENGTH_CAP):
     """
     sigma = witness.sigma
     B = witness.target.cartan
-    source = weyl.interval(witness.source, length_cap)
-    target = weyl.interval(witness.target, length_cap)
+    source = weyl.interval(witness.source)
+    target = weyl.interval(witness.target)
     mapping = {
         v: element_from_word(B, tuple(sigma[s] for s in v.canonical_word))
         for v in source

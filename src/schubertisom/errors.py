@@ -74,16 +74,9 @@ class NotInIntervalError(SchubertError):
         self.word = word
 
 
-class LengthCapExceededError(SchubertError):
-    def __init__(self, length, cap):
-        super().__init__(f"element length {length} exceeds cap {cap}")
-        self.length = length
-        self.cap = cap
-
-
 class EnumerationCapExceededError(SchubertError):
     def __init__(self, cap):
-        super().__init__(f"group enumeration exceeded element cap {cap}")
+        super().__init__(f"more than {cap} elements enumerated (element cap {cap})")
         self.cap = cap
 
 

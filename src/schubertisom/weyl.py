@@ -16,15 +16,15 @@ import weakref
 from dataclasses import dataclass
 
 from .errors import (
-    LengthCapExceededError,
     EnumerationCapExceededError,
     MixedContextsError,
     NotACoverError,
     NotInSupportError,
 )
 
-DEFAULT_LENGTH_CAP = 20
-DEFAULT_ELEMENT_CAP = 200_000
+# The most elements `subword_products` (so `interval`) and
+# `enumerate_elements` return; past it they raise EnumerationCapExceededError.
+DEFAULT_ELEMENT_CAP = 100_000
 
 
 def _apply(columns, letters, v):
@@ -261,17 +261,23 @@ def two_letter_leq(A, s, t, w):
     return t in word[first_s + 1:]
 
 
-def subword_products(w):
+def subword_products(w, max_elements=DEFAULT_ELEMENT_CAP):
     """All distinct products of subwords of w's canonical word.
 
     By the subword property this set is exactly the Bruhat interval [e,w];
     it is the independent membership oracle used alongside bruhat_leq.
-    Built by left multiplication, from the last letter of the word back.
+    Built by left multiplication, from the last letter of the word back;
+    each partial set is the interval of a suffix, so it lies inside [e,w].
+    [e,w] can have up to 2^length(w) elements, so the count is checked after
+    every letter and more than max_elements raises: at most 2 * max_elements
+    vectors are ever held.
     """
     ctx = w._ctx
     vectors = {ctx.identity.rho}
     for i in reversed(w._index_word()):
         vectors.update([_apply(ctx.columns, (i,), v) for v in vectors])
+        if len(vectors) > max_elements:
+            raise EnumerationCapExceededError(max_elements)
     return frozenset(WeylElement(ctx, v) for v in vectors)
 
 
@@ -330,12 +336,12 @@ class BruhatInterval:
         return self.top.cartan
 
 
-def interval(w, length_cap=DEFAULT_LENGTH_CAP):
+def interval(w, max_elements=DEFAULT_ELEMENT_CAP):
     """[e,w] with covers by `_lower_covers`: deleting s_k from v's word
-    s_1...s_m gives u <| v with u^{-1}(beta_vee) = s_m...s_{k+1}(alpha_vee_k)."""
-    if w.length > length_cap:
-        raise LengthCapExceededError(w.length, length_cap)
-    elements = sorted(subword_products(w), key=_element_sort_key)
+    s_1...s_m gives u <| v with u^{-1}(beta_vee) = s_m...s_{k+1}(alpha_vee_k).
+    Raises EnumerationCapExceededError, before any cover is built, if [e,w]
+    has more than max_elements elements."""
+    elements = sorted(subword_products(w, max_elements), key=_element_sort_key)
     position = {v.rho: n for n, v in enumerate(elements)}
     columns = w._ctx.columns
     covers_up = {v: [] for v in elements}
@@ -352,27 +358,6 @@ def interval(w, length_cap=DEFAULT_LENGTH_CAP):
         covers_down[v] = tuple(elements[p] for p, _ in downs)
     covers_up = {v: tuple(ups) for v, ups in covers_up.items()}
     return BruhatInterval(w, tuple(elements), covers_up, covers_down, coroots)
-
-
-def reduced_words(w, length_cap=DEFAULT_LENGTH_CAP):
-    """The set Red(w), as a frozenset of label tuples."""
-    if w.length > length_cap:
-        raise LengthCapExceededError(w.length, length_cap)
-    ctx = w._ctx
-    labels = w.cartan.labels
-    memo = {ctx.identity.rho: frozenset({()})}  # rho-tuple -> Red
-
-    def words_of(rho):
-        if rho not in memo:
-            memo[rho] = frozenset(
-                (labels[i],) + word
-                for i, c in enumerate(rho)
-                if c < 0
-                for word in words_of(_apply(ctx.columns, (i,), rho))
-            )
-        return memo[rho]
-
-    return words_of(w.rho)
 
 
 def inversion_set(w):
@@ -413,8 +398,9 @@ def cover_reflection(u, v):
 def enumerate_elements(A, max_length, max_elements=DEFAULT_ELEMENT_CAP):
     """All w with length(w) <= max_length, BFS by left multiplication.
 
-    Sorted by (length, canonical word).  Raises if the element count cap is
-    hit, since there is no general finiteness test for W(A).
+    Sorted by (length, canonical word).  Raises EnumerationCapExceededError
+    as soon as more than max_elements are found, since there is no general
+    finiteness test for W(A).
     """
     ctx = _context(A)
     columns = ctx.columns

@@ -9,6 +9,7 @@ from schubertisom import (
     CartanMatrix,
     IndexSet,
     check_equivalence,
+    simple_reflection,
     support,
     two_letter_leq,
     validate_cartan,
@@ -72,6 +73,14 @@ D4_AFFINE = validate_cartan(
     ["s0", "s1", "s2", "s3", "s4"],
 )
 
+# Rank 5 with every m_st infinite.  The word s0 s1 s2 s3 s4 repeated four
+# times is reduced, of length 20, and has 612,256 elements below it.
+UNIVERSAL_5 = validate_cartan(
+    [[2 if i == j else -2 for j in range(5)] for i in range(5)],
+    [f"s{i}" for i in range(5)],
+)
+UNIVERSAL_5_WORD = tuple(UNIVERSAL_5.labels) * 4
+
 
 def random_cartan(rng, max_rank=4, min_entry=-3):
     """A random valid Cartan matrix with entries in [min_entry, 0]."""
@@ -128,6 +137,25 @@ def brute_force_diagram_automorphisms(A):
         ):
             autos.append(sigma)
     return autos
+
+
+def reduced_words(w):
+    """Reference: the set Red(w) as a frozenset of label tuples, by the
+    recursion Red(w) = {(s,) + r : s a left descent of w, r in Red(s w)}.
+    Its cost is |Red(w)|, which no element cap bounds, so it stays a test
+    oracle."""
+    memo = {}
+
+    def words_of(v):
+        if v not in memo:
+            memo[v] = frozenset({()}) if v.is_identity() else frozenset(
+                (s,) + word
+                for s in v.left_descents()
+                for word in words_of(simple_reflection(v.cartan, s) * v)
+            )
+        return memo[v]
+
+    return words_of(w)
 
 
 def pairwise_isom_classes(A, max_length):

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,9 @@ from schubertisom import CartanMatrix, element_from_word, export_oracle
 from schubertisom import cli
 from schubertisom.cli import main
 
-from conftest import A2, A2_AFFINE, A3, B2, B4, C3, D4, D4_AFFINE
+from conftest import (
+    A2, A2_AFFINE, A3, B2, B4, C3, D4, D4_AFFINE, UNIVERSAL_5, UNIVERSAL_5_WORD,
+)
 
 
 @pytest.fixture
@@ -231,6 +234,32 @@ class TestCohomology:
             {"word": ["s2", "s1"], "coeff": 1}
         ]
         assert payload["products"]["s1|"] == [{"word": ["s1"], "coeff": 1}]
+
+
+@pytest.mark.parametrize("command", ["cohomology", "export-oracle"])
+class TestElementCap:
+    def test_boundary(self, capsys, a3_file, command):
+        """--max-elements N admits exactly N elements: w0 of A3 has 24."""
+        w0 = "s1 s2 s3 s1 s2 s1"
+        code, out, err = run(capsys, "--max-elements", "24", command, a3_file, w0)
+        assert code == 0, err
+        code, out, err = run(capsys, "--max-elements", "23", command, a3_file, w0)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: EnumerationCapExceededError: "
+            "more than 23 elements enumerated (element cap 23)\n"
+        )
+
+    def test_universal_rank_5_exits_2(self, capsys, tmp_path, command):
+        """Length 20 and 612,256 elements: refused under the default cap."""
+        path = tmp_path / "universal.json"
+        path.write_text(json.dumps(UNIVERSAL_5.to_json()))
+        start = time.monotonic()
+        code, out, err = run(capsys, command, str(path), " ".join(UNIVERSAL_5_WORD))
+        elapsed = time.monotonic() - start
+        assert (code, out) == (2, "")
+        assert err.startswith("error: EnumerationCapExceededError: more than 100000")
+        assert elapsed < 2.0, f"took {elapsed:.1f}s to refuse"  # about 0.25 s
 
 
 # sha256 of stdout at a fixed revision: refactors must keep these bytes.
@@ -462,7 +491,7 @@ def _cli_argv(command, path, words, expression, flag):
     if command == "isom-classes":
         return ["--max-length", "3", "isom-classes", path]
     if command in ("cohomology", "export-oracle"):
-        return ["--max-length", "4", command, "--", path, words[0]]
+        return ["--max-elements", "64", command, "--", path, words[0]]
     if command == "automorphisms":
         return ["automorphisms"] + ["--graph"] * flag + [path]
     return ["normal-form"] + ["--specialize", path] * flag + ["--", expression]
@@ -597,7 +626,7 @@ def _mixed_requests(cartan, tmp_path):
         ["isom-classes", cartan],
         ["--seed", "7", "export-oracle", cartan, "s1 s2 s3"],
         ["export-oracle", cartan, "s1 s2 s3"],
-        ["--max-length", "2", "cohomology", cartan, "s1 s2 s3"],
+        ["--max-elements", "2", "cohomology", cartan, "s1 s2 s3"],
         ["automorphisms", cartan, "--graph"],
         ["automorphisms", cartan],
         ["normal-form", "h1*e2*e3*f2"],
@@ -610,6 +639,12 @@ def _mixed_requests(cartan, tmp_path):
         ["--help"],
         ["word", "--help"],
     ]
+
+
+def test_cap_flags_name_what_they_bound():
+    helps = {a.dest: a.help for a in cli.build_parser()._actions}
+    assert helps["max_length"].startswith("isom-classes:")
+    assert helps["max_elements"].startswith("isom-classes, cohomology, export-oracle:")
 
 
 def test_parser_built_once(capsys, monkeypatch, a3_file, tmp_path):

@@ -16,7 +16,6 @@ from schubertisom import (
     interval,
     reconstruct,
     recover_cartan,
-    reduced_words,
     validate_cartan,
 )
 from schubertisom.errors import MalformedOracleError
@@ -27,7 +26,7 @@ from schubertisom.reconstruct import (
 )
 from schubertisom.cli import main
 
-from conftest import A2, A3, random_cartan, random_word, type_a
+from conftest import A2, A3, random_cartan, random_word, reduced_words, type_a
 
 from test_cohomology import hirzebruch
 from test_weyl import ORACLE_MATRICES, _non_symmetrizable_rank_4
@@ -267,7 +266,7 @@ class TestLeastWordWalk:
             A6, [f"s{j}" for i in range(6, 0, -1) for j in range(1, i + 1)]
         )
         start = time.monotonic()
-        oracle = export_oracle(w0, seed=6, length_cap=21)
+        oracle = export_oracle(w0, seed=6)
         rp = reconstruct(oracle)
         elapsed = time.monotonic() - start
         assert len(oracle.basis) == 5040

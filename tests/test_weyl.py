@@ -1,24 +1,26 @@
 import gc
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from schubertisom import (
+    EquivalenceWitness,
     bruhat_leq,
     cover_reflection,
     element_from_word,
     enumerate_elements,
+    export_oracle,
     interval,
     inversion_set,
-    reduced_words,
     simple_reflection,
+    transport_interval,
     two_letter_leq,
 )
 from schubertisom.errors import (
     EnumerationCapExceededError,
-    LengthCapExceededError,
     MixedContextsError,
     NotACoverError,
     NotInSupportError,
@@ -42,8 +44,11 @@ from conftest import (
     C3,
     D4,
     G2,
+    UNIVERSAL_5,
+    UNIVERSAL_5_WORD,
     random_cartan,
     random_word,
+    reduced_words,
     type_a,
     validate_cartan,
 )
@@ -261,11 +266,6 @@ class TestInterval:
                     is_cover = v.length == u.length + 1 and bruhat_leq(u, v)
                     assert (v in itv.covers_up[u]) == is_cover
 
-    def test_length_cap(self):
-        w = element_from_word(A1_AFFINE, ["s1", "s2"] * 11)
-        with pytest.raises(LengthCapExceededError):
-            interval(w)
-
     @staticmethod
     def _seeded_intervals():
         """Intervals over the oracle matrices (non-symmetrizable rank 4 and
@@ -294,6 +294,67 @@ class TestInterval:
             for u, v in pairs:
                 coroot = cover_reflection(u, v).coroot
                 assert itv.coroots[u, v] == u.apply_inverse_to_coroot(coroot)
+
+
+def _transport_to_itself(w):
+    return transport_interval(EquivalenceWitness(w, w, {s: s for s in support(w)}))
+
+
+class TestElementCap:
+    """One cap, counted in elements, bounds every enumeration of [e, w]."""
+
+    W0_A3 = ["s1", "s2", "s3", "s1", "s2", "s1"]
+
+    @pytest.mark.parametrize("build", [subword_products, interval, export_oracle])
+    def test_boundary(self, build):
+        """A cap of N admits exactly N elements: w0 of A3 has 24."""
+        w0 = element_from_word(A3, self.W0_A3)
+        built = build(w0, max_elements=24)
+        assert len(getattr(built, "basis", built)) == 24
+        with pytest.raises(EnumerationCapExceededError) as info:
+            build(w0, max_elements=23)
+        assert info.value.cap == 23
+        assert str(info.value) == "more than 23 elements enumerated (element cap 23)"
+
+    @pytest.mark.parametrize(
+        "build", [subword_products, interval, export_oracle, _transport_to_itself]
+    )
+    def test_universal_rank_5_fails_fast(self, build):
+        """Length 20 and 612,256 elements: the default cap stops the
+        enumeration early, before any cover is built."""
+        w = element_from_word(UNIVERSAL_5, UNIVERSAL_5_WORD)
+        assert w.length == 20
+        start = time.monotonic()
+        with pytest.raises(EnumerationCapExceededError) as info:
+            build(w)
+        elapsed = time.monotonic() - start
+        assert info.value.cap == weyl.DEFAULT_ELEMENT_CAP
+        assert elapsed < 2.0, f"took {elapsed:.1f}s to refuse"  # about 0.25 s
+
+    def test_work_is_bounded_by_the_cap(self, monkeypatch):
+        """The count is checked while the set grows: a cap of 1,000 on the
+        612,256-element interval costs about 1,800 reflections, not the
+        660,077 that building the whole set takes."""
+        w = element_from_word(UNIVERSAL_5, UNIVERSAL_5_WORD)
+        calls = []
+        apply = weyl._apply
+
+        def counting_apply(*args):
+            calls.append(1)
+            return apply(*args)
+
+        monkeypatch.setattr(weyl, "_apply", counting_apply)
+        with pytest.raises(EnumerationCapExceededError):
+            subword_products(w, max_elements=1000)
+        assert len(calls) < 2000
+
+    def test_default_cap_admits_w0_a7(self):
+        A7 = type_a(7)
+        w0 = element_from_word(
+            A7, [f"s{j}" for i in range(7, 0, -1) for j in range(1, i + 1)]
+        )
+        assert w0.length == 28
+        assert len(subword_products(w0)) == 40320
 
 
 class TestSupport:
