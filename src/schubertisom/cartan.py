@@ -253,7 +253,10 @@ def search_injections(candidates, constraints, target, accept):
                 used.discard(t)
         return False
 
-    return dict(sigma) if extend(0) else None
+    try:
+        return dict(sigma) if extend(0) else None
+    finally:
+        del extend  # the closure refers to itself; break the cycle
 
 
 def _automorphisms(labels, table):

@@ -140,16 +140,21 @@ def cmd_cohomology(args):
     A = _load_cartan(args.cartan)
     w = weyl.element_from_word(A, _parse_word(args.word))
     itv = weyl.interval(w, args.max_elements)
+    elements = itv.elements
     order = A.index_set.index
     products = {}
     for s in sorted(weyl.support(w), key=order):
         k = order(s)
-        for u in itv:
+        for p, u in enumerate(elements):
+            # Position order is ShortLex by label index; the output lists
+            # terms by their label words, which differ when labels are not
+            # listed in sorted order.
             terms = sorted(
-                cohomology._chevalley_terms(k, u, itv), key=lambda vc: vc[0].canonical_word
+                cohomology._chevalley_terms(k, p, itv),
+                key=lambda qc: elements[qc[0]].canonical_word,
             )
             products[f"{s}|{' '.join(u.canonical_word)}"] = [
-                {"word": list(v.canonical_word), "coeff": c} for v, c in terms
+                {"word": list(elements[q].canonical_word), "coeff": c} for q, c in terms
             ]
     return _emit(args, {"interval_size": len(itv), "products": products})
 

@@ -66,18 +66,19 @@ def chevalley_product(s, u, itv):
     if u not in itv:
         raise NotInIntervalError(u.canonical_word)
     k = itv.cartan.index_set.index(s)
-    return SchubertClass(itv, dict(_chevalley_terms(k, u, itv)))
+    elements = itv.elements
+    terms = _chevalley_terms(k, itv.position[u.rho], itv)
+    return SchubertClass(itv, {elements[q]: c for q, c in terms})
 
 
-def _chevalley_terms(k, u, itv):
-    """The terms (v, c) of xi_s * xi_u for s of index k, in cover order:
-    c is entry k of the coroot u^{-1}(beta_vee) of each cover v of u."""
-    coroots = itv.coroots
-    for v in itv.covers_up[u]:
-        c = coroots[u, v][k]
+def _chevalley_terms(k, p, itv):
+    """The terms (q, c) of xi_s * xi_u for s of index k and u at position p,
+    q increasing: c is entry k of the coroot of each cover u <| elements[q]."""
+    for q, coroot in itv.up[p]:
+        c = coroot[k]
         assert c >= 0, "Chevalley coefficient must be nonnegative"
         if c:
-            yield v, c
+            yield q, c
 
 
 def multiply_by_simple(s, F):
@@ -193,16 +194,17 @@ class CohomologyOracle:
         for (g, bid), terms in self.products.items():
             if g not in generators or bid not in degrees:
                 raise MalformedOracleError(f"product ({g}, {bid}) uses unknown ids")
+            degree = degrees[bid] + 2
             for vid, coeff in terms:
                 if vid not in degrees:
                     raise MalformedOracleError(f"product ({g}, {bid}) hits unknown id")
-                if degrees[vid] != degrees[bid] + 2:
+                if degrees[vid] != degree:
                     raise MalformedOracleError(
                         f"product ({g}, {bid}) does not raise degree by 2"
                     )
                 if coeff == 0:
                     raise MalformedOracleError("zero coefficients must be omitted")
-            if len({vid for vid, _ in terms}) != len(terms):
+            if len(terms) > 1 and len({vid for vid, _ in terms}) != len(terms):
                 raise MalformedOracleError(f"product ({g}, {bid}) repeats an id")
         unit = units[0]
         for g in self.generators:
@@ -211,11 +213,17 @@ class CohomologyOracle:
         return self
 
     def to_json(self):
+        """The oracle as JSON-ready data, for serialising only: the products
+        share one term dict per (id, coeff)."""
+        shared = {}
         return {
             "basis": [{"id": bid, "degree": d} for bid, d in self.basis],
             "generators": list(self.generators),
             "products": {
-                f"{g}|{bid}": [{"id": vid, "coeff": c} for vid, c in terms]
+                f"{g}|{bid}": [
+                    shared.get(vc) or shared.setdefault(vc, {"id": vc[0], "coeff": vc[1]})
+                    for vc in terms
+                ]
                 for (g, bid), terms in sorted(self.products.items())
             },
         }
@@ -245,35 +253,55 @@ def _id_and_int(entry, key):
     return bid, value
 
 
+# bytes.translate arguments that turn the top byte b of a 32-bit word into
+# the hex digit (b >> 3) & 15, deleting b >= 128.
+_HEX_OF_TOP_BYTE = bytes(b"0123456789abcdef"[(b >> 3) & 15] for b in range(256))
+_TOP_BIT_SET = bytes(range(128, 256))
+
+
 def _fresh_ids(count, seed):
-    """count distinct seeded ids in draw order, independent of str hashing."""
+    """count distinct seeded ids in draw order, independent of str hashing.
+
+    An id is "b" and 8 hex digits, drawn as rng.choice("0123456789abcdef")
+    draws them: one 32-bit Mersenne Twister word per try, kept when its top
+    bit is 0, giving the digit in its next 4 bits.  The words come in bulk
+    from one getrandbits call, whose little-endian bytes hold each word's
+    top byte at offset 3 mod 4.  A repeated id is dropped, and digits left
+    over carry into the next draw, so the ids are those of the digit-by-digit
+    draw.
+    """
     rng = random.Random(seed)
     ids = {}
+    digits = ""
     while len(ids) < count:
-        ids["b" + "".join(rng.choice("0123456789abcdef") for _ in range(8))] = None
+        words = 16 * (count - len(ids)) + 64
+        top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        digits += top.translate(_HEX_OF_TOP_BYTE, _TOP_BIT_SET).decode()
+        k = 0
+        while len(ids) < count and k + 8 <= len(digits):
+            ids["b" + digits[k:k + 8]] = None
+            k += 8
+        digits = digits[k:]
     return list(ids)
 
 
 def export_oracle_with_map(w, seed=0, max_elements=weyl.DEFAULT_ELEMENT_CAP):
-    """Build the anonymized oracle of H*(X(w,A)) plus the element -> id map."""
+    """Build the anonymized oracle of H*(X(w,A)) plus the element -> id map.
+    The ids are drawn in the interval's order, one per position."""
     itv = weyl.interval(w, max_elements)
     ids = _fresh_ids(len(itv), seed)
-    naming = dict(zip(itv.elements, ids))
-    basis = tuple(
-        sorted(((naming[v], 2 * v.length) for v in itv), key=lambda p: p[0])
-    )
-    generators = tuple(sorted(naming[v] for v in itv if v.length == 1))
+    basis = tuple(sorted(zip(ids, (2 * v.length for v in itv))))
+    letter_of = {ids[p]: v._index_word()[0] for p, v in enumerate(itv) if v.length == 1}
+    generators = tuple(sorted(letter_of))
     products = {}
-    index = itv.cartan.index_set.index
-    index_of = {naming[v]: index(v.canonical_word[0]) for v in itv if v.length == 1}
     for gid in generators:
-        k = index_of[gid]
-        for u in itv:
-            products[gid, naming[u]] = tuple(
-                sorted([(naming[v], c) for v, c in _chevalley_terms(k, u, itv)])
+        k = letter_of[gid]
+        for p, bid in enumerate(ids):
+            products[gid, bid] = tuple(
+                sorted([(ids[q], c) for q, c in _chevalley_terms(k, p, itv)])
             )
     oracle = CohomologyOracle(basis, generators, products).validate()
-    return oracle, naming
+    return oracle, dict(zip(itv.elements, ids))
 
 
 def export_oracle(w, seed=0, max_elements=weyl.DEFAULT_ELEMENT_CAP):

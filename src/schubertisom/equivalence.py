@@ -116,19 +116,18 @@ def transport_interval(witness):
     B = witness.target.cartan
     source = weyl.interval(witness.source)
     target = weyl.interval(witness.target)
-    mapping = {
-        v: element_from_word(B, tuple(sigma[s] for s in v.canonical_word))
+    image = [
+        target.position.get(element_from_word(B, tuple(sigma[s] for s in v.canonical_word)).rho)
         for v in source
-    }
-    assert len(source) == len(target) and set(mapping.values()) == set(target), (
+    ]
+    assert len(source) == len(target) and set(image) == set(range(len(target))), (
         "transported map is not a bijection onto [e,w']"
     )
-    for v in source:
-        downs = {mapping[u] for u in source.covers_down[v]}
-        assert downs == set(target.covers_down[mapping[v]]), (
+    for p, q in enumerate(image):
+        assert {image[u] for u in source.down[p]} == set(target.down[q]), (
             "transported map is not an order isomorphism"
         )
-    return mapping
+    return {v: target.elements[q] for v, q in zip(source, image)}
 
 
 def _components(A, sup):

@@ -13,6 +13,7 @@ root / coroot bases, in label order; all arithmetic is exact.
 """
 
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import (
@@ -97,7 +98,7 @@ class WeylElement:
         return multiply(self, other)
 
     def is_identity(self):
-        return self.rho == self._ctx.identity.rho
+        return self.rho == self._ctx.rho
 
     def _index_word(self):
         """The canonical word as label indices."""
@@ -126,7 +127,7 @@ class WeylElement:
     def _inverse_rho(self):
         if self._inv is None:
             ctx = self._ctx
-            self._inv = _apply(ctx.columns, self._index_word()[::-1], ctx.identity.rho)
+            self._inv = _apply(ctx.columns, self._index_word()[::-1], ctx.rho)
         return self._inv
 
     def inverse(self):
@@ -167,19 +168,15 @@ class Reflection:
 
 class _Context:
     """Per-Cartan-matrix data: sparse columns (j, A[j][i]) for the weight and
-    coroot actions, the identity and the generators."""
+    coroot actions, and the vector rho of the identity.  It holds no element,
+    so the elements that point to it form no reference cycle."""
 
     def __init__(self, cartan):
         A = cartan.entries
         rng = range(len(A))
         self.cartan = cartan
         self.columns = tuple(tuple((j, A[j][i]) for j in rng if A[j][i]) for i in rng)
-        identity = WeylElement(self, tuple(1 for _ in rng), indices=())
-        self.identity = identity
-        self.gens = {
-            s: WeylElement(self, _apply(self.columns, (i,), identity.rho), indices=(i,))
-            for i, s in enumerate(cartan.labels)
-        }
+        self.rho = tuple(1 for _ in rng)
 
 
 # One context per Cartan matrix, held only while some element refers to it.
@@ -194,12 +191,14 @@ def _context(cartan):
 
 
 def identity_element(A):
-    return _context(A).identity
+    ctx = _context(A)
+    return WeylElement(ctx, ctx.rho, indices=())
 
 
 def simple_reflection(A, s):
-    A.index_set.index(s)
-    return _context(A).gens[s]
+    i = A.index_set.index(s)
+    ctx = _context(A)
+    return WeylElement(ctx, _apply(ctx.columns, (i,), ctx.rho), indices=(i,))
 
 
 def multiply(x, y):
@@ -212,7 +211,7 @@ def multiply(x, y):
 def element_from_word(A, word):
     ctx = _context(A)
     letters = [A.index_set.index(s) for s in word]
-    return WeylElement(ctx, _apply(ctx.columns, letters, ctx.identity.rho))
+    return WeylElement(ctx, _apply(ctx.columns, letters, ctx.rho))
 
 
 def support(w):
@@ -261,6 +260,17 @@ def two_letter_leq(A, s, t, w):
     return t in word[first_s + 1:]
 
 
+def _subword_vectors(w, max_elements):
+    """The vectors of `subword_products(w, max_elements)`, as a set."""
+    ctx = w._ctx
+    vectors = {ctx.rho}
+    for i in reversed(w._index_word()):
+        vectors.update([_apply(ctx.columns, (i,), v) for v in vectors])
+        if len(vectors) > max_elements:
+            raise EnumerationCapExceededError(max_elements)
+    return vectors
+
+
 def subword_products(w, max_elements=DEFAULT_ELEMENT_CAP):
     """All distinct products of subwords of w's canonical word.
 
@@ -272,13 +282,7 @@ def subword_products(w, max_elements=DEFAULT_ELEMENT_CAP):
     every letter and more than max_elements raises: at most 2 * max_elements
     vectors are ever held.
     """
-    ctx = w._ctx
-    vectors = {ctx.identity.rho}
-    for i in reversed(w._index_word()):
-        vectors.update([_apply(ctx.columns, (i,), v) for v in vectors])
-        if len(vectors) > max_elements:
-            raise EnumerationCapExceededError(max_elements)
-    return frozenset(WeylElement(ctx, v) for v in vectors)
+    return frozenset(WeylElement(w._ctx, v) for v in _subword_vectors(w, max_elements))
 
 
 def _lower_covers(v):
@@ -290,7 +294,7 @@ def _lower_covers(v):
     while each s_i meets a positive coordinate x_i."""
     columns = v._ctx.columns
     word = v._index_word()
-    suffix = v._ctx.identity.rho  # (s_{k+1}...s_m)(rho)
+    suffix = v._ctx.rho  # (s_{k+1}...s_m)(rho)
     for k in range(len(word) - 1, -1, -1):
         x = list(suffix)
         for i in reversed(word[:k]):
@@ -310,17 +314,22 @@ def _element_sort_key(v):
 
 
 class BruhatInterval:
-    """The interval [e,w] with its cover relations, in sorted order.
-    coroots[u, v] = u^{-1}(beta_vee) for the cover v = s_beta u."""
+    """The interval [e,w] in (length, ShortLex) order, with its covers stored
+    by position in `elements`.
 
-    __slots__ = ("top", "elements", "covers_up", "covers_down", "coroots")
+    `position` maps each element's vector to its position.  For a cover
+    u <| v = s_beta u at positions p < q, up[p] holds (q, coroot) with
+    coroot = u^{-1}(beta_vee), and down[q] holds p; both are increasing.
+    """
 
-    def __init__(self, top, elements, covers_up, covers_down, coroots):
+    __slots__ = ("top", "elements", "position", "up", "down")
+
+    def __init__(self, top, elements, position, up, down):
         self.top = top
         self.elements = elements
-        self.covers_up = covers_up
-        self.covers_down = covers_down
-        self.coroots = coroots
+        self.position = position
+        self.up = up
+        self.down = down
 
     def __len__(self):
         return len(self.elements)
@@ -329,35 +338,100 @@ class BruhatInterval:
         return iter(self.elements)
 
     def __contains__(self, v):
-        return v in self.covers_up
+        return getattr(v, "_ctx", None) is self.top._ctx and v.rho in self.position
 
     @property
     def cartan(self):
         return self.top.cartan
 
+    @property
+    def covers_up(self):
+        """A read-only view: each element's upper covers, as elements."""
+        return _UpperCovers(self)
+
+
+class _UpperCovers(Mapping):
+    __slots__ = ("_itv",)
+
+    def __init__(self, itv):
+        self._itv = itv
+
+    def __getitem__(self, v):
+        itv = self._itv
+        if v not in itv:
+            raise KeyError(v)
+        return tuple(itv.elements[q] for q, _ in itv.up[itv.position[v.rho]])
+
+    def __iter__(self):
+        return iter(self._itv.elements)
+
+    def __len__(self):
+        return len(self._itv.elements)
+
 
 def interval(w, max_elements=DEFAULT_ELEMENT_CAP):
-    """[e,w] with covers by `_lower_covers`: deleting s_k from v's word
-    s_1...s_m gives u <| v with u^{-1}(beta_vee) = s_m...s_{k+1}(alpha_vee_k).
+    """[e,w], built once from the bottom, one length at a time.
+
     Raises EnumerationCapExceededError, before any cover is built, if [e,w]
-    has more than max_elements elements."""
-    elements = sorted(subword_products(w, max_elements), key=_element_sort_key)
-    position = {v.rho: n for n, v in enumerate(elements)}
-    columns = w._ctx.columns
-    covers_up = {v: [] for v in elements}
-    covers_down = {}
-    coroots = {}
-    for v in elements:
-        word = v._index_word()
-        downs = sorted((position[rho], k) for k, rho in _lower_covers(v))
-        for p, k in downs:
-            u = elements[p]
-            covers_up[u].append(v)
-            simple = tuple(int(j == word[k]) for j in range(len(columns)))
-            coroots[u, v] = _act(columns, word[k + 1:][::-1], simple)
-        covers_down[v] = tuple(elements[p] for p, _ in downs)
-    covers_up = {v: tuple(ups) for v, ups in covers_up.items()}
-    return BruhatInterval(w, tuple(elements), covers_up, covers_down, coroots)
+    has more than max_elements elements.  Each v != e has the parent
+    p = s_i v for its least left descent i, and v's canonical word is
+    (i,) + p's.  So ShortLex order within a length is the order of
+    (i, position of p).  By strong exchange (Bjorner-Brenti, Combinatorics
+    of Coxeter Groups, 1.4 and 2.2) the lower covers of v are p itself, with
+    coroot p^{-1}(alpha_vee_i), and s_i u' for each lower cover u' of p
+    with s_i u' > u'; that cover has the coroot of u' <| p, since
+    s_i u' <| s_i p = s_{s_i beta} s_i u' when p = s_beta u'.
+    """
+    ctx = w._ctx
+    columns = ctx.columns
+    rank = len(columns)
+    children = {}
+    for v in _subword_vectors(w, max_elements):
+        i = _first_negative(v)
+        if i is not None:
+            children.setdefault(_apply(columns, (i,), v), []).append((i, v))
+    elements = [WeylElement(ctx, ctx.rho, indices=())]
+    position = {ctx.rho: 0}
+    up = [[]]
+    below = [()]  # below[q]: (p, coroot) for each lower cover, p increasing
+    level = [0]
+    while level:
+        by_letter = [[] for _ in range(rank)]
+        for p in level:
+            for i, v in children.pop(elements[p].rho, ()):
+                by_letter[i].append((p, v))
+        level = []
+        for i, pairs in enumerate(by_letter):
+            column = columns[i]
+            for p, v in pairs:
+                q = len(elements)
+                word = elements[p]._indices
+                coroot = [int(j == i) for j in range(rank)]
+                for k in word:  # p^{-1} = s_m...s_1 for p = s_1...s_m
+                    c = coroot[k]
+                    for j, a in columns[k]:
+                        c -= a * coroot[j]
+                    coroot[k] = c
+                covers = [(p, tuple(coroot))]
+                for u, inherited in below[p]:
+                    x = elements[u].rho
+                    c = x[i]
+                    if c > 0:
+                        x = list(x)
+                        for j, a in column:
+                            x[j] -= c * a
+                        covers.append((position[tuple(x)], inherited))
+                covers.sort()
+                for u, gamma in covers:
+                    up[u].append((q, gamma))
+                elements.append(WeylElement(ctx, v, indices=(i,) + word))
+                position[v] = q
+                up.append([])
+                below.append(covers)
+                level.append(q)
+    down = tuple(tuple(p for p, _ in covers) for covers in below)
+    up = tuple(map(tuple, up))
+    return BruhatInterval(w, tuple(elements), position, up, down)
 
 
 def inversion_set(w):
@@ -404,8 +478,8 @@ def enumerate_elements(A, max_length, max_elements=DEFAULT_ELEMENT_CAP):
     """
     ctx = _context(A)
     columns = ctx.columns
-    seen = {ctx.identity.rho}
-    frontier = [ctx.identity.rho]
+    seen = {ctx.rho}
+    frontier = [ctx.rho]
     for _ in range(max_length):
         nxt = []
         for w in frontier:

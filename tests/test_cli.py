@@ -235,6 +235,17 @@ class TestCohomology:
         ]
         assert payload["products"]["s1|"] == [{"word": ["s1"], "coeff": 1}]
 
+    def test_terms_sorted_by_word_when_labels_are_not(self, capsys, tmp_path):
+        """With labels listed out of string order, position order is not word
+        order, and each product still lists its terms by word."""
+        path = tmp_path / "a3-reversed.json"
+        path.write_text(json.dumps(CartanMatrix(["s3", "s2", "s1"], A3.entries).to_json()))
+        payload = run_json(capsys, "cohomology", str(path), "s1 s2 s3 s1 s2 s1")
+        assert payload["interval_size"] == 24
+        lists = [[t["word"] for t in terms] for terms in payload["products"].values()]
+        assert any(len(words) > 1 for words in lists)
+        assert all(words == sorted(words) for words in lists)
+
 
 @pytest.mark.parametrize("command", ["cohomology", "export-oracle"])
 class TestElementCap:

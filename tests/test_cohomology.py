@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -15,7 +16,7 @@ from schubertisom import (
     support_closure,
     validate_cartan,
 )
-from schubertisom.cohomology import basis_class, minimal_coset_reps, support
+from schubertisom.cohomology import _fresh_ids, basis_class, minimal_coset_reps, support
 from schubertisom.errors import (
     MalformedOracleError,
     NotInIntervalError,
@@ -218,6 +219,41 @@ class TestOracleExport:
         again = CohomologyOracle.from_json(data)
         again.validate()
         assert again == oracle
+
+    def test_to_json_shares_one_dict_per_term(self):
+        w = element_from_word(A3, ["s1", "s2", "s3", "s1", "s2", "s1"])
+        oracle = export_oracle(w, seed=2)
+        data = oracle.to_json()
+        terms = [t for ts in data["products"].values() for t in ts]
+        distinct = {vc for ts in oracle.products.values() for vc in ts}
+        assert len({id(t) for t in terms}) == len(distinct) < len(terms)
+        assert CohomologyOracle.from_json(json.loads(json.dumps(data))) == oracle
+
+
+def _fresh_ids_by_choice(count, seed):
+    """Reference: each hex digit of each id by its own rng.choice.  Returns
+    the ids and how many ids were drawn, repeats included."""
+    rng = random.Random(seed)
+    ids = {}
+    drawn = 0
+    while len(ids) < count:
+        ids["b" + "".join(rng.choice("0123456789abcdef") for _ in range(8))] = None
+        drawn += 1
+    return list(ids), drawn
+
+
+class TestFreshIds:
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 8, 24, 100, 192, 1000, 5040])
+    def test_same_ids_as_digit_by_digit_draw(self, count):
+        for seed in range(25):
+            assert _fresh_ids(count, seed) == _fresh_ids_by_choice(count, seed)[0]
+
+    def test_same_ids_after_a_repeated_id(self):
+        """At 100,000 ids the reference draws a repeat on seed 1; the ids
+        after it must still agree."""
+        expected, drawn = _fresh_ids_by_choice(100_000, 1)
+        assert drawn > 100_000
+        assert _fresh_ids(100_000, 1) == expected
 
 
 class TestOracleValidation:

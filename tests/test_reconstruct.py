@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import importlib
 import json
 import random
@@ -14,6 +15,7 @@ from schubertisom import (
     export_oracle,
     export_oracle_with_map,
     interval,
+    isom_classes,
     reconstruct,
     recover_cartan,
     validate_cartan,
@@ -26,7 +28,7 @@ from schubertisom.reconstruct import (
 )
 from schubertisom.cli import main
 
-from conftest import A2, A3, random_cartan, random_word, reduced_words, type_a
+from conftest import A2, A3, D4, random_cartan, random_word, reduced_words, type_a
 
 from test_cohomology import hirzebruch
 from test_weyl import ORACLE_MATRICES, _non_symmetrizable_rank_4
@@ -311,3 +313,20 @@ class TestExportReader:
             path.write_text(json.dumps(A.to_json()))
             assert main(["cohomology", str(path), " ".join(w.canonical_word)]) == 0
             capsys.readouterr()
+
+
+def test_round_trip_leaves_no_cyclic_garbage():
+    """Export -> JSON -> reconstruct -> check_equivalence of w0 of D4, then
+    isom_classes on A4, free everything by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        w0 = element_from_word(D4, ["s1", "s2", "s3", "s4"] * 3)
+        text = json.dumps(export_oracle(w0, seed=1).to_json())
+        rp = reconstruct(CohomologyOracle.from_json(json.loads(text)))
+        assert check_equivalence(w0, element_from_word(rp.cartan, rp.word)) is not None
+        del w0, text, rp
+        assert len(isom_classes(type_a(4), 6)) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

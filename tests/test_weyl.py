@@ -44,6 +44,7 @@ from conftest import (
     C3,
     D4,
     G2,
+    H3,
     UNIVERSAL_5,
     UNIVERSAL_5_WORD,
     random_cartan,
@@ -261,9 +262,13 @@ class TestInterval:
             A = random_cartan(rng, max_rank=3)
             w = element_from_word(A, random_word(rng, A, 6))
             itv = interval(w)
-            for u in itv:
-                for v in itv:
+            for p, u in enumerate(itv):
+                assert itv.position[u.rho] == p
+                ups = {q for q, _ in itv.up[p]}
+                for q, v in enumerate(itv):
                     is_cover = v.length == u.length + 1 and bruhat_leq(u, v)
+                    assert (q in ups) == is_cover
+                    assert (p in itv.down[q]) == is_cover
                     assert (v in itv.covers_up[u]) == is_cover
 
     @staticmethod
@@ -279,21 +284,52 @@ class TestInterval:
 
     def test_covers_down_are_subword_products_one_shorter(self):
         for itv in self._seeded_intervals():
-            for v in itv:
+            for q, v in enumerate(itv):
                 below = subword_products(v)
                 expected = [
                     u for u in itv.elements if u.length == v.length - 1 and u in below
                 ]
-                assert list(itv.covers_down[v]) == expected
+                assert [itv.elements[p] for p in itv.down[q]] == expected
 
     def test_coroots_match_cover_reflections(self):
-        """coroots[u, v] against u^{-1}(beta_vee) from the cover reflection."""
+        """The coroot of each up entry against u^{-1}(beta_vee) from the
+        cover reflection; up and down hold the same covers, increasing."""
         for itv in self._seeded_intervals():
-            pairs = {(u, v) for u in itv for v in itv.covers_up[u]}
-            assert set(itv.coroots) == pairs
-            for u, v in pairs:
-                coroot = cover_reflection(u, v).coroot
-                assert itv.coroots[u, v] == u.apply_inverse_to_coroot(coroot)
+            pairs = {(p, q) for p, ups in enumerate(itv.up) for q, _ in ups}
+            assert pairs == {(p, q) for q, downs in enumerate(itv.down) for p in downs}
+            for ups in itv.up:
+                assert [q for q, _ in ups] == sorted({q for q, _ in ups})
+            for downs in itv.down:
+                assert list(downs) == sorted(set(downs))
+            for p, ups in enumerate(itv.up):
+                u = itv.elements[p]
+                for q, coroot in ups:
+                    reflection = cover_reflection(u, itv.elements[q])
+                    assert coroot == u.apply_inverse_to_coroot(reflection.coroot)
+
+    @pytest.mark.parametrize(
+        "A",
+        [type_a(4), B4, G2, A2_AFFINE, A1_AFFINE, H3, *(random_cartan(random.Random(k)) for k in range(2))],
+        ids=["A4", "B4", "G2", "A2aff", "A1aff", "H3", "random0", "random1"],
+    )
+    def test_covers_match_letter_deletion(self, A):
+        """The covers built from parents against `_lower_covers`: deleting
+        s_k from v's word s_1...s_m gives the cover u <| v with coroot
+        s_m...s_{k+1}(alpha_vee_{s_k})."""
+        rng = random.Random(repr(A))
+        columns = weyl._context(A).columns
+        for _ in range(8):
+            itv = interval(element_from_word(A, random_word(rng, A, 9)))
+            coroot_of = {(p, q): c for p, ups in enumerate(itv.up) for q, c in ups}
+            for q, v in enumerate(itv):
+                word = v._index_word()
+                expected = sorted(
+                    (itv.position[rho],
+                     weyl._act(columns, word[k + 1:][::-1],
+                               tuple(int(j == word[k]) for j in range(len(A)))))
+                    for k, rho in weyl._lower_covers(v)
+                )
+                assert [(p, coroot_of[p, q]) for p in itv.down[q]] == expected
 
 
 def _transport_to_itself(w):
