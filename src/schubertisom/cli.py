@@ -3,6 +3,7 @@
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import cohomology, equivalence, freealg, weyl
 from .reconstruct import reconstruct as _reconstruct_oracle
@@ -39,11 +40,51 @@ def _parse_pair(value):
     return _load_cartan(path), _parse_word(word)
 
 
+def _json_text(value, pad="\n"):
+    """The text of json.dumps(value, indent=2, sort_keys=True), for the
+    str-keyed dicts, lists, tuples, str, int, bool and None that payloads
+    hold.  With indent set the json module runs its pure-Python encoder,
+    whose nested closures leave a reference cycle behind on every call;
+    this writer is plain recursion and leaves none."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{_quote(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) + pad + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _length_bound(text):
+    """The argparse type of --max-length: an integer >= 0, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _emit(args, payload, exit_code=0):
     if args.format == "table":
         text = _render_table(payload)
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = _json_text(payload)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -207,7 +248,7 @@ def build_parser():
     parser.add_argument("--output", metavar="FILE", default=None)
     parser.add_argument("--strict", action="store_true",
                         help="exit 1 on negative domain results")
-    parser.add_argument("--max-length", type=int, default=20,
+    parser.add_argument("--max-length", type=_length_bound, default=20,
                         help="isom-classes: classify the elements of at most this length "
                              "(default %(default)s)")
     parser.add_argument("--max-elements", type=int, default=weyl.DEFAULT_ELEMENT_CAP,

@@ -43,25 +43,33 @@ class EquivalenceWitness:
 
 
 def _constraints(w):
-    """(support in label order, {(s, t): A[s][t] over the pairs with st <= w}).
+    """(support, constrained pairs, components) of w, on label indices.
 
-    st <= w exactly when A[s][t] = 0 or t occurs after the first s in a
-    reduced word (`two_letter_leq`); one pass over the canonical word finds
-    each letter's first and last position.
+    The support is in ascending index order.  The constrained pairs map
+    (i, j) to A[i][j] over the support pairs with s_i s_j <= w, which holds
+    exactly when A[i][j] = 0 or j occurs after the first i in a reduced word
+    (`two_letter_leq`); one pass over the canonical word finds each letter's
+    first and last position.  The components are the connected components,
+    as sets, of the support under A[i][j] != 0, found in the same pass over
+    A's rows.
     """
     first, last = {}, {}
-    for k, s in enumerate(w.canonical_word):
-        first.setdefault(s, k)
-        last[s] = k
-    A = w.cartan
-    sup = sorted(first, key=A.index_set.index)
-    constraints = {
-        (s, t): A.table[s, t]
-        for s in sup
-        for t in sup
-        if s != t and (A.table[s, t] == 0 or last[t] > first[s])
-    }
-    return sup, constraints
+    for k, i in enumerate(w._index_word()):
+        first.setdefault(i, k)
+        last[i] = k
+    sup = sorted(first)
+    entries = w.cartan.entries
+    constraints = {}
+    components = []
+    for i in sup:
+        row, after = entries[i], first[i]
+        for j in sup:
+            if j != i and (row[j] == 0 or last[j] > after):
+                constraints[i, j] = row[j]
+        linked = [c for c in components if any(row[j] for j in c)]
+        components = [c for c in components if c not in linked]
+        components.append({i}.union(*linked))
+    return sup, constraints, components
 
 
 def _profiles(sup, constraints):
@@ -87,15 +95,18 @@ def check_equivalence(w, w_prime):
     B = w_prime.cartan
     if w.length != w_prime.length:
         return None
-    src, constraints = _constraints(w)
-    dst, dst_constraints = _constraints(w_prime)
+    src, constraints, _ = _constraints(w)
+    dst, dst_constraints, _ = _constraints(w_prime)
     if len(src) != len(dst):
         return None
     src_profiles = _profiles(src, constraints)
     dst_profiles = _profiles(dst, dst_constraints)
+    labels, images = w.cartan.labels, B.labels
     candidates = [
-        (s, [t for t in dst if dst_profiles[t] == src_profiles[s]]) for s in src
+        (labels[i], [images[j] for j in dst if dst_profiles[j] == src_profiles[i]])
+        for i in src
     ]
+    constraints = {(labels[i], labels[j]): a for (i, j), a in constraints.items()}
     word = w.canonical_word
 
     def multiplies_to_w_prime(sigma):
@@ -130,26 +141,18 @@ def transport_interval(witness):
     return {v: target.elements[q] for v, q in zip(source, image)}
 
 
-def _components(A, sup):
-    """The connected components, as sets, of the support under A[s][t] != 0."""
-    components = []
-    for s in sup:
-        linked = [c for c in components if any(A.table[s, t] for t in c)]
-        components = [c for c in components if c not in linked]
-        components.append({s}.union(*linked))
-    return components
-
-
 def _component_key(w, letters, length, entries):
-    """The key of the factor of w on one component (as label indices), which
-    has `length` letters; `entries` maps its constrained index pairs to A.
+    """The key of the factor of w on one component, as label indices: the
+    factor has `length` letters, and `entries` maps its constrained index
+    pairs to A.
 
     Breadth first over the left descents inside the component: a state is
     (remaining vector, letters in naming order).  Its next symbol is its
     least named descent, or, if no descent is named yet, the next new name,
     reached by every unnamed descent.  Only the states whose symbol is least
     survive each step, so they all share the least renamed word.  The
-    entries tie-break is the least over the surviving namings.
+    entries tie-break is the least over the distinct surviving namings,
+    each renamed once.
     """
     columns = w._ctx.columns
     states = {(w.rho, ())}
@@ -172,14 +175,18 @@ def _component_key(w, letters, length, entries):
                 moves = [(j, named + (j,)) for j in letters if v[j] < 0 and j not in named]
             else:
                 moves = ((i, named),)
-            states.update((weyl._apply(columns, (i,), v), after) for i, after in moves)
+            for i, after in moves:
+                x, c = list(v), v[i]
+                for j, a in columns[i]:
+                    x[j] -= c * a
+                states.add((tuple(x), after))
         word.append(best)
 
     def renamed_entries(named):
         rank = {i: name for name, i in enumerate(named)}
         return tuple(sorted((rank[i], rank[j], a) for (i, j), a in entries.items()))
 
-    return tuple(word), min(renamed_entries(named) for _, named in states)
+    return tuple(word), min(map(renamed_entries, {named for _, named in states}))
 
 
 def canonical_key(w):
@@ -220,19 +227,18 @@ def canonical_key(w):
     avoids the k! namings of k commuting letters.  `_component_key` finds
     the key of each factor.
     """
-    sup, constraints = _constraints(w)
-    position = w.cartan.index_set.position
-    keys = []
-    for component in _components(w.cartan, sup):
-        letters = [position[s] for s in component]
-        entries = {
-            (position[s], position[t]): a
-            for (s, t), a in constraints.items()
-            if s in component and t in component
-        }
-        length = sum(s in component for s in w.canonical_word)
-        keys.append(_component_key(w, letters, length, entries))
-    return w.length, tuple(sorted(keys))
+    _, constraints, components = _constraints(w)
+    word = w._index_word()
+    keys = [
+        _component_key(
+            w,
+            letters,
+            sum(i in letters for i in word),
+            {(i, j): a for (i, j), a in constraints.items() if i in letters and j in letters},
+        )
+        for letters in components
+    ]
+    return len(word), tuple(sorted(keys))
 
 
 def isom_classes(A, max_length, max_elements=weyl.DEFAULT_ELEMENT_CAP):

@@ -308,11 +308,6 @@ def _lower_covers(v):
         suffix = _apply(columns, (word[k],), suffix)
 
 
-def _element_sort_key(v):
-    word = v._index_word()
-    return (len(word), word)
-
-
 class BruhatInterval:
     """The interval [e,w] in (length, ShortLex) order, with its covers stored
     by position in `elements`.
@@ -470,27 +465,46 @@ def cover_reflection(u, v):
 
 
 def enumerate_elements(A, max_length, max_elements=DEFAULT_ELEMENT_CAP):
-    """All w with length(w) <= max_length, BFS by left multiplication.
+    """All w with length(w) <= max_length, in (length, ShortLex) order.
 
-    Sorted by (length, canonical word).  Raises EnumerationCapExceededError
-    as soon as more than max_elements are found, since there is no general
-    finiteness test for W(A).
+    Built from the bottom, one length at a time, as in `interval`.  Each
+    v != e has one parent u = s_i v, for its least left descent i, and v's
+    canonical word is (i,) + u's.  So v = s_i u is a child of u exactly when
+    u(rho)_i > 0 (v is longer) and v(rho)_j > 0 for every j < i (no smaller
+    descent).  Children go into one bucket per letter i, in their parents'
+    order; joined in letter order, the buckets are the next level in
+    ShortLex order.  The
+    walk stops at max_length or at the first empty level, whichever comes
+    first.  There is no general finiteness test for W(A), so the count is
+    checked as each element is found: more than max_elements raises
+    EnumerationCapExceededError.
     """
     ctx = _context(A)
     columns = ctx.columns
-    seen = {ctx.rho}
-    frontier = [ctx.rho]
+    rank = len(columns)
+    level = [WeylElement(ctx, ctx.rho, indices=())]
+    elements = list(level)
+    count = 1
     for _ in range(max_length):
-        nxt = []
-        for w in frontier:
-            for i, c in enumerate(w):
+        by_letter = [[] for _ in range(rank)]
+        for u in level:
+            x = u.rho
+            for i, c in enumerate(x):
                 if c < 0:
                     continue
-                v = _apply(columns, (i,), w)
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-                    if len(seen) > max_elements:
+                v = list(x)
+                for j, a in columns[i]:
+                    v[j] -= c * a
+                for j in range(i):
+                    if v[j] < 0:
+                        break
+                else:
+                    by_letter[i].append((tuple(v), (i,) + u._indices))
+                    count += 1
+                    if count > max_elements:
                         raise EnumerationCapExceededError(max_elements)
-        frontier = nxt
-    return sorted((WeylElement(ctx, v) for v in seen), key=_element_sort_key)
+        level = [WeylElement(ctx, v, word) for bucket in by_letter for v, word in bucket]
+        if not level:
+            break
+        elements += level
+    return elements

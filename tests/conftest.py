@@ -14,7 +14,8 @@ from schubertisom import (
     two_letter_leq,
     validate_cartan,
 )
-from schubertisom.weyl import enumerate_elements
+from schubertisom.errors import EnumerationCapExceededError
+from schubertisom.weyl import DEFAULT_ELEMENT_CAP, enumerate_elements, identity_element
 
 
 def type_a(n):
@@ -156,6 +157,32 @@ def reduced_words(w):
         return memo[v]
 
     return words_of(w)
+
+
+def bfs_enumerate_elements(A, max_length, max_elements=DEFAULT_ELEMENT_CAP):
+    """Reference: the elements of length at most max_length, found breadth
+    first by left multiplication with a `seen` set, then sorted by (length,
+    canonical word as label indices).  The count is checked as each new
+    element is found, and more than max_elements raises."""
+    order = A.index_set.index
+    reflections = {s: simple_reflection(A, s) for s in A.labels}
+    seen = {identity_element(A)}
+    frontier = list(seen)
+    for _ in range(max_length):
+        nxt = []
+        for w in frontier:
+            descents = w.left_descents()
+            for s, r in reflections.items():
+                if s in descents:
+                    continue
+                v = r * w
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+                    if len(seen) > max_elements:
+                        raise EnumerationCapExceededError(max_elements)
+        frontier = nxt
+    return sorted(seen, key=lambda v: (v.length, [order(s) for s in v.canonical_word]))
 
 
 def pairwise_isom_classes(A, max_length):

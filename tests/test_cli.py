@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -20,7 +21,8 @@ from schubertisom import cli
 from schubertisom.cli import main
 
 from conftest import (
-    A2, A2_AFFINE, A3, B2, B4, C3, D4, D4_AFFINE, UNIVERSAL_5, UNIVERSAL_5_WORD,
+    A2, A2_AFFINE, A3, B2, B3, B4, C3, D4, D4_AFFINE, UNIVERSAL_5, UNIVERSAL_5_WORD,
+    type_a,
 )
 
 
@@ -223,6 +225,21 @@ class TestIsomClasses:
         payload = run_json(capsys, "--max-length", "6", "isom-classes", a3_file)
         assert payload["count"] == 14
 
+    def test_huge_length_bound_stops_with_the_group(self, capsys, tmp_path):
+        """W(A2) is finite: a bound of 10^8 ends at its 6 elements."""
+        path = tmp_path / "a2.json"
+        path.write_text(json.dumps(A2.to_json()))
+        start = time.monotonic()
+        payload = run_json(capsys, "--max-length", "100000000", "isom-classes", str(path))
+        assert time.monotonic() - start < 1.0
+        assert sum(len(c["members"]) for c in payload["classes"]) == 6
+
+    @pytest.mark.parametrize("bound", ["-1", "-100", "x"])
+    def test_bad_length_bound_is_a_usage_error(self, capsys, a3_file, bound):
+        code, out, err = run(capsys, "--max-length", bound, "isom-classes", a3_file)
+        assert (code, out) == (2, "")
+        assert f"argument --max-length: expected an integer >= 0, got '{bound}'" in err
+
 
 class TestCohomology:
     def test_a2_products(self, capsys, tmp_path):
@@ -303,6 +320,71 @@ def test_output_bytes_pinned(capsys, tmp_path, A, argv, word, digest):
     code, out, err = run(capsys, *argv, str(path), word)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of isom-classes stdout, recorded before the bottom-up enumeration.
+PINNED_CLASS_OUTPUTS = [
+    pytest.param(type_a(4), "10", "json",
+                 "06cccf1dc485647a0846ca184a0ead9562345994f061bb1f9133f6f47276a826",
+                 id="A4-json"),
+    pytest.param(type_a(4), "10", "table",
+                 "35c8715af7017d5ef405d9eb8563a19a2b3fd5903e48ff488d81a25da5e6484c",
+                 id="A4-table"),
+    pytest.param(B3, "6", "json",
+                 "676ef3081e03dab9ee5701e87a58b354848a0ec825598150d4036cc500c6373e",
+                 id="B3-json"),
+    pytest.param(B3, "6", "table",
+                 "80900b660259af1ffc47b3a6a603c2741133fdf3c09de0530dce2b579619de06",
+                 id="B3-table"),
+    pytest.param(A2_AFFINE, "6", "json",
+                 "8ccd96e08bfd63af48c66777739f88518c33399cfbd1aef83abd56641e39cbef",
+                 id="A2-affine-json"),
+    pytest.param(A2_AFFINE, "6", "table",
+                 "3bff8fa6252813beb17eea3bc3af942c3db65db13653a8ef7803994039f2ef80",
+                 id="A2-affine-table"),
+]
+
+
+@pytest.mark.parametrize("A, max_length, fmt, digest", PINNED_CLASS_OUTPUTS)
+def test_isom_classes_bytes_pinned(capsys, tmp_path, A, max_length, fmt, digest):
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps(A.to_json()))
+    code, out, err = run(capsys, "--format", fmt, "--max-length", max_length,
+                         "isom-classes", str(path))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60)
+    | st.text()
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_PAYLOADS)
+def test_json_writer_matches_json_dumps(payload):
+    """Labels may be any text: non-ASCII, quotes and control characters are
+    escaped as json.dumps escapes them."""
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_json_request_leaves_no_reference_cycle(capsys, a3_file):
+    """With the collector off, a JSON request leaves nothing for it to free."""
+    run(capsys, "validate", a3_file)  # builds the shared parser
+    gc.collect()
+    gc.disable()
+    try:
+        code, out, _ = run(capsys, "isom-classes", a3_file)
+        assert code == 0 and out.startswith("{")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestOracleRoundTrip:

@@ -40,15 +40,18 @@ from conftest import (
     A2,
     A2_AFFINE,
     A3,
+    B3,
     B4,
     C3,
     D4,
+    D4_AFFINE,
     G2,
     H3,
     UNIVERSAL_5,
     UNIVERSAL_5_WORD,
     random_cartan,
     random_word,
+    bfs_enumerate_elements,
     reduced_words,
     type_a,
     validate_cartan,
@@ -506,6 +509,50 @@ class TestEnumeration:
         elems = enumerate_elements(A3, 3)
         lengths = [w.length for w in elems]
         assert lengths == sorted(lengths)
+
+    def test_stops_at_the_first_empty_length(self):
+        """W(A2) has 6 elements; a huge length bound does no extra work."""
+        start = time.monotonic()
+        assert len(enumerate_elements(A2, 10**12)) == 6
+        assert time.monotonic() - start < 1.0
+
+
+# Finite, affine, hyperbolic and random matrices, each with a length bound
+# that keeps the group part small.
+DIFFERENTIAL_CASES = [
+    pytest.param(type_a(4), 10, id="A4"),
+    pytest.param(B3, 9, id="B3"),
+    pytest.param(G2, 6, id="G2"),
+    pytest.param(D4, 12, id="D4"),
+    pytest.param(A1_AFFINE, 9, id="A1-affine"),
+    pytest.param(A2_AFFINE, 7, id="A2-affine"),
+    pytest.param(D4_AFFINE, 5, id="D4-affine"),
+    pytest.param(H3, 6, id="H3"),
+] + [
+    pytest.param(random_cartan(random.Random(seed)), 5, id=f"random-{seed}")
+    for seed in range(8)
+]
+
+
+@pytest.mark.parametrize("A, max_length", DIFFERENTIAL_CASES)
+def test_enumeration_matches_bfs_oracle(A, max_length):
+    """The bottom-up enumeration gives the oracle's vectors in the oracle's
+    order, and each word it stores is the greedy word of the vector."""
+    built = enumerate_elements(A, max_length)
+    expected = bfs_enumerate_elements(A, max_length)
+    assert [w.rho for w in built] == [w.rho for w in expected]
+    assert [w.canonical_word for w in built] == [w.canonical_word for w in expected]
+
+
+@pytest.mark.parametrize("A, max_length", DIFFERENTIAL_CASES)
+def test_enumeration_cap_boundary_matches_bfs_oracle(A, max_length):
+    """A cap equal to the count passes and one less raises, in both."""
+    count = len(bfs_enumerate_elements(A, max_length))
+    assert len(enumerate_elements(A, max_length, max_elements=count)) == count
+    for enumerate_ in (enumerate_elements, bfs_enumerate_elements):
+        with pytest.raises(EnumerationCapExceededError) as info:
+            enumerate_(A, max_length, max_elements=count - 1)
+        assert info.value.cap == count - 1
 
 
 @settings(max_examples=60, deadline=None)
