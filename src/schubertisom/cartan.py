@@ -4,6 +4,10 @@ A (generalized) Cartan matrix is an integer matrix A indexed by a finite
 label set S with A[s][s] = 2, A[s][t] <= 0 for s != t, and A[s][t] = 0
 exactly when A[t][s] = 0.  Labels are opaque strings; their input order is
 the canonical total order used for all lexicographic tie-breaking.
+
+`search_injections` is the one search over label bijections: equivalence
+runs it on the constrained pairs of two elements, and the automorphisms on
+one table against itself.  A matrix is held once, as its rows `entries`.
 """
 
 import math
@@ -68,7 +72,7 @@ class IndexSet:
 class CartanMatrix:
     """A validated generalized Cartan matrix over an ordered index set."""
 
-    __slots__ = ("index_set", "entries", "table", "_hash")
+    __slots__ = ("index_set", "entries", "_hash")
 
     def __init__(self, index_set, entries):
         if not isinstance(index_set, IndexSet):
@@ -93,12 +97,6 @@ class CartanMatrix:
                     raise ZeroAsymmetryError(s, t)
         self.index_set = index_set
         self.entries = entries
-        # (s, t) -> A[s][t], looked up by label.
-        self.table = {
-            (s, t): entries[i][j]
-            for i, s in enumerate(labels)
-            for j, t in enumerate(labels)
-        }
         self._hash = hash((index_set.labels, entries))
 
     @property
@@ -159,9 +157,10 @@ def submatrix(A, J):
     """Restrict A to the labels in J, preserving the input label order."""
     for s in J:
         A.index_set.index(s)
-    keep = [s for s in A.labels if s in set(J)]
-    rows = [[A.table[s, t] for t in keep] for s in keep]
-    return CartanMatrix(IndexSet(keep), rows)
+    J = set(J)
+    keep = [i for i, s in enumerate(A.labels) if s in J]
+    rows = [[A.entries[i][j] for j in keep] for i in keep]
+    return CartanMatrix(IndexSet(A.labels[i] for i in keep), rows)
 
 
 def coxeter_exponent(A, s, t):
@@ -207,42 +206,72 @@ class SimpleCoxeterGraph:
 
 
 def simple_graph(A):
-    edges = [(s, t) for (s, t), a in A.table.items() if s != t and a != 0]
+    labels = A.labels
+    edges = [
+        (labels[i], labels[j]) for i, row in enumerate(A.entries) for j in range(i) if row[j]
+    ]
     return SimpleCoxeterGraph(A.index_set, edges)
 
 
-def search_injections(candidates, constraints, target, accept):
-    """Backtracking search for label injections, in lexicographic image order.
+def search_injections(source, target, accept):
+    """Backtracking search for label injections that keep every pair's
+    value, in lexicographic image order.
 
-    `candidates` lists (label, allowed images) in search order, and images
-    are tried in the order given.  Every source pair (s, t) in
-    `constraints` requires target[sigma[s], sigma[t]] == constraints[s, t];
-    each pair is checked as soon as both labels are mapped.  `accept` sees
-    each complete injection in turn, and the search stops at the first one
-    it accepts.  Returns a copy of that injection, or None.
+    `source` and `target` are (labels, pairs), with pairs mapping ordered
+    label pairs (s, t) to values.  A map sigma passes when every source
+    pair (s, t) has its image (sigma[s], sigma[t]) among the target's pairs,
+    with the same value.  So it sends the pairs one to one onto the
+    target's (differing counts give None at once), and each label to one
+    with the same profile: its value with itself and the sorted values out
+    of it and into it.  Labels are mapped in the order given, each to its
+    same-profile targets in the target's order, and a pair is checked as
+    soon as both its labels are mapped.  `accept` sees each passing map in
+    turn; the search stops at the first one it accepts and returns a copy
+    of it, or None.
     """
-    if not all(images for _, images in candidates):
+    (labels, pairs), (images, image_pairs) = source, target
+    if len(pairs) != len(image_pairs):
+        return None
+
+    def profiles(labels, pairs):
+        out = {s: [] for s in labels}
+        into = {s: [] for s in labels}
+        for (s, t), v in pairs.items():
+            out[s].append(v)
+            into[t].append(v)
+        return {
+            s: (pairs.get((s, s)), tuple(sorted(out[s])), tuple(sorted(into[s])))
+            for s in labels
+        }
+
+    by_profile = {}
+    for t, key in profiles(images, image_pairs).items():
+        by_profile.setdefault(key, []).append(t)
+    keys = profiles(labels, pairs)
+    candidates = [by_profile.get(keys[s], ()) for s in labels]
+    if not all(candidates):
         return None
     # checks[i]: (earlier label r, value, whether the pair is (s_i, r)).
-    position = {s: i for i, (s, _) in enumerate(candidates)}
-    checks = [[] for _ in candidates]
-    for (s, t), v in constraints.items():
+    position = {s: i for i, s in enumerate(labels)}
+    checks = [[] for _ in labels]
+    for (s, t), v in pairs.items():
         if position[s] > position[t]:
             checks[position[s]].append((t, v, True))
         elif position[s] < position[t]:
             checks[position[t]].append((s, v, False))
+    get = image_pairs.get
     sigma = {}
     used = set()
 
     def extend(i):
-        if i == len(candidates):
+        if i == len(labels):
             return accept(sigma)
-        s, images = candidates[i]
-        for t in images:
+        s = labels[i]
+        for t in candidates[i]:
             if t in used:
                 continue
             for r, v, outgoing in checks[i]:
-                if (target[t, sigma[r]] if outgoing else target[sigma[r], t]) != v:
+                if get((t, sigma[r]) if outgoing else (sigma[r], t)) != v:
                     break
             else:
                 sigma[s] = t
@@ -260,21 +289,12 @@ def search_injections(candidates, constraints, target, accept):
 
 
 def _automorphisms(labels, table):
-    """Every bijection of labels preserving table, in lexicographic order.
-
-    A label can only go to a label with the same sorted row and column of
-    table entries, so those profiles are the candidate lists.
-    """
+    """Every bijection of labels preserving table, in lexicographic order."""
     if len(labels) > AUTOMORPHISM_CAP:
         raise TooLargeError(len(labels), AUTOMORPHISM_CAP)
-
-    def profile(s):
-        return sorted(table[s, t] for t in labels), sorted(table[t, s] for t in labels)
-
-    profiles = {s: profile(s) for s in labels}
-    candidates = [(s, [t for t in labels if profiles[t] == profiles[s]]) for s in labels]
     autos = []  # append returns None, so the search collects every map
-    search_injections(candidates, table, table, lambda sigma: autos.append(dict(sigma)))
+    graph = (labels, table)
+    search_injections(graph, graph, lambda sigma: autos.append(dict(sigma)))
     return autos
 
 
@@ -291,4 +311,6 @@ def graph_automorphisms(G):
 
 def diagram_automorphisms(A):
     """All vertex bijections preserving every Cartan entry, lexicographically."""
-    return _automorphisms(A.labels, A.table)
+    labels = A.labels
+    table = {(s, t): a for s, row in zip(labels, A.entries) for t, a in zip(labels, row)}
+    return _automorphisms(labels, table)

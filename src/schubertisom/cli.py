@@ -69,8 +69,9 @@ def _json_text(value, pad="\n"):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _length_bound(text):
-    """The argparse type of --max-length: an integer >= 0, else a usage error."""
+def _count(text):
+    """The argparse type of --max-length and --max-elements: an integer >= 0,
+    else a usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -248,10 +249,10 @@ def build_parser():
     parser.add_argument("--output", metavar="FILE", default=None)
     parser.add_argument("--strict", action="store_true",
                         help="exit 1 on negative domain results")
-    parser.add_argument("--max-length", type=_length_bound, default=20,
+    parser.add_argument("--max-length", type=_count, default=20,
                         help="isom-classes: classify the elements of at most this length "
                              "(default %(default)s)")
-    parser.add_argument("--max-elements", type=int, default=weyl.DEFAULT_ELEMENT_CAP,
+    parser.add_argument("--max-elements", type=_count, default=weyl.DEFAULT_ELEMENT_CAP,
                         help="isom-classes, cohomology, export-oracle: exit 2 rather "
                              "than enumerate more than this many elements "
                              "(default %(default)s)")

@@ -4,9 +4,10 @@ Two pairs are Cartan equivalent when a bijection of supports matches some
 reduced word of w letterwise to a reduced word of w' and matches the Cartan
 entries A[s][t] for every pair with st <= w.  Any reduced word works, so the
 decision procedure searches bijections of supports rather than reduced
-words, pruned by per-generator entry profiles.  Classes are found without
-any search: `canonical_key` is a complete invariant, so `isom_classes`
-groups elements by it.
+words: `check_equivalence` hands the constrained pairs of both sides to
+`cartan.search_injections`.  Classes are found without any search:
+`canonical_key` is a complete invariant, so `isom_classes` groups elements
+by it.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from .cartan import diagram_automorphisms, graph_automorphisms, search_injection
 from .cartan import simple_graph, submatrix
 from .errors import NotFullySupportedError
 from . import weyl
-from .weyl import element_from_word, enumerate_elements, support
+from .weyl import _apply, element_from_word, enumerate_elements, support
 
 
 @dataclass(frozen=True)
@@ -72,48 +73,34 @@ def _constraints(w):
     return sup, constraints, components
 
 
-def _profiles(sup, constraints):
-    """Per label, the sorted constrained entries out of it and into it."""
-    return {
-        s: (
-            tuple(sorted(constraints[s, t] for t in sup if (s, t) in constraints)),
-            tuple(sorted(constraints[t, s] for t in sup if (t, s) in constraints)),
-        )
-        for s in sup
-    }
-
-
 def check_equivalence(w, w_prime):
     """Return an EquivalenceWitness, or None when not Cartan equivalent.
 
-    Searches injections sigma over the supports in lexicographic order,
-    backtracking on Cartan entry mismatches for pairs st <= w, and finally
-    verifies that sigma applied to the canonical word of w multiplies to
-    w' (the image word is automatically reduced).  That check builds the
-    image word's vector in O(n * length) and compares it with w'.
+    Searches bijections sigma of the supports, on label indices and in
+    lexicographic order, that send the constrained pairs of w (st <= w)
+    onto those of w' entry for entry: `search_injections` on the two
+    `_constraints` graphs.  Every witness does so (see `canonical_key`).
+    The first sigma under which the canonical word of w multiplies to w'
+    is accepted: the image word's vector is built in O(n * length) and
+    compared with w'(rho), and the image word is then reduced.  sigma is
+    mapped to labels once, at the end.
     """
-    B = w_prime.cartan
     if w.length != w_prime.length:
         return None
-    src, constraints, _ = _constraints(w)
-    dst, dst_constraints, _ = _constraints(w_prime)
+    src, pairs, _ = _constraints(w)
+    dst, dst_pairs, _ = _constraints(w_prime)
     if len(src) != len(dst):
         return None
-    src_profiles = _profiles(src, constraints)
-    dst_profiles = _profiles(dst, dst_constraints)
-    labels, images = w.cartan.labels, B.labels
-    candidates = [
-        (labels[i], [images[j] for j in dst if dst_profiles[j] == src_profiles[i]])
-        for i in src
-    ]
-    constraints = {(labels[i], labels[j]): a for (i, j), a in constraints.items()}
-    word = w.canonical_word
+    ctx, word = w_prime._ctx, w._index_word()
 
     def multiplies_to_w_prime(sigma):
-        return element_from_word(B, tuple(sigma[s] for s in word)) == w_prime
+        return _apply(ctx.columns, [sigma[i] for i in word], ctx.rho) == w_prime.rho
 
-    sigma = search_injections(candidates, constraints, B.table, multiplies_to_w_prime)
-    return None if sigma is None else EquivalenceWitness(w, w_prime, sigma)
+    sigma = search_injections((src, pairs), (dst, dst_pairs), multiplies_to_w_prime)
+    if sigma is None:
+        return None
+    labels, images = w.cartan.labels, w_prime.cartan.labels
+    return EquivalenceWitness(w, w_prime, {labels[i]: images[j] for i, j in sigma.items()})
 
 
 def transport_interval(witness):

@@ -13,7 +13,6 @@ root / coroot bases, in label order; all arithmetic is exact.
 """
 
 import weakref
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import (
@@ -265,9 +264,11 @@ def _subword_vectors(w, max_elements):
     ctx = w._ctx
     vectors = {ctx.rho}
     for i in reversed(w._index_word()):
-        vectors.update([_apply(ctx.columns, (i,), v) for v in vectors])
         if len(vectors) > max_elements:
-            raise EnumerationCapExceededError(max_elements)
+            break
+        vectors.update([_apply(ctx.columns, (i,), v) for v in vectors])
+    if len(vectors) > max_elements:
+        raise EnumerationCapExceededError(max_elements)
     return vectors
 
 
@@ -278,9 +279,9 @@ def subword_products(w, max_elements=DEFAULT_ELEMENT_CAP):
     it is the independent membership oracle used alongside bruhat_leq.
     Built by left multiplication, from the last letter of the word back;
     each partial set is the interval of a suffix, so it lies inside [e,w].
-    [e,w] can have up to 2^length(w) elements, so the count is checked after
-    every letter and more than max_elements raises: at most 2 * max_elements
-    vectors are ever held.
+    [e,w] can have up to 2^length(w) elements, so the count, e included, is
+    checked before and after every letter, and more than max_elements
+    raises: at most 2 * max_elements vectors are ever held.
     """
     return frozenset(WeylElement(w._ctx, v) for v in _subword_vectors(w, max_elements))
 
@@ -341,89 +342,55 @@ class BruhatInterval:
 
     @property
     def covers_up(self):
-        """A read-only view: each element's upper covers, as elements."""
-        return _UpperCovers(self)
-
-
-class _UpperCovers(Mapping):
-    __slots__ = ("_itv",)
-
-    def __init__(self, itv):
-        self._itv = itv
-
-    def __getitem__(self, v):
-        itv = self._itv
-        if v not in itv:
-            raise KeyError(v)
-        return tuple(itv.elements[q] for q, _ in itv.up[itv.position[v.rho]])
-
-    def __iter__(self):
-        return iter(self._itv.elements)
-
-    def __len__(self):
-        return len(self._itv.elements)
+        """Each element's upper covers, as elements: a new dict on each access."""
+        elements = self.elements
+        return {v: tuple(elements[q] for q, _ in up) for v, up in zip(elements, self.up)}
 
 
 def interval(w, max_elements=DEFAULT_ELEMENT_CAP):
     """[e,w], built once from the bottom, one length at a time.
 
     Raises EnumerationCapExceededError, before any cover is built, if [e,w]
-    has more than max_elements elements.  Each v != e has the parent
-    p = s_i v for its least left descent i, and v's canonical word is
-    (i,) + p's.  So ShortLex order within a length is the order of
-    (i, position of p).  By strong exchange (Bjorner-Brenti, Combinatorics
-    of Coxeter Groups, 1.4 and 2.2) the lower covers of v are p itself, with
-    coroot p^{-1}(alpha_vee_i), and s_i u' for each lower cover u' of p
-    with s_i u' > u'; that cover has the coroot of u' <| p, since
+    has more than max_elements elements.  The elements come from `_walk`,
+    kept to the subword products, a set that holds the parent of each of
+    its members.  By strong exchange (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, 1.4 and 2.2) the lower covers of
+    v = s_i p, for its parent p, are p itself, with coroot
+    p^{-1}(alpha_vee_i), and s_i u' for each lower cover u' of p with
+    s_i u' > u'; that cover has the coroot of u' <| p, since
     s_i u' <| s_i p = s_{s_i beta} s_i u' when p = s_beta u'.
     """
     ctx = w._ctx
     columns = ctx.columns
     rank = len(columns)
-    children = {}
-    for v in _subword_vectors(w, max_elements):
-        i = _first_negative(v)
-        if i is not None:
-            children.setdefault(_apply(columns, (i,), v), []).append((i, v))
-    elements = [WeylElement(ctx, ctx.rho, indices=())]
-    position = {ctx.rho: 0}
-    up = [[]]
+    elements, parents = _walk(ctx, w.length, max_elements, _subword_vectors(w, max_elements))
+    position = {v.rho: q for q, v in enumerate(elements)}
+    up = [[] for _ in elements]
     below = [()]  # below[q]: (p, coroot) for each lower cover, p increasing
-    level = [0]
-    while level:
-        by_letter = [[] for _ in range(rank)]
-        for p in level:
-            for i, v in children.pop(elements[p].rho, ()):
-                by_letter[i].append((p, v))
-        level = []
-        for i, pairs in enumerate(by_letter):
-            column = columns[i]
-            for p, v in pairs:
-                q = len(elements)
-                word = elements[p]._indices
-                coroot = [int(j == i) for j in range(rank)]
-                for k in word:  # p^{-1} = s_m...s_1 for p = s_1...s_m
-                    c = coroot[k]
-                    for j, a in columns[k]:
-                        c -= a * coroot[j]
-                    coroot[k] = c
-                covers = [(p, tuple(coroot))]
-                for u, inherited in below[p]:
-                    x = elements[u].rho
-                    c = x[i]
-                    if c > 0:
-                        x = list(x)
-                        for j, a in column:
-                            x[j] -= c * a
-                        covers.append((position[tuple(x)], inherited))
-                covers.sort()
-                for u, gamma in covers:
-                    up[u].append((q, gamma))
-                elements.append(WeylElement(ctx, v, indices=(i,) + word))
-                position[v] = q
-                up.append([])
-                below.append(covers)
-                level.append(q)
+    for q in range(1, len(elements)):
+        p = parents[q]
+        word = elements[p]._indices
+        i = elements[q]._indices[0]
+        column = columns[i]
+        coroot = [int(j == i) for j in range(rank)]
+        for k in word:  # p^{-1} = s_m...s_1 for p = s_1...s_m
+            c = coroot[k]
+            for j, a in columns[k]:
+                c -= a * coroot[j]
+            coroot[k] = c
+        covers = [(p, tuple(coroot))]
+        for u, inherited in below[p]:
+            x = elements[u].rho
+            c = x[i]
+            if c > 0:
+                x = list(x)
+                for j, a in column:
+                    x[j] -= c * a
+                covers.append((position[tuple(x)], inherited))
+        covers.sort()
+        for u, gamma in covers:
+            up[u].append((q, gamma))
+        below.append(covers)
     down = tuple(tuple(p for p, _ in covers) for covers in below)
     up = tuple(map(tuple, up))
     return BruhatInterval(w, tuple(elements), position, up, down)
@@ -464,31 +431,33 @@ def cover_reflection(u, v):
     raise NotACoverError()
 
 
-def enumerate_elements(A, max_length, max_elements=DEFAULT_ELEMENT_CAP):
-    """All w with length(w) <= max_length, in (length, ShortLex) order.
+def _walk(ctx, max_length, max_elements, keep=None):
+    """(elements, parents): the elements of length at most max_length, in
+    (length, ShortLex) order, with the position of each one's parent
+    (None for e).  With `keep`, a set of vectors that holds the parent of
+    each of its members, only the elements whose vectors are in it.
 
-    Built from the bottom, one length at a time, as in `interval`.  Each
-    v != e has one parent u = s_i v, for its least left descent i, and v's
-    canonical word is (i,) + u's.  So v = s_i u is a child of u exactly when
-    u(rho)_i > 0 (v is longer) and v(rho)_j > 0 for every j < i (no smaller
-    descent).  Children go into one bucket per letter i, in their parents'
-    order; joined in letter order, the buckets are the next level in
-    ShortLex order.  The
-    walk stops at max_length or at the first empty level, whichever comes
-    first.  There is no general finiteness test for W(A), so the count is
-    checked as each element is found: more than max_elements raises
-    EnumerationCapExceededError.
+    Each v != e has one parent u = s_i v, for its least left descent i, and
+    v's canonical word is (i,) + u's.  So v = s_i u is a child of u exactly
+    when u(rho)_i > 0 (v is longer) and v(rho)_j > 0 for every j < i (no
+    smaller descent).  Children go into one bucket per letter i, in their
+    parents' order; joined in letter order, the buckets are the next length
+    in ShortLex order.  The walk stops at max_length or at the first empty
+    length.  The count, e included, is checked as each element is found:
+    more than max_elements raises EnumerationCapExceededError.
     """
-    ctx = _context(A)
+    if max_elements < 1:
+        raise EnumerationCapExceededError(max_elements)
     columns = ctx.columns
     rank = len(columns)
-    level = [WeylElement(ctx, ctx.rho, indices=())]
-    elements = list(level)
-    count = 1
+    elements = [WeylElement(ctx, ctx.rho, indices=())]
+    parents = [None]
+    start = 0
     for _ in range(max_length):
         by_letter = [[] for _ in range(rank)]
-        for u in level:
-            x = u.rho
+        count = len(elements)
+        for p in range(start, count):
+            x = elements[p].rho
             for i, c in enumerate(x):
                 if c < 0:
                     continue
@@ -499,12 +468,25 @@ def enumerate_elements(A, max_length, max_elements=DEFAULT_ELEMENT_CAP):
                     if v[j] < 0:
                         break
                 else:
-                    by_letter[i].append((tuple(v), (i,) + u._indices))
-                    count += 1
-                    if count > max_elements:
-                        raise EnumerationCapExceededError(max_elements)
-        level = [WeylElement(ctx, v, word) for bucket in by_letter for v, word in bucket]
-        if not level:
+                    v = tuple(v)
+                    if keep is None or v in keep:
+                        by_letter[i].append((p, v))
+                        count += 1
+                        if count > max_elements:
+                            raise EnumerationCapExceededError(max_elements)
+        start = len(elements)
+        if start == count:
             break
-        elements += level
-    return elements
+        for i, bucket in enumerate(by_letter):
+            for p, v in bucket:
+                elements.append(WeylElement(ctx, v, (i,) + elements[p]._indices))
+                parents.append(p)
+    return elements, parents
+
+
+def enumerate_elements(A, max_length, max_elements=DEFAULT_ELEMENT_CAP):
+    """All w with length(w) <= max_length, in (length, ShortLex) order, by
+    `_walk`.  There is no general finiteness test for W(A), so the count, e
+    included, is checked as each element is found: more than max_elements
+    raises EnumerationCapExceededError."""
+    return _walk(_context(A), max_length, max_elements)[0]

@@ -143,12 +143,23 @@ class TestSimpleGraph:
 
 
 class TestSearchInjections:
+    @staticmethod
+    def never(sigma):
+        raise AssertionError(f"accept called with {sigma}")
+
     def test_checks_pairs_in_both_orientations(self):
-        """(a, b) is checked when b is mapped, though a comes first."""
-        target = {("x", "y"): 0, ("y", "x"): 1, ("x", "x"): 2, ("y", "y"): 2}
-        candidates = [("a", ["x", "y"]), ("b", ["x", "y"])]
-        found = search_injections(candidates, {("a", "b"): 1}, target, lambda sigma: True)
-        assert found == {"a": "y", "b": "x"}
+        """(a, b) is checked as (sigma[a], sigma[b]) when b is mapped, though
+        a comes first: the two directed 3-cycles match only with b -> z."""
+        source = ("a", "b", "c"), {
+            ("a", "b"): 1, ("b", "c"): 1, ("c", "a"): 1,
+            ("b", "a"): 0, ("c", "b"): 0, ("a", "c"): 0,
+        }
+        target = ("x", "y", "z"), {
+            ("x", "z"): 1, ("z", "y"): 1, ("y", "x"): 1,
+            ("z", "x"): 0, ("y", "z"): 0, ("x", "y"): 0,
+        }
+        found = search_injections(source, target, lambda sigma: True)
+        assert found == {"a": "x", "b": "z", "c": "y"}
 
     def test_stops_at_first_accepted_in_lexicographic_order(self):
         seen = []
@@ -157,14 +168,48 @@ class TestSearchInjections:
             seen.append(tuple(sigma.values()))
             return len(seen) == 3
 
-        candidates = [(s, ["x", "y", "z"]) for s in "abc"]
-        found = search_injections(candidates, {}, {}, accept)
+        found = search_injections((tuple("abc"), {}), (tuple("xyz"), {}), accept)
         assert seen == [("x", "y", "z"), ("x", "z", "y"), ("y", "x", "z")]
         assert found == {"a": "y", "b": "x", "c": "z"}
 
     def test_label_without_images(self):
-        candidates = [("a", ["x"]), ("b", [])]
-        assert search_injections(candidates, {}, {}, lambda sigma: True) is None
+        """a can go to x, but no target label has b's profile."""
+        source = ("a", "b", "c"), {("a", "b"): 0, ("b", "c"): -1}
+        target = ("x", "y", "z"), {("x", "y"): 0, ("y", "z"): -2}
+        assert search_injections(source, target, self.never) is None
+
+    def test_pair_counts_differ(self):
+        """a has the profile of x and of y, but y's pair has no preimage."""
+        source = ("a",), {("a", "a"): 2}
+        target = ("x", "y"), {("x", "x"): 2, ("y", "y"): 2}
+        assert search_injections(source, target, self.never) is None
+
+    def test_one_profile_differs(self):
+        """Every label has images, but a and b both need x."""
+        source = ("a", "b", "c"), {("a", "a"): 2, ("b", "b"): 2, ("c", "c"): 3}
+        target = ("x", "y", "z"), {("x", "x"): 2, ("y", "y"): 3, ("z", "z"): 3}
+        assert search_injections(source, target, self.never) is None
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            # A directed 4-cycle has no map onto two 2-cycles.
+            (
+                (tuple("abcd"), {("a", "b"): 0, ("b", "c"): 0, ("c", "d"): 0, ("d", "a"): 0}),
+                (tuple("xyzw"), {("x", "y"): 0, ("y", "x"): 0, ("z", "w"): 0, ("w", "z"): 0}),
+            ),
+            # Two loops have the sorted values out of and into a 2-cycle.
+            (
+                (("a", "b"), {("a", "a"): 0, ("b", "b"): 0}),
+                (("x", "y"), {("x", "y"): 0, ("y", "x"): 0}),
+            ),
+        ],
+        ids=["cycles", "loops"],
+    )
+    def test_image_pair_missing_from_target(self, source, target):
+        """Same pair counts and the same values out of and into each label,
+        but every map sends some source pair off the target's pairs."""
+        assert search_injections(source, target, self.never) is None
 
 
 class TestAutomorphisms:

@@ -234,11 +234,25 @@ class TestIsomClasses:
         assert time.monotonic() - start < 1.0
         assert sum(len(c["members"]) for c in payload["classes"]) == 6
 
+    def test_zero_element_cap_refuses_the_identity(self, capsys, a3_file):
+        code, out, err = run(
+            capsys, "--max-elements", "0", "--max-length", "0", "isom-classes", a3_file
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: EnumerationCapExceededError: more than 0 elements")
+
     @pytest.mark.parametrize("bound", ["-1", "-100", "x"])
     def test_bad_length_bound_is_a_usage_error(self, capsys, a3_file, bound):
         code, out, err = run(capsys, "--max-length", bound, "isom-classes", a3_file)
         assert (code, out) == (2, "")
         assert f"argument --max-length: expected an integer >= 0, got '{bound}'" in err
+
+
+    @pytest.mark.parametrize("cap", ["-1", "-5", "x"])
+    def test_bad_element_cap_is_a_usage_error(self, capsys, a3_file, cap):
+        code, out, err = run(capsys, "--max-elements", cap, "isom-classes", a3_file)
+        assert (code, out) == (2, "")
+        assert f"argument --max-elements: expected an integer >= 0, got '{cap}'" in err
 
 
 class TestCohomology:
@@ -277,6 +291,11 @@ class TestElementCap:
             "error: EnumerationCapExceededError: "
             "more than 23 elements enumerated (element cap 23)\n"
         )
+
+    def test_zero_cap_refuses_the_identity(self, capsys, a3_file, command):
+        code, out, err = run(capsys, "--max-elements", "0", command, a3_file, "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: EnumerationCapExceededError: more than 0 elements")
 
     def test_universal_rank_5_exits_2(self, capsys, tmp_path, command):
         """Length 20 and 612,256 elements: refused under the default cap."""

@@ -15,6 +15,7 @@ from schubertisom import (
     export_oracle,
     interval,
     inversion_set,
+    isom_classes,
     simple_reflection,
     transport_interval,
     two_letter_leq,
@@ -265,6 +266,7 @@ class TestInterval:
             A = random_cartan(rng, max_rank=3)
             w = element_from_word(A, random_word(rng, A, 6))
             itv = interval(w)
+            covers_up = itv.covers_up
             for p, u in enumerate(itv):
                 assert itv.position[u.rho] == p
                 ups = {q for q, _ in itv.up[p]}
@@ -272,7 +274,7 @@ class TestInterval:
                     is_cover = v.length == u.length + 1 and bruhat_leq(u, v)
                     assert (q in ups) == is_cover
                     assert (p in itv.down[q]) == is_cover
-                    assert (v in itv.covers_up[u]) == is_cover
+                    assert (v in covers_up[u]) == is_cover
 
     @staticmethod
     def _seeded_intervals():
@@ -284,6 +286,16 @@ class TestInterval:
         for A in matrices:
             for _ in range(3):
                 yield interval(element_from_word(A, random_word(rng, A, 6)))
+
+    def test_elements_are_the_subword_products_in_shortlex_order(self):
+        """Kept to the subword products, the walk gives exactly [e, w], in
+        (length, ShortLex) order, each element with its vector's greedy word."""
+        for itv in self._seeded_intervals():
+            assert set(itv) == subword_products(itv.top)
+            words = [v._index_word() for v in itv]
+            assert words == sorted(words, key=lambda word: (len(word), word))
+            ctx = weyl._context(itv.cartan)
+            assert words == [weyl.WeylElement(ctx, v.rho)._index_word() for v in itv]
 
     def test_covers_down_are_subword_products_one_shorter(self):
         for itv in self._seeded_intervals():
@@ -354,6 +366,27 @@ class TestElementCap:
             build(w0, max_elements=23)
         assert info.value.cap == 23
         assert str(info.value) == "more than 23 elements enumerated (element cap 23)"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            subword_products,
+            interval,
+            export_oracle,
+            lambda e, max_elements: enumerate_elements(e.cartan, 0, max_elements),
+            lambda e, max_elements: isom_classes(e.cartan, 0, max_elements),
+        ],
+        ids=["subword_products", "interval", "export_oracle", "enumerate_elements",
+             "isom_classes"],
+    )
+    def test_cap_counts_the_identity(self, build):
+        """[e, e] and the elements of length 0 are {e}: a cap of 0 refuses them."""
+        e = identity_element(A3)
+        built = build(e, max_elements=1)
+        assert len(getattr(built, "basis", built)) == 1
+        with pytest.raises(EnumerationCapExceededError) as info:
+            build(e, max_elements=0)
+        assert info.value.cap == 0
 
     @pytest.mark.parametrize(
         "build", [subword_products, interval, export_oracle, _transport_to_itself]
@@ -488,8 +521,9 @@ class TestCoverReflection:
             A = random_cartan(rng, max_rank=3)
             w = element_from_word(A, random_word(rng, A, 5))
             itv = interval(w)
+            covers_up = itv.covers_up
             for u in itv:
-                for v in itv.covers_up[u]:
+                for v in covers_up[u]:
                     refl = cover_reflection(u, v)
                     assert multiply(refl.element, u) == v
                     assert multiply(refl.element, refl.element).is_identity()
@@ -736,9 +770,10 @@ class TestAgainstMatrixOracle:
         for _ in range(3):
             w = element_from_word(A, random_word(rng, A, 5))
             itv = interval(w)
+            covers_up = itv.covers_up
             for u in itv:
                 ref_u = MatrixElement.from_word(A, u.canonical_word)
-                for v in itv.covers_up[u]:
+                for v in covers_up[u]:
                     ref_v = MatrixElement.from_word(A, v.canonical_word)
                     refl = cover_reflection(u, v)
                     ref_refl, root, coroot = matrix_cover_reflection(A, ref_u, ref_v)
