@@ -10,13 +10,14 @@ words: `check_equivalence` hands the constrained pairs of both sides to
 by it.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .cartan import diagram_automorphisms, graph_automorphisms, search_injections
 from .cartan import simple_graph, submatrix
 from .errors import NotFullySupportedError
 from . import weyl
-from .weyl import _apply, element_from_word, enumerate_elements, support
+from .weyl import WeylElement, _apply, element_from_word, enumerate_elements, support
 
 
 @dataclass(frozen=True)
@@ -43,16 +44,26 @@ class EquivalenceWitness:
         }
 
 
+def _components(entries, sup):
+    """The connected components, as frozensets, of the letters `sup` (in
+    ascending index order) under A[i][j] != 0."""
+    components = []
+    for i in sup:
+        row = entries[i]
+        linked = [c for c in components if any(row[j] for j in c)]
+        components = [c for c in components if c not in linked]
+        components.append(frozenset({i}.union(*linked)))
+    return components
+
+
 def _constraints(w):
-    """(support, constrained pairs, components) of w, on label indices.
+    """(support, constrained pairs) of w, on label indices.
 
     The support is in ascending index order.  The constrained pairs map
     (i, j) to A[i][j] over the support pairs with s_i s_j <= w, which holds
     exactly when A[i][j] = 0 or j occurs after the first i in a reduced word
     (`two_letter_leq`); one pass over the canonical word finds each letter's
-    first and last position.  The components are the connected components,
-    as sets, of the support under A[i][j] != 0, found in the same pass over
-    A's rows.
+    first and last position.
     """
     first, last = {}, {}
     for k, i in enumerate(w._index_word()):
@@ -61,16 +72,12 @@ def _constraints(w):
     sup = sorted(first)
     entries = w.cartan.entries
     constraints = {}
-    components = []
     for i in sup:
         row, after = entries[i], first[i]
         for j in sup:
             if j != i and (row[j] == 0 or last[j] > after):
                 constraints[i, j] = row[j]
-        linked = [c for c in components if any(row[j] for j in c)]
-        components = [c for c in components if c not in linked]
-        components.append({i}.union(*linked))
-    return sup, constraints, components
+    return sup, constraints
 
 
 def check_equivalence(w, w_prime):
@@ -87,8 +94,8 @@ def check_equivalence(w, w_prime):
     """
     if w.length != w_prime.length:
         return None
-    src, pairs, _ = _constraints(w)
-    dst, dst_pairs, _ = _constraints(w_prime)
+    src, pairs = _constraints(w)
+    dst, dst_pairs = _constraints(w_prime)
     if len(src) != len(dst):
         return None
     ctx, word = w_prime._ctx, w._index_word()
@@ -128,12 +135,20 @@ def transport_interval(witness):
     return {v: target.elements[q] for v, q in zip(source, image)}
 
 
+def _renamed_entries(named, entries):
+    """The constrained entries {(i, j): a} under the naming `named` (letters
+    in naming order), as a sorted tuple of (name of i, name of j, a)."""
+    rank = {i: name for name, i in enumerate(named)}
+    return tuple(sorted((rank[i], rank[j], a) for (i, j), a in entries.items()))
+
+
 def _component_key(w, letters, length, entries):
     """The key of the factor of w on one component, as label indices: the
     factor has `length` letters, and `entries` maps its constrained index
     pairs to A.
 
-    Breadth first over the left descents inside the component: a state is
+    Breadth first over the left descents of w^-1 inside the component, that
+    is over reduced words of w read from their right end: a state is
     (remaining vector, letters in naming order).  Its next symbol is its
     least named descent, or, if no descent is named yet, the next new name,
     reached by every unnamed descent.  Only the states whose symbol is least
@@ -142,7 +157,7 @@ def _component_key(w, letters, length, entries):
     each renamed once.
     """
     columns = w._ctx.columns
-    states = {(w.rho, ())}
+    states = {(w._inverse_rho(), ())}
     word = []
     for _ in range(length):
         best, chosen = len(letters), []
@@ -169,11 +184,8 @@ def _component_key(w, letters, length, entries):
                 states.add((tuple(x), after))
         word.append(best)
 
-    def renamed_entries(named):
-        rank = {i: name for name, i in enumerate(named)}
-        return tuple(sorted((rank[i], rank[j], a) for (i, j), a in entries.items()))
-
-    return tuple(word), min(map(renamed_entries, {named for _, named in states}))
+    namings = {named for _, named in states}
+    return tuple(word), min(_renamed_entries(named, entries) for named in namings)
 
 
 def canonical_key(w):
@@ -181,10 +193,11 @@ def canonical_key(w):
     Cartan equivalent exactly when canonical_key(w) == canonical_key(w').
 
     Keys from different Cartan matrices compare directly.  Let r range over
-    the reduced words Red(w), rename the letters of r to 0, 1, ... by first
-    occurrence, and rename the constrained pairs (s, t) (those with st <= w)
-    along with it, each carrying its entry A[s][t].  The key of w with a
-    connected support is the least (renamed r, sorted renamed entries).
+    the reduced words Red(w), read each r from its right end, rename its
+    letters to 0, 1, ... by first occurrence in that reading, and rename the
+    constrained pairs (s, t) (those with st <= w) along with it, each
+    carrying its entry A[s][t].  The key of w with a connected support is
+    the least (renamed r, sorted renamed entries).
 
     Invariance under a witness sigma from (w, A) to (w', A').  sigma sends
     one reduced word of w to one of w', and it keeps the entry of every
@@ -194,13 +207,15 @@ def canonical_key(w):
     m_st >= 3 needs st <= w and ts <= w, so both entries are constrained and
     sigma keeps m_st.  Every move therefore carries over, sigma(Red(w)) =
     Red(w'), and st <= w iff sigma(s)sigma(t) <= w' (the order of first
-    occurrences in corresponding words).  Corresponding words have the same
-    renaming and the same renamed entries, so the keys are equal.
+    occurrences in corresponding words).  sigma acts letter by letter, so it
+    commutes with reversing a word: the reversed words of w go onto those
+    of w'.  Corresponding words have the same renaming and the same renamed
+    entries, so the keys are equal.
 
     Equal keys give a witness.  If r in Red(w) and r' in Red(w') reach the
-    same least pair, sigma = (naming of r')^-1 o (naming of r) sends r to
-    r', a reduced word of w', and matches the constrained pairs of w with
-    those of w', entry for entry.
+    same least pair, sigma = (naming of r')^-1 o (naming of r) sends the
+    reversal of r to that of r', so r to r', a reduced word of w', and
+    matches the constrained pairs of w with those of w', entry for entry.
 
     Factorisation along components.  Two support letters s, t with
     A[s][t] != 0 always make a constrained pair one way round, so the graph
@@ -212,9 +227,12 @@ def canonical_key(w):
     onto components, and witnesses of the factors combine into one of w.
     The key of w is therefore (length, sorted keys of the factors), which
     avoids the k! namings of k commuting letters.  `_component_key` finds
-    the key of each factor.
+    the key of each factor by a search that starts at w^-1(rho).
+
+    This is the path for one element.  `isom_classes` gets the same keys
+    for all of W up to a length from `_keys`, one recurrence over the walk.
     """
-    _, constraints, components = _constraints(w)
+    sup, constraints = _constraints(w)
     word = w._index_word()
     keys = [
         _component_key(
@@ -223,22 +241,124 @@ def canonical_key(w):
             sum(i in letters for i in word),
             {(i, j): a for (i, j), a in constraints.items() if i in letters and j in letters},
         )
-        for letters in components
+        for letters in _components(w.cartan.entries, sup)
     ]
     return len(word), tuple(sorted(keys))
+
+
+def _keys(elements):
+    """`canonical_key` of each of `elements`, which must be all of W up to
+    some length in (length, ShortLex) order, as `enumerate_elements` gives
+    it.  Equal keys are one object.
+
+    Read right to left, the reduced words of v != e ending a reading with
+    the letter j are those of u = s_j v, for each left descent j of v,
+    followed by j.  So M(v), the least renamed right-read word, is the least
+    M(u) + (symbol of j,) over the left descents j and the namings n in
+    N(u), the namings that reach M(u); the symbol of j is n.index(j) when j
+    is in n, else len(n), and n grows by j when j is new.  N(v) holds the
+    namings that reach M(v).  u is one length shorter and comes from the
+    O(rank) column update of v(rho), so (M, N) are kept for the previous
+    length only, in a dict keyed by vector.
+
+    A connected v takes (length, ((M(v), least renamed entries over
+    N(v)),)).  A disconnected v takes (length, sorted factor keys), as
+    `canonical_key` does.  The factor on a component is a connected element
+    of the walk, and its canonical word is v's canonical word cut to the
+    component: the greedy least left descent of v, when it lies in the
+    component, is the least one of the factor.  So the factor is found by
+    bisection among the elements of its length.  The namings of k commuting
+    letters number k!, so (M, N) are built only where they are used: for
+    connected elements, and for the disconnected ones that a connected
+    element reaches through disconnected predecessors.  Those are marked
+    top down, one length at a time, before the bottom-up pass.
+    """
+    ctx = elements[0]._ctx
+    columns, entries, rho = ctx.columns, ctx.cartan.entries, ctx.rho
+    starts, split, parts = [], {}, []
+    for p, v in enumerate(elements):
+        word = v._index_word()
+        if len(word) == len(starts):
+            starts.append(p)
+        sup = frozenset(word)
+        if sup not in split:
+            split[sup] = _components(entries, sorted(sup))
+        parts.append(split[sup])
+    starts.append(len(elements))
+
+    need = [len(components) == 1 for components in parts]
+    marked = set()
+    for length in range(len(starts) - 2, 0, -1):
+        below = set()
+        for p in range(starts[length], starts[length + 1]):
+            x = elements[p].rho
+            if need[p] or x in marked:
+                need[p] = True
+                below.update(_apply(columns, (j,), x) for j, c in enumerate(x) if c < 0)
+        marked = below
+
+    keys = [(0, ())]
+    interned = {}
+    previous, current = {}, {rho: ((), ((),))}
+    for length in range(1, len(starts) - 1):
+        previous, current = current, {}
+        for p in range(starts[length], starts[length + 1]):
+            v = elements[p]
+            x = v.rho
+            if need[p]:
+                best, sources = None, []
+                for j, c in enumerate(x):
+                    if c < 0:
+                        m, namings = previous[_apply(columns, (j,), x)]
+                        if best is None or m < best:
+                            best, sources = m, [(j, namings)]
+                        elif m == best:
+                            sources.append((j, namings))
+                symbol, reached = len(rho), set()
+                for j, namings in sources:
+                    for named in namings:
+                        name = named.index(j) if j in named else len(named)
+                        if name <= symbol:
+                            if name < symbol:
+                                symbol, reached = name, set()
+                            reached.add(named if name < len(named) else named + (j,))
+                m = best + (symbol,)
+                current[x] = m, tuple(reached)
+            if len(parts[p]) == 1:
+                constraints = _constraints(v)[1]
+                key = length, ((m, min(_renamed_entries(n, constraints) for n in reached)),)
+            else:
+                factors = []
+                for letters in parts[p]:
+                    cut = tuple(i for i in v._index_word() if i in letters)
+                    lo, hi = starts[len(cut)], starts[len(cut) + 1]
+                    q = bisect_left(elements, cut, lo, hi, key=WeylElement._index_word)
+                    factors.append(keys[q][1][0])
+                key = length, tuple(sorted(factors))
+            keys.append(interned.setdefault(key, key))
+    return keys
 
 
 def isom_classes(A, max_length, max_elements=weyl.DEFAULT_ELEMENT_CAP):
     """Partition {w : length(w) <= max_length} into Cartan equivalence classes.
 
     Elements are grouped by `canonical_key`, one key per element and no
-    pairwise checks.  The elements are enumerated in (length, ShortLex)
-    order and a dict keeps its insertion order, so members come out in that
-    order and classes come out sorted by their least member.
+    pairwise checks.  `_keys` computes all of them in one pass over the
+    walk instead of one search per element: the least right-read renamed
+    word of v is the least over its left descents j of that of s_j v, one
+    length shorter, extended by the name of j under the namings that reach
+    it.  Those namings are kept for the previous length only, and are built
+    only for connected elements and the disconnected ones below them along
+    such steps, which a top-down pass marks first; a disconnected element
+    takes the keys of its factors.  The elements are enumerated in
+    (length, ShortLex) order and a dict keeps its insertion order, so
+    members come out in that order and classes come out sorted by their
+    least member.
     """
+    elements = enumerate_elements(A, max_length, max_elements)
     classes = {}
-    for w in enumerate_elements(A, max_length, max_elements):
-        classes.setdefault(canonical_key(w), []).append(w)
+    for w, key in zip(elements, _keys(elements)):
+        classes.setdefault(key, []).append(w)
     return list(classes.values())
 
 

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -407,7 +409,8 @@ def test_type_a7_class_count():
     classes = isom_classes(type_a(7), 28)
     elapsed = time.monotonic() - start
     assert count == len(classes) == 17_197
-    assert elapsed < 60.0, f"A7 took {elapsed:.1f}s"  # about 10 s; pairwise took 702 s
+    # About 2-2.5 s; one key search per element took 7-8 s, and pairwise checks 702 s.
+    assert elapsed < 60.0, f"A7 took {elapsed:.1f}s"
 
 
 PARTITION_CASES = {
@@ -510,6 +513,122 @@ class TestCanonicalKey:
 
         monkeypatch.setattr(equivalence, "check_equivalence", fail)
         assert len(isom_classes(type_a(4), 10)) == 54
+
+
+A3_AFFINE = validate_cartan(
+    [[2 if i == j else (-1 if (i - j) % 4 in (1, 3) else 0) for j in range(4)] for i in range(4)],
+    ["s0", "s1", "s2", "s3"],
+)
+
+
+def _symmetrizable(A):
+    """Whether every cycle product of A equals its reverse (Kac, Exercise 2.1)."""
+    n = len(A)
+    for k in range(3, n + 1):
+        for cycle in itertools.permutations(range(n), k):
+            pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
+            forward = backward = 1
+            for i, j in pairs:
+                forward *= A.entries[i][j]
+                backward *= A.entries[j][i]
+            if forward != backward:
+                return False
+    return True
+
+
+def _edgeless(n):
+    return validate_cartan(
+        [[2 if i == j else 0 for j in range(n)] for i in range(n)], [f"s{i}" for i in range(n)]
+    )
+
+
+def _star(k):
+    """A centre c joined to k leaves by entries -1."""
+    n = k + 1
+    rows = [
+        [2 if i == j else (-1 if (i == k) != (j == k) else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    return validate_cartan(rows, [f"l{i}" for i in range(k)] + ["c"])
+
+
+def _assert_walk_keys_match(A, max_length):
+    elements = enumerate_elements(A, max_length)
+    keys = equivalence._keys(elements)
+    assert len(keys) == len(elements)
+    for w, key in zip(elements, keys):
+        assert key == canonical_key(w), w
+
+
+class TestWalkKeys:
+    """`isom_classes` keys all of W in one recurrence (`_keys`);
+    `canonical_key` keys one element by its own search.  Both must agree."""
+
+    @pytest.mark.parametrize("name", PARTITION_CASES)
+    def test_matches_canonical_key(self, name):
+        _assert_walk_keys_match(*PARTITION_CASES[name])
+
+    def test_matches_canonical_key_on_random_matrices(self):
+        """Seeded rank 2-4 matrices, entries in [-3, 0]."""
+        rng = random.Random(20261020)
+        matrices = [random_cartan(rng, max_rank=4) for _ in range(60)]
+        assert sum(not _symmetrizable(A) for A in matrices) >= 5
+        for A in matrices:
+            _assert_walk_keys_match(A, 5)
+
+    @pytest.mark.parametrize(
+        "A, max_length", [(A2_AFFINE, 12), (A3_AFFINE, 9)], ids=["A2aff", "A3aff"]
+    )
+    def test_matches_canonical_key_on_affine(self, A, max_length):
+        _assert_walk_keys_match(A, max_length)
+
+    def test_equal_keys_are_one_object(self):
+        elements = enumerate_elements(type_a(4), 10)
+        keys = equivalence._keys(elements)
+        assert len({id(key) for key in keys}) == len(set(keys)) == 54
+
+    @pytest.mark.parametrize(
+        "A, max_length, count, classes, bound",
+        [
+            (_edgeless(12), 12, 4_096, 13, 2.0),  # about 0.2 s; 0.3-0.4 s by one search each
+            (_star(6), 7, 7_085, 102, 5.0),  # about 0.5 s; 0.9-1.2 s by one search each
+            (
+                validate_cartan([[2 if i == j else -2 for j in range(4)] for i in range(4)],
+                                [f"s{i}" for i in range(4)]),
+                8, 13_121, 552, 5.0,  # about 0.3 s; 0.4-0.6 s by one search each
+            ),
+        ],
+        ids=["edgeless12", "star6", "all-2-rank4"],
+    )
+    def test_namings_only_where_used(self, A, max_length, count, classes, bound):
+        """Commuting letters have k! namings; building them for every element
+        took edgeless rank 10 from 0.1 s to 16 s."""
+        start = time.monotonic()
+        found = isom_classes(A, max_length)
+        elapsed = time.monotonic() - start
+        assert (sum(map(len, found)), len(found)) == (count, classes)
+        assert elapsed < bound, f"took {elapsed:.1f}s"
+
+    def test_no_recursion(self):
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            assert len(isom_classes(type_a(6), 21)) == 2_114
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(isom_classes(type_a(5), 15)) == 315
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestIsomClassBound:
