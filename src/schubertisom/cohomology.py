@@ -12,7 +12,9 @@ that downstream reconstruction cannot peek at element names.
 """
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 from .errors import MalformedOracleError, NotInIntervalError, UnknownLabelError
 from . import weyl
@@ -119,33 +121,28 @@ def minimal_coset_reps(J, itv):
     return frozenset(u for u in itv if not (u.right_descents() & J))
 
 
-def closure_from(start, successors):
-    """The least set containing start and closed under successors(u)."""
-    closure = {start}
-    frontier = [start]
-    while frontier:
-        for v in successors(frontier.pop()):
-            if v not in closure:
-                closure.add(v)
-                frontier.append(v)
-    return frozenset(closure)
-
-
 def support_closure(J, itv):
     """E^J: the union of supports over the subring generated by S(w) \\ J.
 
     Computed as the least fixpoint containing xi_e and closed under taking
     supports of products by the allowed simple classes; valid because the
-    Chevalley coefficients never cancel.
+    Chevalley coefficients never cancel.  One sweep up the positions: a
+    reached element reaches each upper cover whose coroot has a positive
+    entry at an allowed index.
     """
-    generators = sorted(
-        weyl.support(itv.top) - set(J), key=itv.cartan.index_set.index
-    )
-    unit = itv.elements[0]
-    assert unit.is_identity()
-    return closure_from(
-        unit, lambda u: (v for s in generators for v in support(chevalley_product(s, u, itv)))
-    )
+    index = itv.cartan.index_set.index
+    allowed = [index(s) for s in weyl.support(itv.top) - set(J)]
+    reached = [False] * len(itv)
+    reached[0] = True
+    for p, covers in enumerate(itv.up):
+        if reached[p]:
+            for q, coroot in covers:
+                if not reached[q]:
+                    for k in allowed:
+                        if coroot[k]:
+                            reached[q] = True
+                            break
+    return frozenset(compress(itv.elements, reached))
 
 
 @dataclass
@@ -169,31 +166,48 @@ class CohomologyOracle:
         return next(bid for bid, d in self.basis if d == top_degree)
 
     def validate(self):
-        ids = [bid for bid, _ in self.basis]
-        if len(set(ids)) != len(ids):
-            raise MalformedOracleError("duplicate basis ids")
         degrees = dict(self.basis)
-        if any(d < 0 or d % 2 for d in degrees.values()):
+        if len(degrees) != len(self.basis):
+            raise MalformedOracleError("duplicate basis ids")
+        levels = defaultdict(set)  # degree -> its ids
+        for bid, d in self.basis:
+            levels[d].add(bid)
+        if any(d < 0 or d % 2 for d in levels):
             raise MalformedOracleError("degrees must be nonnegative even integers")
-        units = [bid for bid, d in self.basis if d == 0]
+        units = levels.get(0, ())
         if len(units) != 1:
             raise MalformedOracleError("exactly one degree-0 basis element required")
-        top_degree = max(degrees.values())
-        tops = [bid for bid, d in self.basis if d == top_degree]
-        if len(tops) != 1:
+        if len(levels[max(levels)]) != 1:
             raise MalformedOracleError("exactly one top-degree basis element required")
         generators = set(self.generators)
         if len(generators) != len(self.generators):
             raise MalformedOracleError("generators repeat an id")
-        if generators != {bid for bid, d in self.basis if d == 2}:
+        if generators != levels.get(2, set()):
             raise MalformedOracleError("generators must be exactly the degree-2 ids")
-        for g in self.generators:
-            for bid in degrees:
-                if (g, bid) not in self.products:
-                    raise MalformedOracleError(f"missing product ({g}, {bid})")
+        # The keys are distinct, so if all name known ids, a full count means
+        # none is missing; a key with unknown ids makes the same search below.
+        if len(self.products) != len(generators) * len(degrees):
+            self._check_complete(degrees)
+        above = {}  # bid -> the ids one degree step up, where its products land
+        for d, ids in levels.items():
+            above.update(dict.fromkeys(ids, levels.get(d + 2, frozenset())))
         for (g, bid), terms in self.products.items():
-            if g not in generators or bid not in degrees:
+            level = above.get(bid)
+            if level is None or g not in generators:
+                self._check_complete(degrees)
                 raise MalformedOracleError(f"product ({g}, {bid}) uses unknown ids")
+            # One check per product; only a product that fails it is walked
+            # term by term, for the message that names its defect.
+            if len(terms) == 1:
+                ((vid, coeff),) = terms
+                if vid in level and coeff != 0:
+                    continue
+            elif not terms:
+                continue
+            else:
+                hits = dict(terms)
+                if hits.keys() <= level and len(hits) == len(terms) and 0 not in hits.values():
+                    continue
             degree = degrees[bid] + 2
             for vid, coeff in terms:
                 if vid not in degrees:
@@ -204,13 +218,18 @@ class CohomologyOracle:
                     )
                 if coeff == 0:
                     raise MalformedOracleError("zero coefficients must be omitted")
-            if len(terms) > 1 and len({vid for vid, _ in terms}) != len(terms):
-                raise MalformedOracleError(f"product ({g}, {bid}) repeats an id")
-        unit = units[0]
+            raise MalformedOracleError(f"product ({g}, {bid}) repeats an id")
+        (unit,) = units
         for g in self.generators:
             if self.products[(g, unit)] != ((g, 1),):
                 raise MalformedOracleError("degree-0 element must act as the unit")
         return self
+
+    def _check_complete(self, degrees):
+        for g in self.generators:
+            for bid in degrees:
+                if (g, bid) not in self.products:
+                    raise MalformedOracleError(f"missing product ({g}, {bid})")
 
     def to_json(self):
         """The oracle as JSON-ready data, for serialising only: the products
@@ -231,14 +250,14 @@ class CohomologyOracle:
     @classmethod
     def from_json(cls, data):
         try:
-            basis = tuple(_id_and_int(e, "degree") for e in data["basis"])
+            basis = tuple(map(_id_and_int, data["basis"], repeat("degree")))
             generators = tuple(data["generators"])
             products = {}
             for key, terms in data["products"].items():
                 g, _, bid = key.partition("|")
                 if not bid:
                     raise MalformedOracleError(f"bad product key {key!r}")
-                products[(g, bid)] = tuple(_id_and_int(e, "coeff") for e in terms)
+                products[(g, bid)] = tuple(map(_id_and_int, terms, repeat("coeff")))
         except (KeyError, TypeError, AttributeError) as exc:
             raise MalformedOracleError(f"wrong shape: {exc!r}") from None
         if not all(isinstance(g, str) for g in generators):
@@ -289,19 +308,25 @@ def export_oracle_with_map(w, seed=0, max_elements=weyl.DEFAULT_ELEMENT_CAP):
     """Build the anonymized oracle of H*(X(w,A)) plus the element -> id map.
     The ids are drawn in the interval's order, one per position."""
     itv = weyl.interval(w, max_elements)
-    ids = _fresh_ids(len(itv), seed)
-    basis = tuple(sorted(zip(ids, (2 * v.length for v in itv))))
-    letter_of = {ids[p]: v._index_word()[0] for p, v in enumerate(itv) if v.length == 1}
+    elements = itv.elements
+    ids = _fresh_ids(len(elements), seed)
+    words = [v._index_word() for v in elements]
+    basis = tuple(sorted(zip(ids, [2 * len(word) for word in words])))
+    letter_of = {bid: word[0] for bid, word in zip(ids, words) if len(word) == 1}
     generators = tuple(sorted(letter_of))
+    # Each element's upper covers as (id, coroot), sorted by id once for all
+    # generators; the coefficient of g * xi_u at a cover is its coroot's
+    # entry at g's letter, nonnegative as `interval` checks.  Dropping the
+    # interval before the products are built lowers the peak memory.
+    named = [sorted([(ids[q], coroot) for q, coroot in covers]) for covers in itv.up]
+    del itv
     products = {}
     for gid in generators:
         k = letter_of[gid]
-        for p, bid in enumerate(ids):
-            products[gid, bid] = tuple(
-                sorted([(ids[q], c) for q, c in _chevalley_terms(k, p, itv)])
-            )
+        for bid, covers in zip(ids, named):
+            products[gid, bid] = tuple([(vid, c) for vid, coroot in covers if (c := coroot[k])])
     oracle = CohomologyOracle(basis, generators, products).validate()
-    return oracle, dict(zip(itv.elements, ids))
+    return oracle, dict(zip(elements, ids))
 
 
 def export_oracle(w, seed=0, max_elements=weyl.DEFAULT_ELEMENT_CAP):

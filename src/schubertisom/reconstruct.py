@@ -8,9 +8,9 @@ Cartan equivalent to the reconstructed one.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .cartan import CartanMatrix, IndexSet
-from .cohomology import closure_from
 from .errors import MalformedOracleError, SchubertError
 from .weyl import element_from_word
 
@@ -76,51 +76,91 @@ def recover_cartan(oracle):
 
 
 def support_closure(oracle, J):
-    """E^J over the oracle: fixpoint from the unit under generators not in J."""
+    """E^J over the oracle: fixpoint from the unit under generators not in J,
+    one closure per call (`_descent_masks` gives every E^{g} in one pass)."""
     allowed = [g for g in oracle.generators if g not in J]
-    return closure_from(
-        oracle.unit_id, lambda u: (v for g in allowed for v, _ in oracle.products[g, u])
-    )
+    closure = {oracle.unit_id}
+    frontier = list(closure)
+    while frontier:
+        u = frontier.pop()
+        for g in allowed:
+            for v, _ in oracle.products[g, u]:
+                if v not in closure:
+                    closure.add(v)
+                    frontier.append(v)
+    return frozenset(closure)
+
+
+def _descent_masks(oracle):
+    """Yield (v, degree, mask, preds) for each basis id v, bottom-up by degree.
+
+    Bit k of mask is set exactly when v lies in E^{g} for the generator g =
+    generators[k].  The unit's mask has every bit set; any other v lies in
+    E^{g} when some in-edge (h, u), v in supp(h*u), has h != g and u in
+    E^{g}.  Every product raises degree by 2 (`validate`), so u's mask is
+    final before v's.  preds[k] is the u of the one in-edge (k, u) with u in
+    E^{g}, or None when there are several.  The product table is inverted
+    once into the in-edges of each id.
+    """
+    index = {g: k for k, g in enumerate(oracle.generators)}
+    into = {bid: [] for bid, _ in oracle.basis}
+    for (g, u), terms in oracle.products.items():
+        edge = (index[g], u)
+        for v, _ in terms:
+            into[v].append(edge)
+    clear = [~(1 << k) for k in range(len(index))]
+    masks = {}
+    for v, degree in sorted(oracle.basis, key=itemgetter(1)):
+        if not degree:
+            mask, preds = (1 << len(index)) - 1, {}
+        else:
+            mask, preds = 0, {}
+            for k, u in into[v]:
+                m = masks[u]
+                mask |= m & clear[k]
+                if m >> k & 1:
+                    preds[k] = None if k in preds else u
+        masks[v] = mask
+        yield v, degree, mask, preds
 
 
 def descent_set(oracle, v):
-    """The abstract right descent set: generators whose omission drops v."""
+    """The abstract right descent set: generators whose omission drops v,
+    read off v's mask in the one pass of `_descent_masks` over the validated
+    oracle."""
     if v not in {bid for bid, _ in oracle.basis}:
         raise MalformedOracleError(f"unknown basis id {v!r}")
-    return frozenset(g for g in oracle.generators if v not in support_closure(oracle, {g}))
+    oracle.validate()
+    mask = next(m for bid, _, m, _ in _descent_masks(oracle) if bid == v)
+    return frozenset(g for k, g in enumerate(oracle.generators) if not mask >> k & 1)
 
 
 def _predecessors(oracle):
-    """Yield (v, pairs) for each basis id v, bottom-up by degree: one pair
-    (g, u) per descent g of v, with u the unique element of E^{g} such that
-    v is in supp(g*u).  Each E^{g} is built once, and the product table is
-    inverted once into pred[g, v]."""
-    closures = {g: support_closure(oracle, {g}) for g in oracle.generators}
-    pred = {}
-    for (g, u), terms in oracle.products.items():
-        if u in closures[g]:
-            for v, _ in terms:
-                pred.setdefault((g, v), set()).add(u)
-    for v, degree in sorted(oracle.basis, key=lambda p: p[1]):
+    """Yield (v, degree, pairs) for each basis id v, bottom-up by degree: one
+    pair (g, u) per descent g of v, generators in order, with u the unique
+    element of E^{g} such that v is in supp(g*u)."""
+    gens = oracle.generators
+    for v, degree, mask, preds in _descent_masks(oracle):
         pairs = []
-        for g in oracle.generators:
-            if v in closures[g]:
+        for k, g in enumerate(gens):
+            if mask >> k & 1:
                 continue
-            if len(pred.get((g, v), ())) != 1:
+            u = preds.get(k)
+            if u is None:
                 raise MalformedOracleError(
                     f"descent {g!r} of {v!r} does not determine a unique predecessor"
                 )
-            pairs.append((g, *pred[g, v]))
+            pairs.append((g, u))
         if degree and not pairs:
             raise MalformedOracleError(f"basis element {v!r} has no descents")
-        yield v, pairs
+        yield v, degree, pairs
 
 
 def reduced_word_sets(oracle):
     """All abstract reduced words for every basis element: the words of each
     predecessor u of v with its descent g appended."""
     words = {}
-    for v, pairs in _predecessors(oracle):
+    for v, _, pairs in _predecessors(oracle):
         words[v] = frozenset([w + (g,) for g, u in pairs for w in words[u]] or [()])
     return words
 
@@ -134,11 +174,12 @@ def reconstruct(oracle):
     oracle.validate()
     cartan, free = recover_cartan(oracle)
     least = {}
-    for v, pairs in _predecessors(oracle):
-        least[v] = min((least[u] + (g,) for g, u in pairs), default=())
-    word = least[oracle.top_id]
+    for v, degree, pairs in _predecessors(oracle):
+        least[v] = min([least[u] + (g,) for g, u in pairs], default=())
+    # validate() leaves one id of top degree, and it comes last
+    word = least[v]
     element = element_from_word(cartan, word)
-    expected_length = oracle.degree(oracle.top_id) // 2
+    expected_length = degree // 2
     if element.length != expected_length or len(word) != expected_length:
         raise MalformedOracleError("reconstructed word is not reduced")
     return ReconstructedPresentation(cartan, word, free)

@@ -14,6 +14,7 @@ root / coroot bases, in label order; all arithmetic is exact.
 
 import weakref
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     EnumerationCapExceededError,
@@ -260,13 +261,27 @@ def two_letter_leq(A, s, t, w):
 
 
 def _subword_vectors(w, max_elements):
-    """The vectors of `subword_products(w, max_elements)`, as a set."""
-    ctx = w._ctx
-    vectors = {ctx.rho}
+    """The vectors of `subword_products(w, max_elements)`, as a set.
+
+    After the letters from the end back to before i, the set is [e, u] for
+    that suffix u, and letter i adds s_i x for each member x.  A member with
+    x_i < 0 adds nothing new: s_i x < x <= u, so s_i x is already a member.
+    """
+    columns = w._ctx.columns
+    vectors = {w._ctx.rho}
     for i in reversed(w._index_word()):
         if len(vectors) > max_elements:
             break
-        vectors.update([_apply(ctx.columns, (i,), v) for v in vectors])
+        column = columns[i]
+        images = []
+        for x in vectors:
+            c = x[i]
+            if c > 0:
+                y = list(x)
+                for j, a in column:
+                    y[j] -= c * a
+                images.append(tuple(y))
+        vectors.update(images)
     if len(vectors) > max_elements:
         raise EnumerationCapExceededError(max_elements)
     return vectors
@@ -316,6 +331,8 @@ class BruhatInterval:
     `position` maps each element's vector to its position.  For a cover
     u <| v = s_beta u at positions p < q, up[p] holds (q, coroot) with
     coroot = u^{-1}(beta_vee), and down[q] holds p; both are increasing.
+    Each coroot is positive: `interval` checks that its entries, the
+    Chevalley coefficients of the cover, are nonnegative.
     """
 
     __slots__ = ("top", "elements", "position", "up", "down")
@@ -372,12 +389,14 @@ def interval(w, max_elements=DEFAULT_ELEMENT_CAP):
         word = elements[p]._indices
         i = elements[q]._indices[0]
         column = columns[i]
-        coroot = [int(j == i) for j in range(rank)]
+        coroot = [0] * rank
+        coroot[i] = 1
         for k in word:  # p^{-1} = s_m...s_1 for p = s_1...s_m
             c = coroot[k]
             for j, a in columns[k]:
                 c -= a * coroot[j]
             coroot[k] = c
+        assert min(coroot) >= 0, "a cover's coroot must be positive"
         covers = [(p, tuple(coroot))]
         for u, inherited in below[p]:
             x = elements[u].rho
@@ -391,7 +410,7 @@ def interval(w, max_elements=DEFAULT_ELEMENT_CAP):
         for u, gamma in covers:
             up[u].append((q, gamma))
         below.append(covers)
-    down = tuple(tuple(p for p, _ in covers) for covers in below)
+    down = tuple(tuple(map(itemgetter(0), covers)) for covers in below)
     up = tuple(map(tuple, up))
     return BruhatInterval(w, tuple(elements), position, up, down)
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from schubertisom import (
     support_closure,
     validate_cartan,
 )
+from schubertisom import cohomology as cohomology_module
 from schubertisom.cohomology import _fresh_ids, basis_class, minimal_coset_reps, support
 from schubertisom.errors import (
     MalformedOracleError,
@@ -165,6 +167,42 @@ class TestSupportClosure:
             for size in range(len(sup) + 1):
                 for J in _subsets(sorted(sup), size):
                     assert support_closure(J, itv) == minimal_coset_reps(J, itv)
+
+
+    def test_matches_closure_of_product_supports(self, rng, monkeypatch):
+        """The sweep over positions gives the closure of the Chevalley
+        supports from the unit, and builds no class object."""
+        cases = []
+        for _ in range(10):
+            A = random_cartan(rng, max_rank=4)
+            itv = interval(element_from_word(A, random_word(rng, A, 7)))
+            sup = sorted(set(itv.top.canonical_word))
+            for size in range(len(sup) + 1):
+                for J in _subsets(sup, size):
+                    cases.append((J, itv, _product_closure(J, itv)))
+
+        def fail(*args):
+            raise AssertionError("support_closure built a class")
+
+        monkeypatch.setattr(cohomology_module, "SchubertClass", fail)
+        monkeypatch.setattr(cohomology_module, "chevalley_product", fail)
+        for J, itv, expected in cases:
+            assert support_closure(J, itv) == expected
+
+
+def _product_closure(J, itv):
+    """E^J by its definition: the least set holding e and the support of
+    xi_s * xi_u for each of its members u and each s in S(w) \\ J."""
+    allowed = set(itv.top.canonical_word) - set(J)
+    closure = {identity_element(itv.cartan)}
+    frontier = list(closure)
+    while frontier:
+        u = frontier.pop()
+        for s in allowed:
+            for v in support(chevalley_product(s, u, itv)) - closure:
+                closure.add(v)
+                frontier.append(v)
+    return closure
 
 
 def _subsets(items, size):
@@ -330,3 +368,64 @@ class TestOracleValidation:
             bad.validate()
         with pytest.raises(MalformedOracleError, match="generators repeat an id"):
             reconstruct(bad)
+
+
+class TestValidationFallback:
+    """validate checks each product once and walks its terms only when that
+    check fails, so the message still names the first defect in term order."""
+
+    def _oracle(self):
+        return export_oracle(
+            element_from_word(A3, ["s1", "s2", "s3", "s1", "s2", "s1"]), seed=2
+        )
+
+    def _rejects(self, oracle, products, message):
+        bad = CohomologyOracle(oracle.basis, oracle.generators, products)
+        with pytest.raises(MalformedOracleError, match=f"^{re.escape(message)}$"):
+            bad.validate()
+
+    def _two_term_product(self, o):
+        return next(k for k, terms in sorted(o.products.items()) if len(terms) >= 2)
+
+    @pytest.mark.parametrize("repeat_first", [False, True])
+    def test_unknown_id_and_repeated_id(self, repeat_first):
+        o = self._oracle()
+        key = self._two_term_product(o)
+        products = dict(o.products)
+        unknown, repeat = (("nope", 1),), products[key][:1]
+        products[key] += repeat + unknown if repeat_first else unknown + repeat
+        self._rejects(o, products, f"product ({key[0]}, {key[1]}) hits unknown id")
+
+    @pytest.mark.parametrize("extra", ["generator", "basis id"])
+    def test_missing_product_balanced_by_unknown_key(self, extra):
+        o = self._oracle()
+        products = dict(o.products)
+        g, bid = self._two_term_product(o)
+        del products[g, bid]
+        products[("nope", bid) if extra == "generator" else (g, "nope")] = ()
+        assert len(products) == len(o.products)
+        self._rejects(o, products, f"missing product ({g}, {bid})")
+
+    def test_wrong_degree_next_to_zero(self):
+        o = self._oracle()
+        g, bid = key = self._two_term_product(o)
+        products = dict(o.products)
+        wrong, zero = (o.unit_id, 1), (products[key][0][0], 0)
+        products[key] = (wrong, zero)
+        self._rejects(o, products, f"product ({g}, {bid}) does not raise degree by 2")
+        products[key] = (zero, wrong)
+        self._rejects(o, products, "zero coefficients must be omitted")
+
+    def test_single_term_defects(self):
+        o = self._oracle()
+        g, bid = key = next(
+            k for k, terms in sorted(o.products.items()) if len(terms) == 1 and k[1] != o.unit_id
+        )
+        products = dict(o.products)
+        ((vid, _),) = products[key]
+        products[key] = (("nope", 1),)
+        self._rejects(o, products, f"product ({g}, {bid}) hits unknown id")
+        products[key] = ((o.unit_id, 1),)
+        self._rejects(o, products, f"product ({g}, {bid}) does not raise degree by 2")
+        products[key] = ((vid, 0),)
+        self._rejects(o, products, "zero coefficients must be omitted")

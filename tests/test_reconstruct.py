@@ -3,6 +3,7 @@ import gc
 import importlib
 import json
 import random
+import re
 import time
 
 import pytest
@@ -274,6 +275,135 @@ class TestLeastWordWalk:
         assert len(oracle.basis) == 5040
         assert check_equivalence(w0, element_from_word(rp.cartan, rp.word)) is not None
         assert elapsed < 6.0, f"w0 of A6 took {elapsed:.1f}s"  # about 1.2 s
+
+
+def _closure_predecessors(oracle):
+    """The reference for `_predecessors`: one closure E^{g} per generator,
+    from `support_closure`, and a brute-force inversion of the product
+    table.  Yields (v, degree, pairs) and raises the same errors, in the
+    same order: by degree, then generator order."""
+    closures = {g: support_closure(oracle, {g}) for g in oracle.generators}
+    into = {}
+    for (g, u), terms in oracle.products.items():
+        for v, _ in terms:
+            into.setdefault((g, v), []).append(u)
+    for v, degree in sorted(oracle.basis, key=lambda p: p[1]):
+        pairs = []
+        for g in oracle.generators:
+            if v in closures[g]:
+                continue
+            preds = [u for u in into.get((g, v), ()) if u in closures[g]]
+            if len(preds) != 1:
+                raise MalformedOracleError(
+                    f"descent {g!r} of {v!r} does not determine a unique predecessor"
+                )
+            pairs.append((g, preds[0]))
+        if degree and not pairs:
+            raise MalformedOracleError(f"basis element {v!r} has no descents")
+        yield v, degree, pairs
+
+
+def _longest_a5():
+    A5 = type_a(5)
+    return A5, [f"s{j}" for i in range(5, 0, -1) for j in range(1, i + 1)]
+
+
+def _mask_cases():
+    """The seeded cases, random rank <= 4 matrices, and w0 of A5."""
+    rng = random.Random(16)
+    cases = _seeded_cases()
+    for k in range(6):
+        A = random_cartan(rng, max_rank=4)
+        word = random_word(rng, A, 7)
+        if not element_from_word(A, word).is_identity():
+            cases.append(pytest.param(A, word, id=f"random-{k}"))
+    cases.append(pytest.param(*_longest_a5(), id="w0-A5"))
+    return cases
+
+
+def _raised(gen):
+    """The message of the MalformedOracleError that draining gen raises."""
+    with pytest.raises(MalformedOracleError) as info:
+        for _ in gen:
+            pass
+    return str(info.value)
+
+
+class TestDescentMasks:
+    """The one-pass masks give the descents and predecessors of the closure
+    definition: one E^{g} per generator and the inverted product table."""
+
+    @pytest.mark.parametrize("A, word", _mask_cases())
+    def test_matches_closure_definition(self, A, word):
+        oracle = export_oracle(element_from_word(A, word), seed=len(word)).validate()
+        expected = list(_closure_predecessors(oracle))
+        assert list(reconstruct_module._predecessors(oracle)) == expected
+        for v, _, pairs in expected[:: max(1, len(expected) // 40)]:
+            assert descent_set(oracle, v) == {g for g, _ in pairs}
+
+    def test_descent_set_builds_no_closure(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("descent_set built a closure")
+
+        oracle = export_oracle(element_from_word(*_longest_a5()), seed=5)
+        monkeypatch.setattr(reconstruct_module, "support_closure", fail)
+        assert descent_set(oracle, oracle.top_id) == frozenset(oracle.generators)
+        assert reconstruct(oracle).word
+
+    def _oracle(self):
+        A3 = type_a(3)
+        return export_oracle(
+            element_from_word(A3, ["s1", "s2", "s3", "s1", "s2", "s1"]), seed=3
+        )
+
+    @staticmethod
+    def _assert_same_error(bad, message):
+        """Both paths reject the corrupted oracle with message, and so does
+        reconstruct."""
+        assert _raised(_closure_predecessors(bad)) == message
+        assert _raised(reconstruct_module._predecessors(bad.validate())) == message
+        with pytest.raises(MalformedOracleError, match=re.escape(message)):
+            reconstruct(bad)
+
+    def test_descent_with_two_predecessors(self):
+        """v gains a second in-edge along its descent g, from another u' in
+        E^{g}.  v has degree 6 or more, so the products recover_cartan reads
+        stay intact."""
+        oracle = self._oracle()
+        degree = dict(oracle.basis)
+        v, g, other = next(
+            (v, g, x)
+            for v, d, pairs in _closure_predecessors(oracle) if d >= 6
+            for g, u in pairs
+            for x in sorted(support_closure(oracle, {g}))
+            if x != u and degree[x] == d - 2 and v not in dict(oracle.products[g, x])
+        )
+        products = dict(oracle.products)
+        products[g, other] += ((v, 1),)
+        self._assert_same_error(
+            CohomologyOracle(oracle.basis, oracle.generators, products),
+            f"descent {g!r} of {v!r} does not determine a unique predecessor",
+        )
+
+    def test_element_with_no_descents(self):
+        """v of degree 6 is put into every E^{g}: for each g it is not in, an
+        in-edge (h, u) with h != g and u in E^{g}."""
+        oracle = self._oracle()
+        degree = dict(oracle.basis)
+        gens = oracle.generators
+        v = min(bid for bid, d in oracle.basis if d == 6)
+        products = dict(oracle.products)
+        for g in gens:
+            closure = support_closure(oracle, {g})
+            if v in closure:
+                continue
+            u = min(x for x in closure if degree[x] == 4)
+            h = next(h for h in gens if h != g and v not in dict(products[h, u]))
+            products[h, u] += ((v, 1),)
+        self._assert_same_error(
+            CohomologyOracle(oracle.basis, gens, products),
+            f"basis element {v!r} has no descents",
+        )
 
 
 class TestExportReader:
