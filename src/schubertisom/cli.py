@@ -187,16 +187,15 @@ def cmd_cohomology(args):
     products = {}
     for s in sorted(weyl.support(w), key=order):
         k = order(s)
-        for p, u in enumerate(elements):
+        for u, covers in zip(elements, itv.up):
             # Position order is ShortLex by label index; the output lists
             # terms by their label words, which differ when labels are not
             # listed in sorted order.
             terms = sorted(
-                cohomology._chevalley_terms(k, p, itv),
-                key=lambda qc: elements[qc[0]].canonical_word,
+                [(elements[q].canonical_word, c) for q, coroot in covers if (c := coroot[k])]
             )
             products[f"{s}|{' '.join(u.canonical_word)}"] = [
-                {"word": list(elements[q].canonical_word), "coeff": c} for q, c in terms
+                {"word": list(word), "coeff": c} for word, c in terms
             ]
     return _emit(args, {"interval_size": len(itv), "products": products})
 

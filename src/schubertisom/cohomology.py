@@ -55,40 +55,27 @@ class SchubertClass:
         return len(lengths) <= 1
 
 
-def basis_class(itv, v):
-    if v not in itv:
-        raise NotInIntervalError(v.canonical_word)
-    return SchubertClass(itv, {v: 1})
-
-
 def chevalley_product(s, u, itv):
-    """Expand xi_s * xi_u on the Schubert basis of the interval."""
+    """Expand xi_s * xi_u on the Schubert basis of the interval: the
+    coefficient at each upper cover of u is entry k, for s of index k, of
+    the cover's coroot in `itv.up`, kept when nonzero."""
     if s not in weyl.support(itv.top):
         raise UnknownLabelError(s)
     if u not in itv:
         raise NotInIntervalError(u.canonical_word)
     k = itv.cartan.index_set.index(s)
     elements = itv.elements
-    terms = _chevalley_terms(k, itv.position[u.rho], itv)
-    return SchubertClass(itv, {elements[q]: c for q, c in terms})
-
-
-def _chevalley_terms(k, p, itv):
-    """The terms (q, c) of xi_s * xi_u for s of index k and u at position p,
-    q increasing: c is entry k of the coroot of each cover u <| elements[q]."""
-    for q, coroot in itv.up[p]:
-        c = coroot[k]
-        assert c >= 0, "Chevalley coefficient must be nonnegative"
-        if c:
-            yield q, c
+    covers = itv.up[itv.position[u.rho]]
+    return SchubertClass(itv, {elements[q]: c for q, coroot in covers if (c := coroot[k])})
 
 
 def multiply_by_simple(s, F):
     """Linear extension of chevalley_product to arbitrary classes."""
-    out = SchubertClass(F.interval, {})
+    coeffs = defaultdict(int)
     for u, c in F.coeffs.items():
-        out = out + chevalley_product(s, u, F.interval).scaled(c)
-    return out
+        for v, d in chevalley_product(s, u, F.interval).coeffs.items():
+            coeffs[v] += c * d
+    return SchubertClass(F.interval, coeffs)
 
 
 def simple_square_closed_form(t, itv):
@@ -108,11 +95,6 @@ def simple_square_closed_form(t, itv):
         if st in itv:
             coeffs[st] = -A.entry(s_prime, t)
     return SchubertClass(itv, coeffs)
-
-
-def support(F):
-    """The set of basis elements appearing with nonzero coefficient."""
-    return frozenset(F.coeffs)
 
 
 def minimal_coset_reps(J, itv):
@@ -152,9 +134,6 @@ class CohomologyOracle:
     basis: tuple  # of (id, degree) pairs
     generators: tuple  # ids of degree 2
     products: dict  # (generator id, basis id) -> tuple of (basis id, coeff)
-
-    def degree(self, bid):
-        return dict(self.basis)[bid]
 
     @property
     def unit_id(self):

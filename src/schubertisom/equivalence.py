@@ -114,8 +114,9 @@ def transport_interval(witness):
     """The induced poset isomorphism [e,w] -> [e,w'] of a witness.
 
     Each v <= w is sent to the product of the sigma-image of its canonical
-    word.  The map is checked to be a bijection onto [e,w'] that carries
-    covers onto covers, which on graded posets is an order isomorphism.
+    word.  The map is checked to be a bijection onto [e,w'] that sends the
+    upper covers of each element onto the upper covers of its image, which
+    on graded posets is an order isomorphism.
     """
     sigma = witness.sigma
     B = witness.target.cartan
@@ -129,7 +130,7 @@ def transport_interval(witness):
         "transported map is not a bijection onto [e,w']"
     )
     for p, q in enumerate(image):
-        assert {image[u] for u in source.down[p]} == set(target.down[q]), (
+        assert {image[r] for r, _ in source.up[p]} == {r for r, _ in target.up[q]}, (
             "transported map is not an order isomorphism"
         )
     return {v: target.elements[q] for v, q in zip(source, image)}

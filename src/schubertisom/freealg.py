@@ -115,9 +115,6 @@ class Poly(_SparseSum):
     def variable(cls, s, t):
         return cls({((s, t),): 1})
 
-    def is_zero(self):
-        return not self.terms
-
     def is_constant(self):
         return not self.terms or set(self.terms) == {()}
 
@@ -174,10 +171,6 @@ class FreeAlgebraElement(_SparseSum):
     @staticmethod
     def _join(m1, m2):
         return m1 + m2
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def generator(cls, kind, index):

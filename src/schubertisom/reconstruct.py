@@ -29,10 +29,6 @@ class ReconstructedPresentation:
         }
 
 
-def _supp(oracle, g, bid):
-    return frozenset(dict(oracle.products[(g, bid)]))
-
-
 def recover_cartan(oracle):
     """Recover the Cartan matrix over the degree-2 generators.
 
@@ -52,7 +48,7 @@ def recover_cartan(oracle):
         for z2 in gens:
             if z1 == z2:
                 continue
-            p = _supp(oracle, z1, z2)
+            p = frozenset(dict(oracle.products[z1, z2]))
             sq1 = frozenset(squares[z1])
             sq2 = frozenset(squares[z2])
             overlap = p & sq2
@@ -73,22 +69,6 @@ def recover_cartan(oracle):
     except SchubertError as exc:
         raise MalformedOracleError(f"recovered matrix is not Cartan: {exc}") from exc
     return cartan, frozenset(free)
-
-
-def support_closure(oracle, J):
-    """E^J over the oracle: fixpoint from the unit under generators not in J,
-    one closure per call (`_descent_masks` gives every E^{g} in one pass)."""
-    allowed = [g for g in oracle.generators if g not in J]
-    closure = {oracle.unit_id}
-    frontier = list(closure)
-    while frontier:
-        u = frontier.pop()
-        for g in allowed:
-            for v, _ in oracle.products[g, u]:
-                if v not in closure:
-                    closure.add(v)
-                    frontier.append(v)
-    return frozenset(closure)
 
 
 def _descent_masks(oracle):

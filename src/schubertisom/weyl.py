@@ -14,7 +14,6 @@ root / coroot bases, in label order; all arithmetic is exact.
 
 import weakref
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import (
     EnumerationCapExceededError,
@@ -55,10 +54,6 @@ def _act(rows, letters, coords):
 def _rows(cartan):
     """The sparse rows (j, A[i][j]) of A, for the action on roots."""
     return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in cartan.entries)
-
-
-def is_positive_vector(coords):
-    return any(c > 0 for c in coords) and all(c >= 0 for c in coords)
 
 
 class WeylElement:
@@ -330,19 +325,18 @@ class BruhatInterval:
 
     `position` maps each element's vector to its position.  For a cover
     u <| v = s_beta u at positions p < q, up[p] holds (q, coroot) with
-    coroot = u^{-1}(beta_vee), and down[q] holds p; both are increasing.
-    Each coroot is positive: `interval` checks that its entries, the
-    Chevalley coefficients of the cover, are nonnegative.
+    coroot = u^{-1}(beta_vee), q increasing; the lower covers of v are the
+    p whose up[p] holds q.  Each coroot is positive: `interval` checks that
+    its entries, the Chevalley coefficients of the cover, are nonnegative.
     """
 
-    __slots__ = ("top", "elements", "position", "up", "down")
+    __slots__ = ("top", "elements", "position", "up")
 
-    def __init__(self, top, elements, position, up, down):
+    def __init__(self, top, elements, position, up):
         self.top = top
         self.elements = elements
         self.position = position
         self.up = up
-        self.down = down
 
     def __len__(self):
         return len(self.elements)
@@ -410,9 +404,8 @@ def interval(w, max_elements=DEFAULT_ELEMENT_CAP):
         for u, gamma in covers:
             up[u].append((q, gamma))
         below.append(covers)
-    down = tuple(tuple(map(itemgetter(0), covers)) for covers in below)
     up = tuple(map(tuple, up))
-    return BruhatInterval(w, tuple(elements), position, up, down)
+    return BruhatInterval(w, tuple(elements), position, up)
 
 
 def inversion_set(w):
@@ -422,7 +415,7 @@ def inversion_set(w):
     roots = set()
     for k, s in enumerate(w.canonical_word):
         beta = _act(rows, word[:k], simple_root(w.cartan, s))
-        assert is_positive_vector(beta)
+        assert min(beta) >= 0 and any(beta)
         roots.add(beta)
     return frozenset(roots)
 

@@ -225,6 +225,22 @@ def pairwise_isom_classes(A, max_length):
     return sorted(classes, key=class_key)
 
 
+def support_closure(oracle, J):
+    """E^J over the oracle: fixpoint from the unit under generators not in J,
+    one closure per call (`_descent_masks` gives every E^{g} in one pass)."""
+    allowed = [g for g in oracle.generators if g not in J]
+    closure = {oracle.unit_id}
+    frontier = list(closure)
+    while frontier:
+        u = frontier.pop()
+        for g in allowed:
+            for v, _ in oracle.products[g, u]:
+                if v not in closure:
+                    closure.add(v)
+                    frontier.append(v)
+    return frozenset(closure)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260824)

@@ -1,8 +1,12 @@
 import gc
 import itertools
+import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -560,6 +564,20 @@ def _assert_walk_keys_match(A, max_length):
         assert key == canonical_key(w), w
 
 
+# Prints the element count, the class count and the seconds isom_classes
+# takes, for the matrix, labels and length bound in argv[1] (JSON).
+_NAMINGS_CHILD = """
+import json, sys, time
+from schubertisom import isom_classes, validate_cartan
+entries, labels, max_length = json.loads(sys.argv[1])
+A = validate_cartan(entries, labels)
+start = time.monotonic()
+found = isom_classes(A, max_length)
+elapsed = time.monotonic() - start
+print(json.dumps([sum(map(len, found)), len(found), elapsed]))
+"""
+
+
 class TestWalkKeys:
     """`isom_classes` keys all of W in one recurrence (`_keys`);
     `canonical_key` keys one element by its own search.  Both must agree."""
@@ -602,11 +620,16 @@ class TestWalkKeys:
     )
     def test_namings_only_where_used(self, A, max_length, count, classes, bound):
         """Commuting letters have k! namings; building them for every element
-        took edgeless rank 10 from 0.1 s to 16 s."""
-        start = time.monotonic()
-        found = isom_classes(A, max_length)
-        elapsed = time.monotonic() - start
-        assert (sum(map(len, found)), len(found)) == (count, classes)
+        took edgeless rank 10 from 0.1 s to 16 s, and would take edgeless
+        rank 12 hours.  So the case runs in a child interpreter, timed
+        inside it, and is stopped 20 s past its bound."""
+        src = str(Path(equivalence.__file__).resolve().parents[1])
+        argv = [sys.executable, "-c", _NAMINGS_CHILD,
+                json.dumps([A.entries, A.labels, max_length])]
+        done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, check=True, timeout=bound + 20)
+        found, found_classes, elapsed = json.loads(done.stdout)
+        assert (found, found_classes) == (count, classes)
         assert elapsed < bound, f"took {elapsed:.1f}s"
 
     def test_no_recursion(self):

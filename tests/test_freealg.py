@@ -65,7 +65,7 @@ class TestPoly:
         p = A("1", "2") * 2 + Poly.const(3)
         q = p - A("1", "2")
         assert q == A("1", "2") + Poly.const(3)
-        assert (p * Poly.const(0)).is_zero()
+        assert not p * Poly.const(0)
 
     def test_commutative_product(self):
         assert A("1", "2") * A("2", "1") == A("2", "1") * A("1", "2")
@@ -253,7 +253,7 @@ class TestParse:
         assert parse("(a12+1)*f2") == FreeAlgebraElement.scalar(
             A("1", "2") + Poly.const(1)
         ) * F("2")
-        assert parse("0") == FreeAlgebraElement.zero()
+        assert parse("0") == FreeAlgebraElement()
         assert parse("3") == FreeAlgebraElement.scalar(3)
         assert parse("(-a12+3)*f2*e2") == FreeAlgebraElement.scalar(
             Poly.const(3) - A("1", "2")
@@ -261,7 +261,7 @@ class TestParse:
         assert parse("(2*a12*a21-a11)") == FreeAlgebraElement.scalar(
             A("1", "2") * A("2", "1") * 2 - A("1", "1")
         )
-        assert parse("(a12-a12)*f1") == FreeAlgebraElement.zero()
+        assert parse("(a12-a12)*f1") == FreeAlgebraElement()
 
     def test_bracket_syntax(self):
         assert parse("f[s1]*h[s2]") == F("s1") * H("s2")

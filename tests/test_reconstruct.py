@@ -22,14 +22,19 @@ from schubertisom import (
     validate_cartan,
 )
 from schubertisom.errors import MalformedOracleError
-from schubertisom.reconstruct import (
-    descent_set,
-    reduced_word_sets,
-    support_closure,
-)
+from schubertisom.reconstruct import descent_set, reduced_word_sets
 from schubertisom.cli import main
 
-from conftest import A2, A3, D4, random_cartan, random_word, reduced_words, type_a
+from conftest import (
+    A2,
+    A3,
+    D4,
+    random_cartan,
+    random_word,
+    reduced_words,
+    support_closure,
+    type_a,
+)
 
 from test_cohomology import hirzebruch
 from test_weyl import ORACLE_MATRICES, _non_symmetrizable_rank_4
@@ -340,15 +345,6 @@ class TestDescentMasks:
         assert list(reconstruct_module._predecessors(oracle)) == expected
         for v, _, pairs in expected[:: max(1, len(expected) // 40)]:
             assert descent_set(oracle, v) == {g for g, _ in pairs}
-
-    def test_descent_set_builds_no_closure(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("descent_set built a closure")
-
-        oracle = export_oracle(element_from_word(*_longest_a5()), seed=5)
-        monkeypatch.setattr(reconstruct_module, "support_closure", fail)
-        assert descent_set(oracle, oracle.top_id) == frozenset(oracle.generators)
-        assert reconstruct(oracle).word
 
     def _oracle(self):
         A3 = type_a(3)

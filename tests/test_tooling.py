@@ -9,6 +9,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
+WORKER = ROOT / "bench" / "worker.py"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+PACKAGE_SRC = ROOT / "src" / "schubertisom"
 
 
 def _span_targets():
@@ -108,3 +111,60 @@ def test_cli_import_builds_no_parser():
     code = "import schubertisom.cli as cli; assert cli._parser is None"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+# Public names that nothing in src/, the package exports, the benchmark or
+# the acceptance gate refers to, each kept on purpose.
+DOCUMENTED = {
+    ("reconstruct", "descent_set"): "the README describes it: an oracle's abstract descents",
+    ("weyl", "identity_element"): "the WeylElement docstring names it as a constructor of e",
+}
+
+
+def _imported(tree):
+    """(module, name) for each `from .module import name` and `from
+    schubertisom[.module] import name` in tree; module is "" for the package."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            if node.level == 1:
+                module = node.module
+            elif node.level == 0 and node.module.split(".")[0] == "schubertisom":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            found |= {(module, alias.name) for alias in node.names}
+    return found
+
+
+def test_src_names_have_a_caller():
+    """Every public module-level function and class in src/ is used: by
+    name in its own module outside its own body, imported (`from .module
+    import name`) or read as `module.name` elsewhere in src/, exported by
+    the package, traced or called by the benchmark, imported by the
+    acceptance gate, or listed in DOCUMENTED with its reason.  Helpers that
+    only tests call belong in the tests."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE_SRC.glob("*.py"))}
+    exports = _imported(trees.pop("__init__"))
+    exported = {name: module for module, name in exports}
+    used = exports | set(_span_targets())
+    used |= {(module or exported.get(name), name)
+             for module, name in _imported(ast.parse(ACCEPTANCE.read_text()))}
+    mentioned = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 for node in ast.walk(ast.parse(WORKER.read_text()))}
+    public = []
+    for module, tree in trees.items():
+        used |= _imported(tree)
+        used |= {(node.value.id, node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+        for k, node in enumerate(tree.body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public.append((module, node.name))
+                others = tree.body[:k] + tree.body[k + 1:]
+                if any(isinstance(n, ast.Name) and n.id == node.name
+                       for other in others for n in ast.walk(other)):
+                    used.add((module, node.name))
+    unused = [f"{module}.{name}" for module, name in public
+              if (module, name) not in used and name not in mentioned
+              and (module, name) not in DOCUMENTED]
+    assert not unused, unused
