@@ -175,29 +175,19 @@ class CohomologyOracle:
             if level is None or g not in generators:
                 self._check_complete(degrees)
                 raise MalformedOracleError(f"product ({g}, {bid}) uses unknown ids")
-            # One check per product; only a product that fails it is walked
-            # term by term, for the message that names its defect.
-            if len(terms) == 1:
-                ((vid, coeff),) = terms
-                if vid in level and coeff != 0:
-                    continue
-            elif not terms:
-                continue
-            else:
-                hits = dict(terms)
-                if hits.keys() <= level and len(hits) == len(terms) and 0 not in hits.values():
-                    continue
-            degree = degrees[bid] + 2
+            # An id in `level` is a known id of degree d + 2, so the first term
+            # that fails here is the first with any defect; name it.
             for vid, coeff in terms:
-                if vid not in degrees:
-                    raise MalformedOracleError(f"product ({g}, {bid}) hits unknown id")
-                if degrees[vid] != degree:
-                    raise MalformedOracleError(
-                        f"product ({g}, {bid}) does not raise degree by 2"
-                    )
-                if coeff == 0:
+                if vid not in level or coeff == 0:
+                    if vid not in degrees:
+                        raise MalformedOracleError(f"product ({g}, {bid}) hits unknown id")
+                    if vid not in level:
+                        raise MalformedOracleError(
+                            f"product ({g}, {bid}) does not raise degree by 2"
+                        )
                     raise MalformedOracleError("zero coefficients must be omitted")
-            raise MalformedOracleError(f"product ({g}, {bid}) repeats an id")
+            if len(terms) > 1 and len(dict(terms)) != len(terms):
+                raise MalformedOracleError(f"product ({g}, {bid}) repeats an id")
         (unit,) = units
         for g in self.generators:
             if self.products[(g, unit)] != ((g, 1),):

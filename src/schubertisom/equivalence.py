@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .cartan import diagram_automorphisms, graph_automorphisms, search_injections
 from .cartan import simple_graph, submatrix
-from .errors import NotFullySupportedError
+from .errors import InvalidWitnessError, MixedContextsError, NotFullySupportedError
 from . import weyl
 from .weyl import WeylElement, _apply, element_from_word, enumerate_elements, support
 
@@ -116,9 +116,13 @@ def transport_interval(witness):
     Each v <= w is sent to the product of the sigma-image of its canonical
     word.  The map is checked to be a bijection onto [e,w'] that sends the
     upper covers of each element onto the upper covers of its image, which
-    on graded posets is an order isomorphism.
+    on graded posets is an order isomorphism; a witness that fails either
+    check, or whose sigma misses a support label, raises InvalidWitnessError.
     """
     sigma = witness.sigma
+    missing = support(witness.source) - sigma.keys()
+    if missing:
+        raise InvalidWitnessError(f"sigma does not map the support labels {sorted(missing)}")
     B = witness.target.cartan
     source = weyl.interval(witness.source)
     target = weyl.interval(witness.target)
@@ -126,13 +130,11 @@ def transport_interval(witness):
         target.position.get(element_from_word(B, tuple(sigma[s] for s in v.canonical_word)).rho)
         for v in source
     ]
-    assert len(source) == len(target) and set(image) == set(range(len(target))), (
-        "transported map is not a bijection onto [e,w']"
-    )
+    if len(source) != len(target) or set(image) != set(range(len(target))):
+        raise InvalidWitnessError("transported map is not a bijection onto [e,w']")
     for p, q in enumerate(image):
-        assert {image[r] for r, _ in source.up[p]} == {r for r, _ in target.up[q]}, (
-            "transported map is not an order isomorphism"
-        )
+        if {image[r] for r, _ in source.up[p]} != {r for r, _ in target.up[q]}:
+            raise InvalidWitnessError("transported map is not an order isomorphism")
     return {v: target.elements[q] for v, q in zip(source, image)}
 
 
@@ -365,6 +367,8 @@ def isom_classes(A, max_length, max_elements=weyl.DEFAULT_ELEMENT_CAP):
 
 def isom_class_bound(A, w):
     """Upper bound on |Isom(w,A)| for fully supported w, via automorphisms."""
+    if w.cartan != A:
+        raise MixedContextsError()
     missing = set(A.labels) - support(w)
     if missing:
         raise NotFullySupportedError(missing)

@@ -62,6 +62,10 @@ class MixedContextsError(SchubertError):
         super().__init__("elements belong to different Cartan matrices")
 
 
+class InvalidWitnessError(SchubertError):
+    """A claimed equivalence witness does not carry [e,w] onto [e,w']."""
+
+
 class NotInSupportError(SchubertError):
     def __init__(self, label):
         super().__init__(f"generator {label!r} is not in the support of the element")

@@ -18,6 +18,7 @@ rules, but holds only numbers and a-variables and no nested parentheses.
 """
 
 import re
+from collections import defaultdict
 
 from .errors import SchubertError, UnknownLabelError
 
@@ -223,26 +224,46 @@ def _violation(mono):
     return None
 
 
+def _inversions(mono):
+    """The number of (e or h, f) pairs in that order; 0 exactly in normal form."""
+    count = raised = 0
+    for kind, _ in mono:
+        if kind == "f":
+            count += raised
+        else:
+            raised += 1
+    return count
+
+
 def eta(tau):
-    """The normal form: rewrite each monomial's rightmost violating pair."""
-    result = {}
-    work = [(mono, poly) for mono, poly in tau.terms.items()]
-    while work:
-        mono, poly = work.pop()
-        i = _violation(mono)
-        if i is None:
-            result[mono] = result.get(mono, Poly()) + poly
-            continue
-        (kind, s), (_, t) = mono[i], mono[i + 1]
-        swapped = mono[:i] + (mono[i + 1], mono[i]) + mono[i + 2:]
-        if kind == "e":
-            work.append((swapped, poly))
-            if s == t:
-                work.append((mono[:i] + (("h", s),) + mono[i + 2:], poly))
-        else:  # h_s f_t -> f_t h_s - a_st f_t
-            work.append((swapped, poly))
-            work.append((mono[:i] + (("f", t),) + mono[i + 2:], -(poly * Poly.variable(s, t))))
-    return FreeAlgebraElement(result)
+    """The normal form: rewrite each monomial's rightmost violating pair.
+
+    Every rewrite lowers the count of `_inversions`, so the monomials are
+    taken in decreasing order of that count: each is rewritten once, after
+    every term that rewrites into it has been merged with it.  The rules
+    have no overlapping left sides, so by Bergman's diamond lemma the order
+    does not change the result.
+    """
+    pending = defaultdict(dict)  # inversion count -> {monomial: coefficient}
+
+    def add(mono, poly):
+        terms = pending[_inversions(mono)]
+        terms[mono] = terms[mono] + poly if mono in terms else poly
+
+    for mono, poly in tau.terms.items():
+        add(mono, poly)
+    for count in range(max(pending, default=0), 0, -1):
+        for mono, poly in pending.pop(count, {}).items():
+            if not poly:
+                continue
+            i = _violation(mono)
+            (kind, s), (_, t) = mono[i], mono[i + 1]
+            add(mono[:i] + (mono[i + 1], mono[i]) + mono[i + 2:], poly)
+            if kind == "h":  # h_s f_t -> f_t h_s - a_st f_t
+                add(mono[:i] + (("f", t),) + mono[i + 2:], -(poly * Poly.variable(s, t)))
+            elif s == t:  # e_s f_s -> f_s e_s + h_s
+                add(mono[:i] + (("h", s),) + mono[i + 2:], poly)
+    return FreeAlgebraElement(pending[0])
 
 
 def specialize(tau, A):

@@ -243,6 +243,8 @@ def two_letter_leq(A, s, t, w):
     If A[s][t] = 0 then st = ts <= w already.  Otherwise st <= w exactly
     when s appears before t in any (hence the canonical) reduced word.
     """
+    if w.cartan != A:
+        raise MixedContextsError()
     word = w.canonical_word
     sup = set(word)
     if s not in sup:

@@ -378,8 +378,8 @@ class TestOracleValidation:
 
 
 class TestValidationFallback:
-    """validate checks each product once and walks its terms only when that
-    check fails, so the message still names the first defect in term order."""
+    """validate walks each product's terms once and stops at the first term
+    with any defect, so the message names the first defect in term order."""
 
     def _oracle(self):
         return export_oracle(
@@ -436,3 +436,87 @@ class TestValidationFallback:
         self._rejects(o, products, f"product ({g}, {bid}) does not raise degree by 2")
         products[key] = ((vid, 0),)
         self._rejects(o, products, "zero coefficients must be omitted")
+
+
+def _first_defect(oracle, products):
+    """The message of the first defect, found term by term: the reference
+    for validate's product loop."""
+    degrees = dict(oracle.basis)
+    for (g, bid), terms in products.items():
+        for vid, coeff in terms:
+            if vid not in degrees:
+                return f"product ({g}, {bid}) hits unknown id"
+            if degrees[vid] != degrees[bid] + 2:
+                return f"product ({g}, {bid}) does not raise degree by 2"
+            if coeff == 0:
+                return "zero coefficients must be omitted"
+        if len({vid for vid, _ in terms}) != len(terms):
+            return f"product ({g}, {bid}) repeats an id"
+    return None
+
+
+class TestValidationDifferential:
+    """Exported oracles with one or two defects, in one product or two and
+    in every order, are rejected with the reference's message."""
+
+    DEFECTS = ("unknown id", "wrong degree", "zero coefficient", "repeated id")
+
+    @pytest.fixture(scope="class")
+    def oracles(self):
+        rng = random.Random(18)
+        out = [export_oracle(element_from_word(A3, ["s1", "s2", "s3", "s1", "s2", "s1"]), seed=1)]
+        while len(out) < 6:
+            A = random_cartan(rng, max_rank=3)
+            w = element_from_word(A, random_word(rng, A, 6))
+            if w.length >= 3:
+                out.append(export_oracle(w, seed=rng.randrange(100)))
+        return out
+
+    def _corrupt(self, rng, oracle, terms, level, defect):
+        """terms with one defect of the given kind, at a random place."""
+        terms = list(terms)
+        if defect == "unknown id":
+            new = ("nope", rng.randint(1, 3))
+        elif defect == "wrong degree":
+            new = (rng.choice([b for b, d in oracle.basis if d != level]), 1)
+        elif defect == "zero coefficient":
+            if terms and rng.random() < 0.5:
+                k = rng.randrange(len(terms))
+                terms[k] = (terms[k][0], 0)
+                return tuple(terms)
+            ids = [b for b, d in oracle.basis if d == level]
+            if not ids:
+                return None
+            new = (rng.choice(ids), 0)
+        else:
+            if not terms:
+                return None
+            vid, coeff = rng.choice(terms)
+            new = (vid, coeff + rng.randint(0, 1))
+        terms.insert(rng.randint(0, len(terms)), new)
+        return tuple(terms)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_message_as_term_by_term_walk(self, oracles, seed):
+        rng = random.Random(seed)
+        checked = set()
+        for _ in range(150):
+            oracle = rng.choice(oracles)
+            degrees = dict(oracle.basis)
+            products = dict(oracle.products)
+            keys = rng.sample(sorted(products), 2)
+            defects = [rng.choice(self.DEFECTS) for _ in range(rng.randint(1, 2))]
+            one_product = len(defects) == 1 or rng.random() < 0.5
+            for defect, key in zip(defects, keys[:1] * 2 if one_product else keys):
+                corrupted = self._corrupt(rng, oracle, products[key], degrees[key[1]] + 2, defect)
+                if corrupted is not None:
+                    products[key] = corrupted
+            expected = _first_defect(oracle, products)
+            if expected is None:
+                continue
+            checked.add(re.sub(r"^product \(.*?\) ", "", expected))
+            bad = CohomologyOracle(oracle.basis, oracle.generators, products)
+            with pytest.raises(MalformedOracleError) as err:
+                bad.validate()
+            assert str(err.value) == expected
+        assert len(checked) == 4, checked

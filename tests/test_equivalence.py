@@ -29,7 +29,7 @@ from schubertisom import (
 )
 from schubertisom import equivalence
 from schubertisom.equivalence import EquivalenceWitness
-from schubertisom.errors import NotFullySupportedError
+from schubertisom.errors import InvalidWitnessError, MixedContextsError, NotFullySupportedError
 from schubertisom.weyl import enumerate_elements, identity_element, multiply
 
 from conftest import (
@@ -243,8 +243,13 @@ class TestTransportInterval:
         w = element_from_word(A3, ["s1", "s2"])
         assert check_equivalence(w, w).sigma == {"s1": "s1", "s2": "s2"}
         wrong = EquivalenceWitness(w, w, {"s1": "s2", "s2": "s1"})
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvalidWitnessError, match="not a bijection onto"):
             transport_interval(wrong)
+
+    def test_sigma_missing_a_support_label(self):
+        w = element_from_word(A3, ["s1", "s2"])
+        with pytest.raises(InvalidWitnessError, match=r"support labels \['s2'\]"):
+            transport_interval(EquivalenceWitness(w, w, {"s1": "s1"}))
 
     def test_preserves_length(self, rng):
         found = 0
@@ -670,6 +675,15 @@ class TestIsomClassBound:
     def test_not_fully_supported(self):
         with pytest.raises(NotFullySupportedError):
             isom_class_bound(A3, element_from_word(A3, ["s1", "s2"]))
+
+    def test_element_of_another_matrix(self):
+        """s1 s2 s3 of A3 has bound 2; read against the edgeless matrix over
+        the same labels it would give 3! = 6."""
+        w = element_from_word(A3, ["s1", "s2", "s3"])
+        edgeless = validate_cartan([[2, 0, 0], [0, 2, 0], [0, 0, 2]], ["s1", "s2", "s3"])
+        assert isom_class_bound(A3, w) == 2
+        with pytest.raises(MixedContextsError):
+            isom_class_bound(edgeless, w)
 
     def test_bounds_class_sizes(self):
         for A in (A2, A3, C3):

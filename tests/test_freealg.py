@@ -1,9 +1,14 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schubertisom import FreeAlgebraElement, Poly, depends_on, eta, specialize
+from schubertisom import FreeAlgebraElement, Poly, depends_on, eta, freealg, specialize
 from schubertisom.errors import UnknownLabelError
 from schubertisom.freealg import ParseError, parse, _violation
 
@@ -83,6 +88,17 @@ class TestPoly:
         assert str(A("s1", "s2")) == "a[s1,s2]"
 
 
+_ETA_CHILD = """
+import json, sys, time
+from schubertisom.freealg import eta, parse
+k = int(sys.argv[1])
+tau = parse("*".join(["e1"] * k + ["f1"] * k))
+start = time.perf_counter()
+terms = len(eta(tau).terms)
+print(json.dumps([terms, time.perf_counter() - start]))
+"""
+
+
 class TestEta:
     def test_worked_vector(self):
         tau = H("1") * E("2") * E("3") * F("2")
@@ -126,12 +142,29 @@ class TestEta:
             x = random_element(rng)
             assert eta(eta(x)) == eta(x)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**9))
     def test_strategy_independent(self, seed):
         r = random.Random(seed)
-        tau = random_element(r, n_terms=2, max_len=5)
+        tau = random_element(r, n_terms=r.randint(1, 3), max_len=7)
+        tau = tau * FreeAlgebraElement.scalar(Poly.const(r.randint(1, 3)) - A("1", "2"))
         assert eta(tau) == eta_random_strategy(tau, r)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_e_power_times_f_power_term_count(self, k):
+        tau = parse("*".join(["e1"] * k + ["f1"] * k))
+        assert len(eta(tau).terms) == 2 ** (k + 1) - 2
+
+    def test_no_rewrite_path_blowup(self):
+        """e1^7 f1^7 has 254 terms in normal form but far more rewrite paths:
+        rewriting path by path took 271 s.  So it runs in a child
+        interpreter, timed inside it, and is stopped 20 s past its bound."""
+        src = str(Path(freealg.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", _ETA_CHILD, "7"], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True, timeout=21)
+        terms, elapsed = json.loads(done.stdout)
+        assert terms == 2 ** 8 - 2
+        assert elapsed < 1, f"took {elapsed:.1f}s"
 
     def test_violation_detector(self):
         assert _violation((("f", "1"), ("h", "1"))) is None

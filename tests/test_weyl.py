@@ -234,6 +234,15 @@ class TestTwoLetter:
         with pytest.raises(NotInSupportError):
             two_letter_leq(A3, "s1", "s2", w)
 
+    def test_element_of_another_matrix(self):
+        """s2 s1 in A3 has s1 s2 not below it; read against the edgeless
+        matrix over the same labels it would answer True."""
+        w = element_from_word(A3, ["s2", "s1"])
+        edgeless = validate_cartan([[2, 0, 0], [0, 2, 0], [0, 0, 2]], ["s1", "s2", "s3"])
+        assert not two_letter_leq(A3, "s1", "s2", w)
+        with pytest.raises(MixedContextsError):
+            two_letter_leq(edgeless, "s1", "s2", w)
+
     def test_matches_bruhat(self, rng):
         for _ in range(30):
             A = random_cartan(rng)
