@@ -213,25 +213,24 @@ def simple_graph(A):
     return SimpleCoxeterGraph(A.index_set, edges)
 
 
-def search_injections(source, target, accept):
-    """Backtracking search for label injections that keep every pair's
-    value, in lexicographic image order.
+def search_injections(source, target):
+    """Yield each label injection that keeps every pair's value, as a fresh
+    dict, in lexicographic image order.
 
     `source` and `target` are (labels, pairs), with pairs mapping ordered
     label pairs (s, t) to values.  A map sigma passes when every source
     pair (s, t) has its image (sigma[s], sigma[t]) among the target's pairs,
     with the same value.  So it sends the pairs one to one onto the
-    target's (differing counts give None at once), and each label to one
-    with the same profile: its value with itself and the sorted values out
-    of it and into it.  Labels are mapped in the order given, each to its
+    target's (differing counts yield nothing), and each label to one with
+    the same profile: its value with itself and the sorted values out of it
+    and into it.  Labels are mapped in the order given, each to its
     same-profile targets in the target's order, and a pair is checked as
-    soon as both its labels are mapped.  `accept` sees each passing map in
-    turn; the search stops at the first one it accepts and returns a copy
-    of it, or None.
+    soon as both its labels are mapped.  The search runs only as far as
+    its caller reads.
     """
     (labels, pairs), (images, image_pairs) = source, target
     if len(pairs) != len(image_pairs):
-        return None
+        return
 
     def profiles(labels, pairs):
         out = {s: [] for s in labels}
@@ -250,7 +249,7 @@ def search_injections(source, target, accept):
     keys = profiles(labels, pairs)
     candidates = [by_profile.get(keys[s], ()) for s in labels]
     if not all(candidates):
-        return None
+        return
     # checks[i]: (earlier label r, value, whether the pair is (s_i, r)).
     position = {s: i for i, s in enumerate(labels)}
     checks = [[] for _ in labels]
@@ -259,43 +258,35 @@ def search_injections(source, target, accept):
             checks[position[s]].append((t, v, True))
         elif position[s] < position[t]:
             checks[position[t]].append((s, v, False))
-    get = image_pairs.get
-    sigma = {}
-    used = set()
+    yield from _extend(0, labels, candidates, checks, image_pairs.get, {}, set())
 
-    def extend(i):
-        if i == len(labels):
-            return accept(sigma)
-        s = labels[i]
-        for t in candidates[i]:
-            if t in used:
-                continue
-            for r, v, outgoing in checks[i]:
-                if get((t, sigma[r]) if outgoing else (sigma[r], t)) != v:
-                    break
-            else:
-                sigma[s] = t
-                used.add(t)
-                if extend(i + 1):
-                    return True
-                del sigma[s]
-                used.discard(t)
-        return False
 
-    try:
-        return dict(sigma) if extend(0) else None
-    finally:
-        del extend  # the closure refers to itself; break the cycle
+def _extend(i, labels, candidates, checks, get, sigma, used):
+    """Yield a copy of each passing extension of sigma from labels[i] on."""
+    if i == len(labels):
+        yield dict(sigma)
+        return
+    s = labels[i]
+    for t in candidates[i]:
+        if t in used:
+            continue
+        for r, v, outgoing in checks[i]:
+            if get((t, sigma[r]) if outgoing else (sigma[r], t)) != v:
+                break
+        else:
+            sigma[s] = t
+            used.add(t)
+            yield from _extend(i + 1, labels, candidates, checks, get, sigma, used)
+            del sigma[s]
+            used.discard(t)
 
 
 def _automorphisms(labels, table):
     """Every bijection of labels preserving table, in lexicographic order."""
     if len(labels) > AUTOMORPHISM_CAP:
         raise TooLargeError(len(labels), AUTOMORPHISM_CAP)
-    autos = []  # append returns None, so the search collects every map
     graph = (labels, table)
-    search_injections(graph, graph, lambda sigma: autos.append(dict(sigma)))
-    return autos
+    return list(search_injections(graph, graph))
 
 
 def graph_automorphisms(G):

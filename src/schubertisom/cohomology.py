@@ -15,6 +15,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress, repeat
+from operator import itemgetter
 
 from .errors import MalformedOracleError, NotInIntervalError, UnknownLabelError
 from . import weyl
@@ -137,12 +138,16 @@ class CohomologyOracle:
 
     @property
     def unit_id(self):
-        return next(bid for bid, d in self.basis if d == 0)
+        for bid, d in self.basis:
+            if d == 0:
+                return bid
+        raise MalformedOracleError("no degree-0 basis element")
 
     @property
     def top_id(self):
-        top_degree = max(d for _, d in self.basis)
-        return next(bid for bid, d in self.basis if d == top_degree)
+        if not self.basis:
+            raise MalformedOracleError("no basis elements")
+        return max(self.basis, key=itemgetter(1))[0]
 
     def validate(self):
         degrees = dict(self.basis)

@@ -87,10 +87,10 @@ def check_equivalence(w, w_prime):
     lexicographic order, that send the constrained pairs of w (st <= w)
     onto those of w' entry for entry: `search_injections` on the two
     `_constraints` graphs.  Every witness does so (see `canonical_key`).
-    The first sigma under which the canonical word of w multiplies to w'
-    is accepted: the image word's vector is built in O(n * length) and
-    compared with w'(rho), and the image word is then reduced.  sigma is
-    mapped to labels once, at the end.
+    The first sigma of that stream under which the canonical word of w
+    multiplies to w' is taken: the image word's vector is built in
+    O(n * length) and compared with w'(rho), and the image word is then
+    reduced.  sigma is mapped to labels once, at the end.
     """
     if w.length != w_prime.length:
         return None
@@ -99,15 +99,11 @@ def check_equivalence(w, w_prime):
     if len(src) != len(dst):
         return None
     ctx, word = w_prime._ctx, w._index_word()
-
-    def multiplies_to_w_prime(sigma):
-        return _apply(ctx.columns, [sigma[i] for i in word], ctx.rho) == w_prime.rho
-
-    sigma = search_injections((src, pairs), (dst, dst_pairs), multiplies_to_w_prime)
-    if sigma is None:
-        return None
-    labels, images = w.cartan.labels, w_prime.cartan.labels
-    return EquivalenceWitness(w, w_prime, {labels[i]: images[j] for i, j in sigma.items()})
+    for sigma in search_injections((src, pairs), (dst, dst_pairs)):
+        if _apply(ctx.columns, [sigma[i] for i in word], ctx.rho) == w_prime.rho:
+            labels, images = w.cartan.labels, w_prime.cartan.labels
+            return EquivalenceWitness(w, w_prime, {labels[i]: images[j] for i, j in sigma.items()})
+    return None
 
 
 def transport_interval(witness):

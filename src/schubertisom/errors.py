@@ -84,6 +84,14 @@ class EnumerationCapExceededError(SchubertError):
         self.cap = cap
 
 
+class RewriteCapExceededError(SchubertError):
+    def __init__(self, cap):
+        super().__init__(
+            f"normal form needs more than {cap} monomial additions (rewrite cap {cap})"
+        )
+        self.cap = cap
+
+
 class NotACoverError(SchubertError):
     def __init__(self):
         super().__init__("second element does not cover the first in Bruhat order")

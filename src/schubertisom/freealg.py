@@ -20,7 +20,11 @@ rules, but holds only numbers and a-variables and no nested parentheses.
 import re
 from collections import defaultdict
 
-from .errors import SchubertError, UnknownLabelError
+from .errors import RewriteCapExceededError, SchubertError, UnknownLabelError
+
+# Monomial additions `eta` may make.  e1^k*f1^k needs about 2.2 times as
+# many for each step in k: 196,273 at k = 12 and 425,595 at k = 13.
+REWRITE_CAP = 250_000
 
 
 class ParseError(SchubertError):
@@ -245,8 +249,13 @@ def eta(tau):
     does not change the result.
     """
     pending = defaultdict(dict)  # inversion count -> {monomial: coefficient}
+    additions = 0
 
     def add(mono, poly):
+        nonlocal additions
+        additions += 1
+        if additions > REWRITE_CAP:
+            raise RewriteCapExceededError(REWRITE_CAP)
         terms = pending[_inversions(mono)]
         terms[mono] = terms[mono] + poly if mono in terms else poly
 

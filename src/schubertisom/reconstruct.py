@@ -30,14 +30,20 @@ class ReconstructedPresentation:
 
 
 def recover_cartan(oracle):
-    """Recover the Cartan matrix over the degree-2 generators.
+    """Validate the oracle, then recover the Cartan matrix over its degree-2
+    generators.
 
     For each ordered pair of distinct generators exactly one case applies:
     disjoint supports force a 0; a singleton overlap of supp(z1*z2) with
     supp(z2^2) reads the entry off a coefficient; overlap only on the z1^2
     side leaves the entry unconstrained (any negative integer works), fixed
-    here at -1 and reported in free_entries.
+    here at -1 and reported in free_entries.  With no generators the oracle
+    is that of a point, X(e, A) for every A, and the rank-1 matrix over the
+    unit's id presents it.
     """
+    oracle.validate()
+    if not oracle.generators:
+        return CartanMatrix(IndexSet([oracle.unit_id]), [[2]]), frozenset()
     gens = oracle.generators
     n = len(gens)
     pos = {g: i for i, g in enumerate(gens)}
@@ -137,8 +143,10 @@ def _predecessors(oracle):
 
 
 def reduced_word_sets(oracle):
-    """All abstract reduced words for every basis element: the words of each
-    predecessor u of v with its descent g appended."""
+    """All abstract reduced words for every basis element of the oracle,
+    once it validates: the words of each predecessor u of v with its descent
+    g appended."""
+    oracle.validate()
     words = {}
     for v, _, pairs in _predecessors(oracle):
         words[v] = frozenset([w + (g,) for g, u in pairs for w in words[u]] or [()])
@@ -151,8 +159,7 @@ def reconstruct(oracle):
     All words of v have length deg(v)/2, so the least word of v is the least
     of least(u) + (g,) over its predecessor pairs (g, u); only it is kept.
     """
-    oracle.validate()
-    cartan, free = recover_cartan(oracle)
+    cartan, free = recover_cartan(oracle)  # validates the oracle
     least = {}
     for v, degree, pairs in _predecessors(oracle):
         least[v] = min([least[u] + (g,) for g, u in pairs], default=())

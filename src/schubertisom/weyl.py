@@ -379,9 +379,13 @@ def interval(w, max_elements=DEFAULT_ELEMENT_CAP):
     elements, parents = _walk(ctx, w.length, max_elements, _subword_vectors(w, max_elements))
     position = {v.rho: q for q, v in enumerate(elements)}
     up = [[] for _ in elements]
-    below = [()]  # below[q]: (p, coroot) for each lower cover, p increasing
+    # The lower covers, (p, coroot) with p increasing, of each position one
+    # length down (below) and of the length being built (current)
+    below, current = {}, {0: ()}
     for q in range(1, len(elements)):
         p = parents[q]
+        if p in current:  # q is the first of its length
+            below, current = current, {}
         word = elements[p]._indices
         i = elements[q]._indices[0]
         column = columns[i]
@@ -405,7 +409,7 @@ def interval(w, max_elements=DEFAULT_ELEMENT_CAP):
         covers.sort()
         for u, gamma in covers:
             up[u].append((q, gamma))
-        below.append(covers)
+        current[q] = covers
     up = tuple(map(tuple, up))
     return BruhatInterval(w, tuple(elements), position, up)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -142,11 +143,32 @@ class TestSimpleGraph:
         assert simple_graph(D4).degree("s1") == 1
 
 
-class TestSearchInjections:
-    @staticmethod
-    def never(sigma):
-        raise AssertionError(f"accept called with {sigma}")
+def _random_pair_table(rng, labels):
+    """Random ordered pairs of labels, loops included, with small values."""
+    return {
+        (s, t): rng.choice((0, -1, -2))
+        for s in labels
+        for t in labels
+        if rng.random() < 0.4
+    }
 
+
+def _brute_force_injections(source, target):
+    """Reference: every injection, in the lexicographic order of its image
+    tuple, that sends the source pairs one to one onto the target's with
+    their values."""
+    (labels, pairs), (images, image_pairs) = source, target
+    if len(pairs) != len(image_pairs):
+        return []
+    found = []
+    for chosen in itertools.permutations(images, len(labels)):
+        sigma = dict(zip(labels, chosen))
+        if all(image_pairs.get((sigma[s], sigma[t])) == v for (s, t), v in pairs.items()):
+            found.append(sigma)
+    return found
+
+
+class TestSearchInjections:
     def test_checks_pairs_in_both_orientations(self):
         """(a, b) is checked as (sigma[a], sigma[b]) when b is mapped, though
         a comes first: the two directed 3-cycles match only with b -> z."""
@@ -158,37 +180,37 @@ class TestSearchInjections:
             ("x", "z"): 1, ("z", "y"): 1, ("y", "x"): 1,
             ("z", "x"): 0, ("y", "z"): 0, ("x", "y"): 0,
         }
-        found = search_injections(source, target, lambda sigma: True)
-        assert found == {"a": "x", "b": "z", "c": "y"}
+        assert next(search_injections(source, target)) == {"a": "x", "b": "z", "c": "y"}
 
     def test_stops_at_first_accepted_in_lexicographic_order(self):
-        seen = []
-
-        def accept(sigma):
-            seen.append(tuple(sigma.values()))
-            return len(seen) == 3
-
-        found = search_injections((tuple("abc"), {}), (tuple("xyz"), {}), accept)
-        assert seen == [("x", "y", "z"), ("x", "z", "y"), ("y", "x", "z")]
-        assert found == {"a": "y", "b": "x", "c": "z"}
+        """A caller that stops reading after three maps has them in
+        lexicographic order of images, each a dict of its own."""
+        stream = search_injections((tuple("abc"), {}), (tuple("xyz"), {}))
+        seen = list(itertools.islice(stream, 3))
+        assert [tuple(sigma.values()) for sigma in seen] == [
+            ("x", "y", "z"), ("x", "z", "y"), ("y", "x", "z"),
+        ]
+        assert seen[2] == {"a": "y", "b": "x", "c": "z"}
+        assert len(list(stream)) == 3
+        assert seen[0] == {"a": "x", "b": "y", "c": "z"}
 
     def test_label_without_images(self):
         """a can go to x, but no target label has b's profile."""
         source = ("a", "b", "c"), {("a", "b"): 0, ("b", "c"): -1}
         target = ("x", "y", "z"), {("x", "y"): 0, ("y", "z"): -2}
-        assert search_injections(source, target, self.never) is None
+        assert list(search_injections(source, target)) == []
 
     def test_pair_counts_differ(self):
         """a has the profile of x and of y, but y's pair has no preimage."""
         source = ("a",), {("a", "a"): 2}
         target = ("x", "y"), {("x", "x"): 2, ("y", "y"): 2}
-        assert search_injections(source, target, self.never) is None
+        assert list(search_injections(source, target)) == []
 
     def test_one_profile_differs(self):
         """Every label has images, but a and b both need x."""
         source = ("a", "b", "c"), {("a", "a"): 2, ("b", "b"): 2, ("c", "c"): 3}
         target = ("x", "y", "z"), {("x", "x"): 2, ("y", "y"): 3, ("z", "z"): 3}
-        assert search_injections(source, target, self.never) is None
+        assert list(search_injections(source, target)) == []
 
     @pytest.mark.parametrize(
         "source, target",
@@ -209,7 +231,36 @@ class TestSearchInjections:
     def test_image_pair_missing_from_target(self, source, target):
         """Same pair counts and the same values out of and into each label,
         but every map sends some source pair off the target's pairs."""
-        assert search_injections(source, target, self.never) is None
+        assert list(search_injections(source, target)) == []
+
+    def test_empty_source_yields_the_empty_map(self):
+        assert list(search_injections(((), {}), (tuple("xy"), {}))) == [{}]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stream_equals_brute_force(self, seed):
+        """On random tables of up to 5 labels, the whole stream is the list
+        of passing injections in lexicographic image order.  Half the
+        targets are a source table carried by a random injection into up to
+        7 labels, with one value changed in half of those."""
+        rng = random.Random(seed)
+        nonempty = 0
+        for _ in range(150):
+            labels = tuple(f"s{i}" for i in range(rng.randint(0, 5)))
+            images = tuple(f"t{i}" for i in range(len(labels) + rng.randint(0, 2)))
+            pairs = _random_pair_table(rng, labels)
+            if rng.random() < 0.5:
+                pi = dict(zip(labels, rng.sample(images, len(labels))))
+                image_pairs = {(pi[s], pi[t]): v for (s, t), v in pairs.items()}
+                if image_pairs and rng.random() < 0.5:
+                    key = rng.choice(sorted(image_pairs))
+                    image_pairs[key] = rng.choice((0, -1, -2))
+            else:
+                image_pairs = _random_pair_table(rng, images)
+            source, target = (labels, pairs), (images, image_pairs)
+            expected = _brute_force_injections(source, target)
+            assert list(search_injections(source, target)) == expected
+            nonempty += bool(expected)
+        assert nonempty > 40
 
 
 class TestAutomorphisms:

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import schubertisom
 from schubertisom import CartanMatrix, element_from_word, export_oracle
-from schubertisom import cli
+from schubertisom import cli, freealg
 from schubertisom.cli import main
 
 from conftest import (
@@ -669,6 +669,13 @@ class TestNormalForm:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "normal-form", "g1*f2")
         assert code == 2
+
+    def test_rewrite_cap_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(freealg, "REWRITE_CAP", 100)
+        code, out, err = run(capsys, "normal-form", "*".join(["e1"] * 5 + ["f1"] * 5))
+        assert code == 2
+        assert out == ""
+        assert "rewrite cap 100" in err
 
     def test_leading_dash_is_a_usage_error(self, capsys):
         """Without '--', argparse reads '-h1' as its -h option: main returns

@@ -15,6 +15,7 @@ from schubertisom import (
     bruhat_leq,
     canonical_key,
     check_equivalence,
+    diagram_automorphisms,
     element_from_word,
     interval,
     inversion_set,
@@ -220,6 +221,24 @@ class TestCheckEquivalence:
                 for t in sigma:
                     if s != t and two_letter_leq(A, s, t, u):
                         assert two_letter_leq(B, sigma[s], sigma[t], v)
+
+    def test_leaves_no_cyclic_garbage(self):
+        """A search left unread after its first witness, one read to its end
+        without a witness, and the automorphism lists are freed by reference
+        counting alone."""
+        gc.collect()
+        gc.disable()
+        try:
+            w = element_from_word(_edgeless(4), ["s0", "s1", "s2", "s3"])
+            assert check_equivalence(w, w).sigma == {s: s for s in w.cartan.labels}
+            u, v = words(A3, "s2 s1 s3", "s1 s3 s2")
+            assert check_equivalence(u, v) is None
+            assert len(diagram_automorphisms(D4)) == 6
+            assert len(diagram_automorphisms(_edgeless(4))) == 24
+            del w, u, v
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestTransportInterval:

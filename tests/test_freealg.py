@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schubertisom import FreeAlgebraElement, Poly, depends_on, eta, freealg, specialize
-from schubertisom.errors import UnknownLabelError
+from schubertisom.errors import RewriteCapExceededError, UnknownLabelError
 from schubertisom.freealg import ParseError, parse, _violation
 
 from conftest import A2, A3, C3
@@ -90,12 +90,16 @@ class TestPoly:
 
 _ETA_CHILD = """
 import json, sys, time
+from schubertisom.errors import SchubertError
 from schubertisom.freealg import eta, parse
 k = int(sys.argv[1])
 tau = parse("*".join(["e1"] * k + ["f1"] * k))
 start = time.perf_counter()
-terms = len(eta(tau).terms)
-print(json.dumps([terms, time.perf_counter() - start]))
+try:
+    result = len(eta(tau).terms)
+except SchubertError as exc:
+    result = f"{type(exc).__name__}: {exc}"
+print(json.dumps([result, time.perf_counter() - start]))
 """
 
 
@@ -165,6 +169,30 @@ class TestEta:
         terms, elapsed = json.loads(done.stdout)
         assert terms == 2 ** 8 - 2
         assert elapsed < 1, f"took {elapsed:.1f}s"
+
+    def test_rewrite_cap_stops_large_inputs(self):
+        """e1^13 f1^13 needs 425,595 monomial additions, past the cap: it
+        fails typed after the first 250,000 (about 2 s) instead of running
+        to the end.  It runs in a child interpreter, as above."""
+        src = str(Path(freealg.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", _ETA_CHILD, "13"], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True, timeout=28)
+        error, elapsed = json.loads(done.stdout)
+        cap = freealg.REWRITE_CAP
+        assert error == (
+            f"RewriteCapExceededError: normal form needs more than {cap} monomial additions "
+            f"(rewrite cap {cap})"
+        )
+        assert elapsed < 8, f"took {elapsed:.1f}s"
+
+    def test_rewrite_cap_counts_every_addition(self, monkeypatch):
+        """e1^10 f1^10 makes 40,721 additions, the input's one included."""
+        tau = parse("*".join(["e1"] * 10 + ["f1"] * 10))
+        monkeypatch.setattr(freealg, "REWRITE_CAP", 40_720)
+        with pytest.raises(RewriteCapExceededError, match="rewrite cap 40720"):
+            eta(tau)
+        monkeypatch.setattr(freealg, "REWRITE_CAP", 40_721)
+        assert len(eta(tau).terms) == 2 ** 11 - 2
 
     def test_violation_detector(self):
         assert _violation((("f", "1"), ("h", "1"))) is None

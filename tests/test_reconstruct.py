@@ -94,6 +94,89 @@ class TestRecoverCartan:
             recover_cartan(bad)
 
 
+def _corrupted_a2(kind):
+    """A valid oracle of s1 s2 in A2 with one defect, and the message that
+    names it."""
+    oracle = export_oracle(element_from_word(A2, ["s1", "s2"]), seed=2)
+    products = dict(oracle.products)
+    g, h = oracle.generators
+    unit = oracle.unit_id
+    if kind == "unknown generator":
+        products["nope", unit] = ((g, 1),)
+        message = f"product (nope, {unit}) uses unknown ids"
+    elif kind == "unknown term":
+        products[g, unit] = (("nope", 1),)
+        message = f"product ({g}, {unit}) hits unknown id"
+    else:
+        del products[h, h]
+        message = f"missing product ({h}, {h})"
+    return CohomologyOracle(oracle.basis, oracle.generators, products), message
+
+
+class TestReadersValidate:
+    """Every public reader of an oracle validates it first, so a corrupted
+    table fails as MalformedOracleError naming its defect, never as a
+    KeyError or as a misleading later check."""
+
+    @pytest.mark.parametrize("kind", ["unknown generator", "unknown term", "missing square"])
+    def test_corrupted_a2_oracle(self, kind):
+        bad, message = _corrupted_a2(kind)
+        for reader in (recover_cartan, reduced_word_sets, reconstruct):
+            with pytest.raises(MalformedOracleError, match=re.escape(message)):
+                reader(bad)
+
+    def test_reconstruct_validates_once(self, monkeypatch):
+        oracle = export_oracle(element_from_word(A2, ["s1", "s2"]))
+        calls = []
+        validate = CohomologyOracle.validate
+        monkeypatch.setattr(CohomologyOracle, "validate", lambda o: calls.append(o) or validate(o))
+        reconstruct(oracle)
+        assert calls == [oracle]
+
+    def test_no_unit(self):
+        oracle = CohomologyOracle((("a", 2),), ("a",), {})
+        with pytest.raises(MalformedOracleError, match="no degree-0 basis element"):
+            oracle.unit_id
+        assert oracle.top_id == "a"
+
+    def test_empty_basis(self):
+        oracle = CohomologyOracle((), (), {})
+        with pytest.raises(MalformedOracleError, match="no degree-0 basis element"):
+            oracle.unit_id
+        with pytest.raises(MalformedOracleError, match="no basis elements"):
+            oracle.top_id
+
+
+class TestIdentity:
+    """X(e, A) is a point for every A: its oracle has one id and no
+    generators, and it reconstructs as the rank-1 matrix over that id."""
+
+    @pytest.mark.parametrize("A", [A2, D4, validate_cartan([[2]], ["s1"])], ids=["A2", "D4", "A1"])
+    def test_round_trip(self, A):
+        e = element_from_word(A, [])
+        oracle = export_oracle(e, seed=3)
+        assert oracle.generators == ()
+        rp = reconstruct(oracle)
+        assert rp.cartan == validate_cartan([[2]], [oracle.unit_id])
+        assert rp.word == ()
+        assert rp.free_entries == frozenset()
+        assert recover_cartan(oracle) == (rp.cartan, frozenset())
+        assert reduced_word_sets(oracle) == {oracle.unit_id: {()}}
+        assert check_equivalence(e, element_from_word(rp.cartan, rp.word)).sigma == {}
+
+    def test_cli_round_trip(self, capsys, tmp_path):
+        cartan, oracle = tmp_path / "a2.json", tmp_path / "identity.json"
+        cartan.write_text(json.dumps(A2.to_json()))
+        assert main(["--output", str(oracle), "export-oracle", str(cartan), ""]) == 0
+        assert main(["reconstruct", str(oracle)]) == 0
+        unit = json.loads(oracle.read_text())["basis"][0]["id"]
+        assert json.loads(capsys.readouterr().out) == {
+            "cartan": {"index_set": [unit], "matrix": [[2]]},
+            "word": [],
+            "free_entries": [],
+        }
+
+
 class TestAbstractCombinatorics:
     def test_unit_has_no_descents(self):
         oracle = export_oracle(element_from_word(A2, ["s1", "s2"]))

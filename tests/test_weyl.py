@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -352,6 +353,23 @@ class TestInterval:
                     for k, rho in weyl._lower_covers(v)
                 )
                 assert down[q] == expected
+
+    def test_peak_memory_near_what_it_keeps(self):
+        """Each element reads only its parent's lower covers, one length
+        down, so no more than two lengths of them are held: on w0 of A6 the
+        traced peak stays under 1.3 times the interval returned (1.7 times
+        when every length's covers were held to the end)."""
+        A6 = type_a(6)
+        w0 = element_from_word(A6, [f"s{j}" for i in range(6, 0, -1) for j in range(1, i + 1)])
+        interval(w0)
+        tracemalloc.start()
+        try:
+            itv = interval(w0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(itv) == 5040
+        assert peak < 1.3 * kept, f"peak {peak / kept:.2f} times what is kept"
 
 
 def _lower_covers_from_up(itv):
