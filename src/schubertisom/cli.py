@@ -182,19 +182,17 @@ def cmd_cohomology(args):
     A = _load_cartan(args.cartan)
     w = weyl.element_from_word(A, _parse_word(args.word))
     itv = weyl.interval(w, args.max_elements)
-    elements = itv.elements
+    words = [v.canonical_word for v in itv.elements]
     order = A.index_set.index
     products = {}
     for s in sorted(weyl.support(w), key=order):
         k = order(s)
-        for u, covers in zip(elements, itv.up):
+        for word_u, covers in zip(words, itv.up):
             # Position order is ShortLex by label index; the output lists
             # terms by their label words, which differ when labels are not
             # listed in sorted order.
-            terms = sorted(
-                [(elements[q].canonical_word, c) for q, coroot in covers if (c := coroot[k])]
-            )
-            products[f"{s}|{' '.join(u.canonical_word)}"] = [
+            terms = sorted([(words[q], c) for q, coroot in covers if (c := coroot[k])])
+            products[f"{s}|{' '.join(word_u)}"] = [
                 {"word": list(word), "coeff": c} for word, c in terms
             ]
     return _emit(args, {"interval_size": len(itv), "products": products})

@@ -225,7 +225,9 @@ class CohomologyOracle:
     def from_json(cls, data):
         try:
             basis = tuple(map(_id_and_int, data["basis"], repeat("degree")))
-            generators = tuple(data["generators"])
+            generators = data["generators"]
+            if not isinstance(generators, list):
+                raise MalformedOracleError("generators must be a list of ids")
             products = {}
             for key, terms in data["products"].items():
                 g, _, bid = key.partition("|")
@@ -236,7 +238,7 @@ class CohomologyOracle:
             raise MalformedOracleError(f"wrong shape: {exc!r}") from None
         if not all(isinstance(g, str) for g in generators):
             raise MalformedOracleError("generator ids must be strings")
-        return cls(basis, generators, products)
+        return cls(basis, tuple(generators), products)
 
 
 def _id_and_int(entry, key):

@@ -384,9 +384,9 @@ class _Parser:
             if rest:
                 return FreeAlgebraElement.generator(head, rest)
             self.expect("[")
-            _, idx = self.expect("name") if self.peek() == "name" else self.next()
+            idx = self.parse_index_token()
             self.expect("]")
-            return FreeAlgebraElement.generator(head, str(idx))
+            return FreeAlgebraElement.generator(head, idx)
         raise ParseError(f"unknown symbol {name!r}")
 
     def parse_var_indices(self, rest):

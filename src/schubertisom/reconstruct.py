@@ -77,18 +77,20 @@ def recover_cartan(oracle):
     return cartan, frozenset(free)
 
 
-def _descent_masks(oracle):
-    """Yield (v, degree, mask, preds) for each basis id v, bottom-up by degree.
+def _predecessors(oracle):
+    """Yield (v, degree, pairs) for each basis id v, bottom-up by degree: one
+    pair (g, u) per descent g of v, generators in order, with u the unique
+    element of E^{g} such that v is in supp(g*u).
 
-    Bit k of mask is set exactly when v lies in E^{g} for the generator g =
+    v lies in E^{g} exactly when bit k of its mask is set, for g =
     generators[k].  The unit's mask has every bit set; any other v lies in
     E^{g} when some in-edge (h, u), v in supp(h*u), has h != g and u in
     E^{g}.  Every product raises degree by 2 (`validate`), so u's mask is
-    final before v's.  preds[k] is the u of the one in-edge (k, u) with u in
-    E^{g}, or None when there are several.  The product table is inverted
-    once into the in-edges of each id.
+    final before v's.  The product table is inverted once into the in-edges
+    of each id.
     """
-    index = {g: k for k, g in enumerate(oracle.generators)}
+    gens = oracle.generators
+    index = {g: k for k, g in enumerate(gens)}
     into = {bid: [] for bid, _ in oracle.basis}
     for (g, u), terms in oracle.products.items():
         edge = (index[g], u)
@@ -97,6 +99,8 @@ def _descent_masks(oracle):
     clear = [~(1 << k) for k in range(len(index))]
     masks = {}
     for v, degree in sorted(oracle.basis, key=itemgetter(1)):
+        # preds[k]: the u of the one in-edge (k, u) with u in E^{g}, or
+        # None when there are several
         if not degree:
             mask, preds = (1 << len(index)) - 1, {}
         else:
@@ -107,26 +111,6 @@ def _descent_masks(oracle):
                 if m >> k & 1:
                     preds[k] = None if k in preds else u
         masks[v] = mask
-        yield v, degree, mask, preds
-
-
-def descent_set(oracle, v):
-    """The abstract right descent set: generators whose omission drops v,
-    read off v's mask in the one pass of `_descent_masks` over the validated
-    oracle."""
-    if v not in {bid for bid, _ in oracle.basis}:
-        raise MalformedOracleError(f"unknown basis id {v!r}")
-    oracle.validate()
-    mask = next(m for bid, _, m, _ in _descent_masks(oracle) if bid == v)
-    return frozenset(g for k, g in enumerate(oracle.generators) if not mask >> k & 1)
-
-
-def _predecessors(oracle):
-    """Yield (v, degree, pairs) for each basis id v, bottom-up by degree: one
-    pair (g, u) per descent g of v, generators in order, with u the unique
-    element of E^{g} such that v is in supp(g*u)."""
-    gens = oracle.generators
-    for v, degree, mask, preds in _descent_masks(oracle):
         pairs = []
         for k, g in enumerate(gens):
             if mask >> k & 1:
@@ -140,6 +124,17 @@ def _predecessors(oracle):
         if degree and not pairs:
             raise MalformedOracleError(f"basis element {v!r} has no descents")
         yield v, degree, pairs
+
+
+def descent_set(oracle, v):
+    """The abstract right descent set: generators whose omission drops v,
+    read off the `_predecessors` stream of the validated oracle, which stops
+    at v."""
+    oracle.validate()
+    for bid, _, pairs in _predecessors(oracle):
+        if bid == v:
+            return frozenset(g for g, _ in pairs)
+    raise MalformedOracleError(f"unknown basis id {v!r}")
 
 
 def reduced_word_sets(oracle):

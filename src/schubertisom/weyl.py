@@ -59,22 +59,23 @@ def _rows(cartan):
 class WeylElement:
     """A Weyl group element, stored as its vector w(rho).
 
-    `rho` is the tuple of <h_j, w(rho)> over the labels in order.  The
-    canonical word (as label indices) and the inverse vector w^{-1}(rho) are
-    computed on first use and cached.  Build elements with
+    `rho` is the tuple of <h_j, w(rho)> over the labels in order.  The element
+    holds only its context, that vector and its canonical word as label
+    indices, which is computed on first use; the label word, the inverse and
+    the hash are computed from them on each read.  Build elements with
     `element_from_word`, `identity_element` or `simple_reflection`.
     """
 
-    __slots__ = ("cartan", "rho", "_ctx", "_indices", "_word", "_inv", "_hash")
+    __slots__ = ("rho", "_ctx", "_indices")
 
     def __init__(self, ctx, rho, indices=None):
-        self.cartan = ctx.cartan
         self.rho = rho
         self._ctx = ctx
         self._indices = indices
-        self._word = None
-        self._inv = None
-        self._hash = hash(rho)
+
+    @property
+    def cartan(self):
+        return self._ctx.cartan
 
     def __eq__(self, other):
         return (
@@ -84,7 +85,7 @@ class WeylElement:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash(self.rho)
 
     def __repr__(self):
         return f"WeylElement({' '.join(self.canonical_word) or 'e'})"
@@ -110,25 +111,19 @@ class WeylElement:
     @property
     def canonical_word(self):
         """The ShortLex-least reduced word, via greedy least-left-descent."""
-        if self._word is None:
-            labels = self.cartan.labels
-            self._word = tuple(labels[i] for i in self._index_word())
-        return self._word
+        labels = self.cartan.labels
+        return tuple(labels[i] for i in self._index_word())
 
     @property
     def length(self):
         return len(self._index_word())
 
     def _inverse_rho(self):
-        if self._inv is None:
-            ctx = self._ctx
-            self._inv = _apply(ctx.columns, self._index_word()[::-1], ctx.rho)
-        return self._inv
+        ctx = self._ctx
+        return _apply(ctx.columns, self._index_word()[::-1], ctx.rho)
 
     def inverse(self):
-        out = WeylElement(self._ctx, self._inverse_rho())
-        out._inv = self.rho
-        return out
+        return WeylElement(self._ctx, self._inverse_rho())
 
     def apply_to_root(self, coords):
         return _act(_rows(self.cartan), self._index_word(), coords)

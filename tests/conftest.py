@@ -227,7 +227,7 @@ def pairwise_isom_classes(A, max_length):
 
 def support_closure(oracle, J):
     """E^J over the oracle: fixpoint from the unit under generators not in J,
-    one closure per call (`_descent_masks` gives every E^{g} in one pass)."""
+    one closure per call (`reconstruct._predecessors` gives every E^{g} in one pass)."""
     allowed = [g for g in oracle.generators if g not in J]
     closure = {oracle.unit_id}
     frontier = list(closure)

@@ -670,6 +670,13 @@ class TestNormalForm:
         code, _, err = run(capsys, "normal-form", "g1*f2")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["f[+]", "f[(]", "e[]]", "h[,]", "e[+]*f[+]"])
+    def test_bad_bracket_index_exits_2(self, capsys, text):
+        code, out, err = run(capsys, "normal-form", text)
+        assert code == 2
+        assert out == ""
+        assert "expected an index label" in err
+
     def test_rewrite_cap_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(freealg, "REWRITE_CAP", 100)
         code, out, err = run(capsys, "normal-form", "*".join(["e1"] * 5 + ["f1"] * 5))

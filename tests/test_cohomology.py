@@ -275,6 +275,33 @@ class TestOracleExport:
         assert CohomologyOracle.from_json(json.loads(json.dumps(data))) == oracle
 
 
+class TestFromJsonShape:
+    def _data(self):
+        """The JSON of an A2 oracle of s1 s2 with generator ids a and b."""
+        data = export_oracle(element_from_word(A2, ["s1", "s2"]), seed=0).to_json()
+        rename = dict(zip(data["generators"], "ab"))
+        name = lambda bid: rename.get(bid, bid)
+        return {
+            "basis": [{"id": name(b["id"]), "degree": b["degree"]} for b in data["basis"]],
+            "generators": [name(g) for g in data["generators"]],
+            "products": {
+                "|".join(map(name, key.split("|"))): [
+                    {"id": name(t["id"]), "coeff": t["coeff"]} for t in terms
+                ]
+                for key, terms in data["products"].items()
+            },
+        }
+
+    @pytest.mark.parametrize("generators", ["ab", {"a": 0, "b": 1}], ids=["string", "object"])
+    def test_generators_must_be_a_list(self, generators):
+        """A string or object of the right ids once read as the generators."""
+        data = self._data()
+        assert CohomologyOracle.from_json(data).validate().generators == ("a", "b")
+        data["generators"] = generators
+        with pytest.raises(MalformedOracleError, match="generators must be a list"):
+            CohomologyOracle.from_json(data)
+
+
 def _fresh_ids_by_choice(count, seed):
     """Reference: each hex digit of each id by its own rng.choice.  Returns
     the ids and how many ids were drawn, repeats included."""

@@ -326,6 +326,7 @@ class TestParse:
 
     def test_bracket_syntax(self):
         assert parse("f[s1]*h[s2]") == F("s1") * H("s2")
+        assert parse("f[12]*e[01]") == F("12") * E("1")
         assert parse("(a[s1,s2])*e[s1]") == (
             FreeAlgebraElement.scalar(A("s1", "s2")) * E("s1")
         )
@@ -338,6 +339,13 @@ class TestParse:
         ):
             with pytest.raises(ParseError):
                 parse(text)
+
+    @pytest.mark.parametrize("text", ["f[+]", "f[(]", "e[]]", "h[,]", "e[+]*f[+]"])
+    def test_bracket_index_must_be_a_label(self, text):
+        """A bracketed generator index is a name or a number, as in a[s,t];
+        an operator there once parsed as the index None."""
+        with pytest.raises(ParseError, match="expected an index label"):
+            parse(text)
 
     def test_random_round_trip(self, rng):
         for _ in range(30):

@@ -437,10 +437,12 @@ class TestDescentMasks:
 
     @staticmethod
     def _assert_same_error(bad, message):
-        """Both paths reject the corrupted oracle with message, and so does
-        reconstruct."""
+        """Both paths reject the corrupted oracle with message, and so do
+        reconstruct and descent_set past the corruption."""
         assert _raised(_closure_predecessors(bad)) == message
         assert _raised(reconstruct_module._predecessors(bad.validate())) == message
+        with pytest.raises(MalformedOracleError, match=re.escape(message)):
+            descent_set(bad, bad.top_id)
         with pytest.raises(MalformedOracleError, match=re.escape(message)):
             reconstruct(bad)
 

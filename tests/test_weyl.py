@@ -155,6 +155,54 @@ class TestElementFromWord:
             element_from_word(A3, ["s1", "nope"])
 
 
+class TestElementState:
+    """An element holds only its context, its vector and its index word."""
+
+    def test_slots(self):
+        assert weyl.WeylElement.__slots__ == ("rho", "_ctx", "_indices")
+
+    def test_reads_keep_no_memory(self):
+        """Reading the word, length, descents, inverse and hash of every
+        element of A6 keeps nothing on the elements: under 16 B each, where
+        caching the label word and the inverse vector kept about 215 B."""
+        elements = enumerate_elements(type_a(6), 21)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for w in elements:
+                w.canonical_word, w.length, w.left_descents(), w.right_descents()
+                w.inverse(), hash(w)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(elements) == 5040
+        assert grown < 16 * len(elements), f"{grown / len(elements):.0f} B per element"
+
+    def test_equal_and_same_hash_however_built(self):
+        """The walk, element_from_word, multiply, an inverse and a double
+        inverse give equal elements with equal hashes, over two equal
+        matrices."""
+        A, B = type_a(4), type_a(4)
+        assert A == B and A is not B
+        walked = enumerate_elements(A, 10)
+        assert len(set(walked)) == len(walked) == 120
+        for w in walked:
+            word = w.canonical_word
+            half = len(word) // 2
+            built = [
+                element_from_word(B, word),
+                multiply(element_from_word(B, word[:half]), element_from_word(A, word[half:])),
+                element_from_word(B, word[::-1]).inverse(),
+                w.inverse().inverse(),
+            ]
+            for v in built:
+                assert v == w and w == v
+                assert hash(v) == hash(w)
+                assert v.cartan == A and v.canonical_word == word
+
+
 class TestDescents:
     def test_identity_empty(self):
         e = identity_element(A3)
