@@ -23,8 +23,9 @@ from .errors import (
     ZeroAsymmetryError,
 )
 
-# The profile-pruned search costs about as much as the maps it returns,
-# and an edgeless diagram has n! of them, so the rank stays capped.
+# Bounds the rank, not the number of maps listed, which sets the cost: the
+# edgeless rank-12 diagram lists 12! ~ 4.8e8, by extrapolation from rank 9
+# about 1.4 h and well over 100 GB. ROADMAP item 3 would bound the cost.
 AUTOMORPHISM_CAP = 12
 
 

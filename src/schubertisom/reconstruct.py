@@ -126,15 +126,12 @@ def _predecessors(oracle):
         yield v, degree, pairs
 
 
-def descent_set(oracle, v):
-    """The abstract right descent set: generators whose omission drops v,
-    read off the `_predecessors` stream of the validated oracle, which stops
-    at v."""
+def descent_sets(oracle):
+    """The abstract right descent set of every basis id, in the order of the
+    `_predecessors` pass over the validated oracle: the generators whose
+    omission drops it."""
     oracle.validate()
-    for bid, _, pairs in _predecessors(oracle):
-        if bid == v:
-            return frozenset(g for g, _ in pairs)
-    raise MalformedOracleError(f"unknown basis id {v!r}")
+    return {v: frozenset(g for g, _ in pairs) for v, _, pairs in _predecessors(oracle)}
 
 
 def reduced_word_sets(oracle):

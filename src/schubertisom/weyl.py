@@ -233,10 +233,11 @@ def bruhat_leq(u, w):
 
 
 def two_letter_leq(A, s, t, w):
-    """Whether st <= w for s != t in S(w), by the subword property.
+    """Whether st <= w for s, t in S(w), by the subword property.
 
-    If A[s][t] = 0 then st = ts <= w already.  Otherwise st <= w exactly
-    when s appears before t in any (hence the canonical) reduced word.
+    If s = t then st = e <= w.  If A[s][t] = 0 then st = ts <= w already.
+    Otherwise st <= w exactly when s appears before t in any (hence the
+    canonical) reduced word.
     """
     if w.cartan != A:
         raise MixedContextsError()
@@ -246,7 +247,7 @@ def two_letter_leq(A, s, t, w):
         raise NotInSupportError(s)
     if t not in sup:
         raise NotInSupportError(t)
-    if A.entry(s, t) == 0:
+    if s == t or A.entry(s, t) == 0:
         return True
     first_s = word.index(s)
     return t in word[first_s + 1:]

@@ -22,7 +22,7 @@ from schubertisom import (
     validate_cartan,
 )
 from schubertisom.errors import MalformedOracleError
-from schubertisom.reconstruct import descent_set, reduced_word_sets
+from schubertisom.reconstruct import descent_sets, reduced_word_sets
 from schubertisom.cli import main
 
 from conftest import (
@@ -121,7 +121,7 @@ class TestReadersValidate:
     @pytest.mark.parametrize("kind", ["unknown generator", "unknown term", "missing square"])
     def test_corrupted_a2_oracle(self, kind):
         bad, message = _corrupted_a2(kind)
-        for reader in (recover_cartan, reduced_word_sets, reconstruct):
+        for reader in (recover_cartan, reduced_word_sets, descent_sets, reconstruct):
             with pytest.raises(MalformedOracleError, match=re.escape(message)):
                 reader(bad)
 
@@ -180,23 +180,18 @@ class TestIdentity:
 class TestAbstractCombinatorics:
     def test_unit_has_no_descents(self):
         oracle = export_oracle(element_from_word(A2, ["s1", "s2"]))
-        assert descent_set(oracle, oracle.unit_id) == frozenset()
+        assert descent_sets(oracle)[oracle.unit_id] == frozenset()
 
     def test_a2_top_descent(self):
         w = element_from_word(A2, ["s1", "s2"])
         oracle, naming = export_oracle_with_map(w)
         z2 = naming[element_from_word(A2, ["s2"])]
-        assert descent_set(oracle, oracle.top_id) == {z2}
+        assert descent_sets(oracle)[oracle.top_id] == {z2}
 
     def test_longest_element_all_descents(self):
         w0 = element_from_word(A3, ["s3", "s2", "s1", "s3", "s2", "s3"])
         oracle = export_oracle(w0)
-        assert descent_set(oracle, oracle.top_id) == frozenset(oracle.generators)
-
-    def test_unknown_id(self):
-        oracle = export_oracle(element_from_word(A2, ["s1"]))
-        with pytest.raises(MalformedOracleError):
-            descent_set(oracle, "nope")
+        assert descent_sets(oracle)[oracle.top_id] == frozenset(oracle.generators)
 
     def test_descents_match_concrete(self, rng):
         for _ in range(15):
@@ -207,9 +202,10 @@ class TestAbstractCombinatorics:
                 s: naming[element_from_word(A, [s])]
                 for s in set(w.canonical_word)
             }
-            for v, bid in naming.items():
-                expected = {gen_of[s] for s in v.right_descents()}
-                assert descent_set(oracle, bid) == expected
+            assert descent_sets(oracle) == {
+                bid: {gen_of[s] for s in v.right_descents()}
+                for v, bid in naming.items()
+            }
 
     def test_closure_of_all_generators(self):
         oracle = export_oracle(element_from_word(A2, ["s1", "s2", "s1"]))
@@ -426,8 +422,28 @@ class TestDescentMasks:
         oracle = export_oracle(element_from_word(A, word), seed=len(word)).validate()
         expected = list(_closure_predecessors(oracle))
         assert list(reconstruct_module._predecessors(oracle)) == expected
-        for v, _, pairs in expected[:: max(1, len(expected) // 40)]:
-            assert descent_set(oracle, v) == {g for g, _ in pairs}
+        descents = descent_sets(oracle)
+        assert list(descents) == [v for v, _, _ in expected]
+        assert descents == {v: {g for g, _ in pairs} for v, _, pairs in expected}
+
+    def test_descent_sets_validate_once_and_make_one_pass(self, monkeypatch):
+        """Every id's descents of w0 of A4 come from one validation and one
+        `_predecessors` pass, not one of each per id."""
+        A4 = type_a(4)
+        word = [f"s{j}" for i in range(4, 0, -1) for j in range(1, i + 1)]
+        oracle = export_oracle(element_from_word(A4, word))
+        validations, passes = [], []
+        validate = CohomologyOracle.validate
+        predecessors = reconstruct_module._predecessors
+        monkeypatch.setattr(
+            CohomologyOracle, "validate", lambda o: validations.append(o) or validate(o)
+        )
+        monkeypatch.setattr(
+            reconstruct_module, "_predecessors", lambda o: passes.append(o) or predecessors(o)
+        )
+        descents = descent_sets(oracle)
+        assert len(descents) == 120
+        assert validations == [oracle] and passes == [oracle]
 
     def _oracle(self):
         A3 = type_a(3)
@@ -438,11 +454,11 @@ class TestDescentMasks:
     @staticmethod
     def _assert_same_error(bad, message):
         """Both paths reject the corrupted oracle with message, and so do
-        reconstruct and descent_set past the corruption."""
+        reconstruct and descent_sets."""
         assert _raised(_closure_predecessors(bad)) == message
         assert _raised(reconstruct_module._predecessors(bad.validate())) == message
         with pytest.raises(MalformedOracleError, match=re.escape(message)):
-            descent_set(bad, bad.top_id)
+            descent_sets(bad)
         with pytest.raises(MalformedOracleError, match=re.escape(message)):
             reconstruct(bad)
 

@@ -304,6 +304,19 @@ class TestTwoLetter:
                     st = element_from_word(A, [s, t])
                     assert two_letter_leq(A, s, t, w) == bruhat_leq(st, w)
 
+    def test_equal_letters_match_bruhat(self, rng):
+        """s s = e lies below every w, whatever the word: over A2 with labels
+        a, b, both a b and a b a hold a a."""
+        ab = validate_cartan([[2, -1], [-1, 2]], ["a", "b"])
+        for word in (["a", "b"], ["a", "b", "a"]):
+            assert two_letter_leq(ab, "a", "a", element_from_word(ab, word))
+        for _ in range(30):
+            A = random_cartan(rng)
+            w = element_from_word(A, random_word(rng, A))
+            for s in support(w):
+                ss = element_from_word(A, [s, s])
+                assert two_letter_leq(A, s, s, w) == bruhat_leq(ss, w)
+
 
 class TestInterval:
     def test_identity(self):
