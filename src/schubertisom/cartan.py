@@ -227,7 +227,7 @@ def search_injections(source, target):
     and into it.  Labels are mapped in the order given, each to its
     same-profile targets in the target's order, and a pair is checked as
     soon as both its labels are mapped.  The search runs only as far as
-    its caller reads.
+    its caller reads, in one loop with no depth limit.
     """
     (labels, pairs), (images, image_pairs) = source, target
     if len(pairs) != len(image_pairs):
@@ -259,27 +259,30 @@ def search_injections(source, target):
             checks[position[s]].append((t, v, True))
         elif position[s] < position[t]:
             checks[position[t]].append((s, v, False))
-    yield from _extend(0, labels, candidates, checks, image_pairs.get, {}, set())
-
-
-def _extend(i, labels, candidates, checks, get, sigma, used):
-    """Yield a copy of each passing extension of sigma from labels[i] on."""
-    if i == len(labels):
-        yield dict(sigma)
-        return
-    s = labels[i]
-    for t in candidates[i]:
-        if t in used:
-            continue
-        for r, v, outgoing in checks[i]:
-            if get((t, sigma[r]) if outgoing else (sigma[r], t)) != v:
-                break
+    sigma, used, get = {}, set(), image_pairs.get
+    untried = [iter(candidates[0])] if labels else []  # level i: labels[i]'s candidates left
+    if not labels:
+        yield {}
+    while untried:
+        i = len(untried) - 1
+        if labels[i] in sigma:
+            used.discard(sigma.pop(labels[i]))
+        for t in untried[i]:
+            if t not in used:
+                for r, v, outgoing in checks[i]:
+                    if get((t, sigma[r]) if outgoing else (sigma[r], t)) != v:
+                        break
+                else:
+                    break
         else:
-            sigma[s] = t
-            used.add(t)
-            yield from _extend(i + 1, labels, candidates, checks, get, sigma, used)
-            del sigma[s]
-            used.discard(t)
+            untried.pop()
+            continue
+        sigma[labels[i]] = t
+        used.add(t)
+        if i + 1 < len(labels):
+            untried.append(iter(candidates[i + 1]))
+        else:
+            yield dict(sigma)
 
 
 def _automorphisms(labels, table):

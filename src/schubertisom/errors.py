@@ -87,7 +87,7 @@ class EnumerationCapExceededError(SchubertError):
 class RewriteCapExceededError(SchubertError):
     def __init__(self, cap):
         super().__init__(
-            f"normal form needs more than {cap} monomial additions (rewrite cap {cap})"
+            f"normal form needs more than {cap} monomial symbols (rewrite cap {cap})"
         )
         self.cap = cap
 

@@ -22,9 +22,9 @@ from collections import defaultdict
 
 from .errors import RewriteCapExceededError, SchubertError, UnknownLabelError
 
-# Monomial additions `eta` may make.  e1^k*f1^k needs about 2.2 times as
-# many for each step in k: 196,273 at k = 12 and 425,595 at k = 13.
-REWRITE_CAP = 250_000
+# Symbols `eta` may store, each addition charged its monomial's length, so
+# the cap bounds the work: e1^k*f1^k needs 3,385,976 at k = 12, 7,972,093 at 13.
+REWRITE_CAP = 5_000_000
 
 
 class ParseError(SchubertError):
@@ -249,12 +249,12 @@ def eta(tau):
     does not change the result.
     """
     pending = defaultdict(dict)  # inversion count -> {monomial: coefficient}
-    additions = 0
+    stored = 0
 
     def add(mono, poly):
-        nonlocal additions
-        additions += 1
-        if additions > REWRITE_CAP:
+        nonlocal stored
+        stored += len(mono)
+        if stored > REWRITE_CAP:
             raise RewriteCapExceededError(REWRITE_CAP)
         terms = pending[_inversions(mono)]
         terms[mono] = terms[mono] + poly if mono in terms else poly
@@ -341,24 +341,27 @@ class _Parser:
     def parse_sum(self, coefficient=False):
         """Signed products joined by + and -.  In a coefficient (inside
         parentheses) only numbers and a-variables may appear."""
-        negate = self.peek() == "-"
-        if negate:
-            self.next()
-        out = self.parse_product(coefficient)
-        if negate:
-            out = -out
-        while self.peek() in ("+", "-"):
+        terms, op = {}, "+"
+        if self.peek() == "-":
             op, _ = self.next()
+        while True:
             term = self.parse_product(coefficient)
-            out = out + (term if op == "+" else -term)
-        return out
+            for mono, coeff in (term if op == "+" else -term).terms.items():
+                terms[mono] = terms[mono] + coeff if mono in terms else coeff
+            if self.peek() not in ("+", "-"):
+                return FreeAlgebraElement(terms)
+            op, _ = self.next()
 
     def parse_product(self, coefficient):
-        out = self.parse_factor(coefficient)
+        """Factors joined by *, multiplied pairwise in order, so that no
+        monomial is recopied once per factor."""
+        factors = [self.parse_factor(coefficient)]
         while self.peek() == "*":
             self.next()
-            out = out * self.parse_factor(coefficient)
-        return out
+            factors.append(self.parse_factor(coefficient))
+        while len(factors) > 1:
+            factors = [a * b for a, b in zip(factors[::2], factors[1::2] + [1])]
+        return factors[0]
 
     def parse_factor(self, coefficient):
         kind = self.peek()

@@ -19,6 +19,8 @@ from schubertisom import (
 from schubertisom.cartan import AUTOMORPHISM_CAP, search_injections
 from schubertisom.errors import (
     DiagonalNotTwoError,
+    InvalidIndexSetError,
+    MalformedCartanError,
     NonSquareError,
     PositiveOffDiagonalError,
     TooLargeError,
@@ -68,6 +70,14 @@ class TestValidate:
     def test_duplicate_labels(self):
         with pytest.raises(ValueError):
             IndexSet(["s1", "s1"])
+
+    def test_unhashable_label(self):
+        with pytest.raises(InvalidIndexSetError):
+            IndexSet([[1]])
+
+    def test_non_integer_entry(self):
+        with pytest.raises(MalformedCartanError, match="integer rows"):
+            CartanMatrix(["a"], [["x"]])
 
     def test_json_round_trip(self):
         data = C3.to_json()

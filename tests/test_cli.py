@@ -669,6 +669,9 @@ class TestNormalForm:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "normal-form", "g1*f2")
         assert code == 2
+        code, out, err = run(capsys, "normal-form", "f1 $ f2")
+        assert (code, out) == (2, "")
+        assert "unexpected character" in err
 
     @pytest.mark.parametrize("text", ["f[+]", "f[(]", "e[]]", "h[,]", "e[+]*f[+]"])
     def test_bad_bracket_index_exits_2(self, capsys, text):

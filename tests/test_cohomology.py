@@ -133,6 +133,8 @@ class TestChevalley:
         itv = interval(element_from_word(A3, ["s1", "s2"]))
         with pytest.raises(UnknownLabelError):
             chevalley_product("s3", identity_element(A3), itv)
+        with pytest.raises(UnknownLabelError):
+            simple_square_closed_form("s3", itv)
 
     def test_not_in_interval(self):
         itv = interval(element_from_word(A3, ["s1", "s2"]))
@@ -301,6 +303,12 @@ class TestFromJsonShape:
         with pytest.raises(MalformedOracleError, match="generators must be a list"):
             CohomologyOracle.from_json(data)
 
+    def test_product_key_needs_a_bar(self):
+        data = self._data()
+        data["products"]["ab"] = data["products"].pop("a|b")
+        with pytest.raises(MalformedOracleError, match="bad product key 'ab'"):
+            CohomologyOracle.from_json(data)
+
 
 def _fresh_ids_by_choice(count, seed):
     """Reference: each hex digit of each id by its own rng.choice.  Returns
@@ -402,6 +410,17 @@ class TestOracleValidation:
             bad.validate()
         with pytest.raises(MalformedOracleError, match="generators repeat an id"):
             reconstruct(bad)
+
+    @pytest.mark.parametrize(
+        "degree, message", [(0, "exactly one degree-0"), (4, "exactly one top-degree")],
+        ids=["unit", "top"],
+    )
+    def test_second_unit_or_top(self, degree, message):
+        """A second id of degree 0, or of the top degree 4, with no products."""
+        o = self._oracle()
+        bad = CohomologyOracle(o.basis + (("z", degree),), o.generators, o.products)
+        with pytest.raises(MalformedOracleError, match=message):
+            bad.validate()
 
 
 class TestValidationFallback:

@@ -240,6 +240,22 @@ class TestCheckEquivalence:
         finally:
             gc.enable()
 
+    def test_no_recursion(self):
+        """The search keeps no frame per support letter: the chain s1 ... s100
+        of A100 matches itself with 60 frames to spare."""
+        w = element_from_word(type_a(100), [f"s{i}" for i in range(1, 101)])
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            wit = check_equivalence(w, w)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert wit.sigma == {s: s for s in w.cartan.labels}
+
 
 class TestTransportInterval:
     def test_identity_witness(self):

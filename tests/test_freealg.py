@@ -92,15 +92,31 @@ _ETA_CHILD = """
 import json, sys, time
 from schubertisom.errors import SchubertError
 from schubertisom.freealg import eta, parse
-k = int(sys.argv[1])
-tau = parse("*".join(["e1"] * k + ["f1"] * k))
+text = sys.stdin.read()
 start = time.perf_counter()
+tau = parse(text)
+parsed = time.perf_counter()
 try:
     result = len(eta(tau).terms)
 except SchubertError as exc:
     result = f"{type(exc).__name__}: {exc}"
-print(json.dumps([result, time.perf_counter() - start]))
+print(json.dumps([result, parsed - start, time.perf_counter() - parsed]))
 """
+
+
+def _eta_in_child(text, timeout):
+    """Parse text and take its normal form in a child interpreter, which is
+    stopped after timeout seconds: (term count or typed error, seconds to
+    parse, seconds in eta), each timed inside the child."""
+    src = str(Path(freealg.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _ETA_CHILD], input=text, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=timeout)
+    return json.loads(done.stdout)
+
+
+def _power_pair(k, s="1", t="1"):
+    """The text of e_s^k * f_t^k."""
+    return "*".join([f"e{s}"] * k + [f"f{t}"] * k)
 
 
 class TestEta:
@@ -156,42 +172,45 @@ class TestEta:
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_e_power_times_f_power_term_count(self, k):
-        tau = parse("*".join(["e1"] * k + ["f1"] * k))
+        tau = parse(_power_pair(k))
         assert len(eta(tau).terms) == 2 ** (k + 1) - 2
 
     def test_no_rewrite_path_blowup(self):
         """e1^7 f1^7 has 254 terms in normal form but far more rewrite paths:
         rewriting path by path took 271 s.  So it runs in a child
         interpreter, timed inside it, and is stopped 20 s past its bound."""
-        src = str(Path(freealg.__file__).resolve().parents[1])
-        done = subprocess.run([sys.executable, "-c", _ETA_CHILD, "7"], env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, check=True, timeout=21)
-        terms, elapsed = json.loads(done.stdout)
+        terms, _, elapsed = _eta_in_child(_power_pair(7), timeout=21)
         assert terms == 2 ** 8 - 2
         assert elapsed < 1, f"took {elapsed:.1f}s"
 
     def test_rewrite_cap_stops_large_inputs(self):
-        """e1^13 f1^13 needs 425,595 monomial additions, past the cap: it
-        fails typed after the first 250,000 (about 2 s) instead of running
+        """e1^13 f1^13 stores 7,972,093 monomial symbols, past the cap: it
+        fails typed after the first 5,000,000 (about 2 s) instead of running
         to the end.  It runs in a child interpreter, as above."""
-        src = str(Path(freealg.__file__).resolve().parents[1])
-        done = subprocess.run([sys.executable, "-c", _ETA_CHILD, "13"], env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, check=True, timeout=28)
-        error, elapsed = json.loads(done.stdout)
+        error, _, elapsed = _eta_in_child(_power_pair(13), timeout=28)
         cap = freealg.REWRITE_CAP
         assert error == (
-            f"RewriteCapExceededError: normal form needs more than {cap} monomial additions "
+            f"RewriteCapExceededError: normal form needs more than {cap} monomial symbols "
             f"(rewrite cap {cap})"
         )
         assert elapsed < 8, f"took {elapsed:.1f}s"
 
+    def test_rewrite_cap_bounds_long_monomials(self):
+        """e1^500 f2^500 is one 1,000-symbol monomial, and each rewrite
+        stores another.  When the cap counted additions, not their length,
+        it took 40 s to fail; charged by length it fails typed within 5 s."""
+        error, _, elapsed = _eta_in_child(_power_pair(500, "1", "2"), timeout=25)
+        assert error.startswith("RewriteCapExceededError: ")
+        assert elapsed < 5, f"took {elapsed:.1f}s"
+
     def test_rewrite_cap_counts_every_addition(self, monkeypatch):
-        """e1^10 f1^10 makes 40,721 additions, the input's one included."""
-        tau = parse("*".join(["e1"] * 10 + ["f1"] * 10))
-        monkeypatch.setattr(freealg, "REWRITE_CAP", 40_720)
-        with pytest.raises(RewriteCapExceededError, match="rewrite cap 40720"):
+        """e1^10 f1^10 stores 582,426 symbols, each addition charged its
+        monomial's length, the input's 20 included."""
+        tau = parse(_power_pair(10))
+        monkeypatch.setattr(freealg, "REWRITE_CAP", 582_425)
+        with pytest.raises(RewriteCapExceededError, match="rewrite cap 582425"):
             eta(tau)
-        monkeypatch.setattr(freealg, "REWRITE_CAP", 40_721)
+        monkeypatch.setattr(freealg, "REWRITE_CAP", 582_426)
         assert len(eta(tau).terms) == 2 ** 11 - 2
 
     def test_violation_detector(self):
@@ -339,6 +358,8 @@ class TestParse:
         ):
             with pytest.raises(ParseError):
                 parse(text)
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse("f1 $ f2")
 
     @pytest.mark.parametrize("text", ["f[+]", "f[(]", "e[]]", "h[,]", "e[+]*f[+]"])
     def test_bracket_index_must_be_a_label(self, text):
@@ -351,3 +372,16 @@ class TestParse:
         for _ in range(30):
             tau = random_element(rng)
             assert parse(str(tau)) == tau
+
+    @pytest.mark.parametrize(
+        "text, terms",
+        [("+".join(f"f{i}" for i in range(20_000)), 20_000), ("*".join(["f1"] * 20_000), 1)],
+        ids=["sum", "product"],
+    )
+    def test_long_input_parses_in_linear_time(self, text, terms):
+        """20,000 terms or factors: rebuilding the sum at each + took 64 s,
+        and recopying the monomial at each * took 10.9 s.  Timed in a child
+        interpreter, as the rewrite tests are."""
+        found, elapsed, _ = _eta_in_child(text, timeout=22)
+        assert found == terms
+        assert elapsed < 2, f"took {elapsed:.1f}s"

@@ -93,6 +93,27 @@ class TestRecoverCartan:
         with pytest.raises(MalformedOracleError):
             recover_cartan(bad)
 
+    def test_ambiguous_support_overlap(self):
+        oracle = _ambiguous_overlap()
+        assert oracle.validate() is oracle
+        message = re.escape("ambiguous support overlap for generators (a, b)")
+        for reader in (recover_cartan, reconstruct):
+            with pytest.raises(MalformedOracleError, match=message):
+                reader(oracle)
+
+
+def _ambiguous_overlap():
+    """An oracle that passes `validate` but whose generators a and b have
+    a^2, b^2, ab and ba all equal to xi_x + xi_y, and a x, b x, a y, b y
+    all equal to xi_t: the overlap of supp(ab) with supp(b^2) has two ids."""
+    both, top = (("x", 1), ("y", 1)), (("t", 1),)
+    products = {("a", "u"): (("a", 1),), ("b", "u"): (("b", 1),)}
+    for g in "ab":
+        products.update({(g, "a"): both, (g, "b"): both, (g, "t"): ()})
+        products.update({(g, "x"): top, (g, "y"): top})
+    basis = (("u", 0), ("a", 2), ("b", 2), ("x", 4), ("y", 4), ("t", 6))
+    return CohomologyOracle(basis, ("a", "b"), products)
+
 
 def _corrupted_a2(kind):
     """A valid oracle of s1 s2 in A2 with one defect, and the message that

@@ -282,6 +282,8 @@ class TestTwoLetter:
         w = element_from_word(A3, ["s1"])
         with pytest.raises(NotInSupportError):
             two_letter_leq(A3, "s1", "s2", w)
+        with pytest.raises(NotInSupportError):
+            two_letter_leq(A3, "s2", "s1", w)
 
     def test_element_of_another_matrix(self):
         """s2 s1 in A3 has s1 s2 not below it; read against the edgeless
@@ -611,6 +613,11 @@ class TestCoverReflection:
             cover_reflection(
                 identity_element(A2), element_from_word(A2, ["s1", "s2"])
             )
+
+    def test_mixed_contexts(self):
+        """e <| s1 in A3, but s1 is taken over C3."""
+        with pytest.raises(MixedContextsError):
+            cover_reflection(identity_element(A3), element_from_word(C3, ["s1"]))
 
     def test_reflection_properties(self, rng):
         for _ in range(10):
