@@ -134,17 +134,26 @@ def transport_interval(witness):
     return {v: target.elements[q] for v, q in zip(source, image)}
 
 
-def _renamed_entries(named, entries):
-    """The constrained entries {(i, j): a} under the naming `named` (letters
-    in naming order), as a sorted tuple of (name of i, name of j, a)."""
-    rank = {i: name for name, i in enumerate(named)}
-    return tuple(sorted((rank[i], rank[j], a) for (i, j), a in entries.items()))
+def _least_entries(word, namings, entries):
+    """The least constrained entries (x, y, A[n[x]][n[y]]) of a connected
+    element with least renamed right-read word `word`, over `namings` (each
+    its letters in naming order), x then y ascending, so sorted.  By the
+    subword property (Bjorner-Brenti, Thm 2.2.2) all reduced words have the
+    same constrained pairs: (x, y) is one when its entry is 0 or y first
+    occurs in `word` before x last does, that is when y is below reach[x],
+    the number of names seen before the last x.
+    """
+    reach, seen = [0] * len(word), 0
+    for x in word:
+        reach[x] = seen
+        seen += x == seen
+    return min(tuple([(x, y, row[j]) for x, row in enumerate([entries[i] for i in named])
+                      for y, j in enumerate(named) if y != x and (y < reach[x] or not row[j])])
+               for named in namings)
 
 
-def _component_key(w, letters, length, entries):
-    """The key of the factor of w on one component, as label indices: the
-    factor has `length` letters, and `entries` maps its constrained index
-    pairs to A.
+def _component_key(w, letters):
+    """The key of the factor of w on one component, as label indices.
 
     Breadth first over the left descents of w^-1 inside the component, that
     is over reduced words of w read from their right end: a state is
@@ -152,13 +161,13 @@ def _component_key(w, letters, length, entries):
     least named descent, or, if no descent is named yet, the next new name,
     reached by every unnamed descent.  Only the states whose symbol is least
     survive each step, so they all share the least renamed word.  The
-    entries tie-break is the least over the distinct surviving namings,
-    each renamed once.
+    entries tie-break is read off that word under each distinct surviving
+    naming (`_least_entries`).
     """
     columns = w._ctx.columns
     states = {(w._inverse_rho(), ())}
     word = []
-    for _ in range(length):
+    for _ in range(sum(i in letters for i in w._index_word())):
         best, chosen = len(letters), []
         for v, named in states:
             for symbol, i in enumerate(named):
@@ -182,9 +191,7 @@ def _component_key(w, letters, length, entries):
                     x[j] -= c * a
                 states.add((tuple(x), after))
         word.append(best)
-
-    namings = {named for _, named in states}
-    return tuple(word), min(_renamed_entries(named, entries) for named in namings)
+    return tuple(word), _least_entries(word, {n for _, n in states}, w.cartan.entries)
 
 
 def canonical_key(w):
@@ -226,29 +233,21 @@ def canonical_key(w):
     onto components, and witnesses of the factors combine into one of w.
     The key of w is therefore (length, sorted keys of the factors), which
     avoids the k! namings of k commuting letters.  `_component_key` finds
-    the key of each factor by a search that starts at w^-1(rho).
+    each factor's least renamed word by a search from w^-1(rho) and reads
+    the entries off it (`_least_entries`).
 
     This is the path for one element.  `isom_classes` gets the same keys
     for all of W up to a length from `_keys`, one recurrence over the walk.
     """
-    sup, constraints = _constraints(w)
     word = w._index_word()
-    keys = [
-        _component_key(
-            w,
-            letters,
-            sum(i in letters for i in word),
-            {(i, j): a for (i, j), a in constraints.items() if i in letters and j in letters},
-        )
-        for letters in _components(w.cartan.entries, sup)
-    ]
-    return len(word), tuple(sorted(keys))
+    components = _components(w.cartan.entries, sorted(set(word)))
+    return len(word), tuple(sorted(_component_key(w, letters) for letters in components))
 
 
 def _keys(elements):
     """`canonical_key` of each of `elements`, which must be all of W up to
     some length in (length, ShortLex) order, as `enumerate_elements` gives
-    it.  Equal keys are one object.
+    it.  Equal keys are one object, and so are equal entries (x, y, a).
 
     Read right to left, the reduced words of v != e ending a reading with
     the letter j are those of u = s_j v, for each left descent j of v,
@@ -260,17 +259,17 @@ def _keys(elements):
     O(rank) column update of v(rho), so (M, N) are kept for the previous
     length only, in a dict keyed by vector.
 
-    A connected v takes (length, ((M(v), least renamed entries over
-    N(v)),)).  A disconnected v takes (length, sorted factor keys), as
-    `canonical_key` does.  The factor on a component is a connected element
-    of the walk, and its canonical word is v's canonical word cut to the
-    component: the greedy least left descent of v, when it lies in the
-    component, is the least one of the factor.  So the factor is found by
-    bisection among the elements of its length.  The namings of k commuting
-    letters number k!, so (M, N) are built only where they are used: for
-    connected elements, and for the disconnected ones that a connected
-    element reaches through disconnected predecessors.  Those are marked
-    top down, one length at a time, before the bottom-up pass.
+    A connected v takes (length, ((M(v), E(v)),)), E(v) read off M(v) under
+    N(v) by `_least_entries`.  A disconnected v takes (length, sorted factor
+    keys), as `canonical_key` does.  The factor on a component is a
+    connected element of the walk, and its canonical word is v's canonical
+    word cut to the component: the greedy least left descent of v, when it
+    lies in the component, is the least one of the factor.  So the factor
+    is found by bisection among the elements of its length.  The namings of
+    k commuting letters number k!, so (M, N) are built only where they are
+    used: for connected elements, and for the disconnected ones that a
+    connected element reaches through disconnected predecessors.  Those are
+    marked top down, one length at a time, before the bottom-up pass.
     """
     ctx = elements[0]._ctx
     columns, entries, rho = ctx.columns, ctx.cartan.entries, ctx.rho
@@ -293,7 +292,12 @@ def _keys(elements):
             x = elements[p].rho
             if need[p] or x in marked:
                 need[p] = True
-                below.update(_apply(columns, (j,), x) for j, c in enumerate(x) if c < 0)
+                for j, c in enumerate(x):
+                    if c < 0:
+                        u = list(x)
+                        for i, a in columns[j]:
+                            u[i] -= c * a
+                        below.add(tuple(u))
         marked = below
 
     keys = [(0, ())]
@@ -302,13 +306,15 @@ def _keys(elements):
     for length in range(1, len(starts) - 1):
         previous, current = current, {}
         for p in range(starts[length], starts[length + 1]):
-            v = elements[p]
-            x = v.rho
+            x = elements[p].rho
             if need[p]:
                 best, sources = None, []
                 for j, c in enumerate(x):
                     if c < 0:
-                        m, namings = previous[_apply(columns, (j,), x)]
+                        u = list(x)
+                        for i, a in columns[j]:
+                            u[i] -= c * a
+                        m, namings = previous[tuple(u)]
                         if best is None or m < best:
                             best, sources = m, [(j, namings)]
                         elif m == best:
@@ -324,12 +330,12 @@ def _keys(elements):
                 m = best + (symbol,)
                 current[x] = m, tuple(reached)
             if len(parts[p]) == 1:
-                constraints = _constraints(v)[1]
-                key = length, ((m, min(_renamed_entries(n, constraints) for n in reached)),)
+                least = _least_entries(m, reached, entries)
+                key = length, ((m, tuple(map(interned.setdefault, least, least))),)
             else:
                 factors = []
                 for letters in parts[p]:
-                    cut = tuple(i for i in v._index_word() if i in letters)
+                    cut = tuple(i for i in elements[p]._index_word() if i in letters)
                     lo, hi = starts[len(cut)], starts[len(cut) + 1]
                     q = bisect_left(elements, cut, lo, hi, key=WeylElement._index_word)
                     factors.append(keys[q][1][0])
@@ -343,16 +349,10 @@ def isom_classes(A, max_length, max_elements=weyl.DEFAULT_ELEMENT_CAP):
 
     Elements are grouped by `canonical_key`, one key per element and no
     pairwise checks.  `_keys` computes all of them in one pass over the
-    walk instead of one search per element: the least right-read renamed
-    word of v is the least over its left descents j of that of s_j v, one
-    length shorter, extended by the name of j under the namings that reach
-    it.  Those namings are kept for the previous length only, and are built
-    only for connected elements and the disconnected ones below them along
-    such steps, which a top-down pass marks first; a disconnected element
-    takes the keys of its factors.  The elements are enumerated in
-    (length, ShortLex) order and a dict keeps its insertion order, so
-    members come out in that order and classes come out sorted by their
-    least member.
+    walk, each key's word from one a length shorter and its entries from
+    that word.  Elements come in (length, ShortLex) order and a dict keeps
+    its insertion order, so members come out in that order and classes come
+    out sorted by their least member.
     """
     elements = enumerate_elements(A, max_length, max_elements)
     classes = {}

@@ -159,6 +159,38 @@ def reduced_words(w):
     return words_of(w)
 
 
+def brute_force_key(w):
+    """Reference: `canonical_key` by its definition, over all of Red(w).
+
+    The support is split into the components of the graph A[s][t] != 0.
+    On each component, each reduced word of w is cut to the component's
+    letters and read from its right end; its letters are renamed 0, 1, ...
+    by first occurrence, and the pairs (s, t) with st <= w
+    (`two_letter_leq`) are renamed along with it, each carrying A[s][t].
+    The factor's key is the least (renamed word, sorted renamed entries);
+    w's key is (length, sorted factor keys).  Its cost is |Red(w)|."""
+    A = w.cartan
+    components = []
+    for s in sorted(support(w), key=A.index_set.index):
+        linked = [c for c in components if any(A.entry(s, t) for t in c)]
+        components = [c for c in components if c not in linked] + [{s}.union(*linked)]
+    keys = []
+    for letters in components:
+        pairs = [(s, t) for s in letters for t in letters
+                 if s != t and two_letter_leq(A, s, t, w)]
+        candidates = []
+        for word in reduced_words(w):
+            read = [s for s in reversed(word) if s in letters]
+            name = {}
+            for s in read:
+                name.setdefault(s, len(name))
+            renamed = tuple(name[s] for s in read)
+            entries = tuple(sorted((name[s], name[t], A.entry(s, t)) for s, t in pairs))
+            candidates.append((renamed, entries))
+        keys.append(min(candidates))
+    return w.length, tuple(sorted(keys))
+
+
 def bfs_enumerate_elements(A, max_length, max_elements=DEFAULT_ELEMENT_CAP):
     """Reference: the elements of length at most max_length, found breadth
     first by left multiplication with a `seen` set, then sorted by (length,

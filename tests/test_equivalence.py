@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -38,11 +39,13 @@ from conftest import (
     A2,
     A2_AFFINE,
     A3,
+    B3,
     B4,
     C3,
     D4,
     G2,
     H3,
+    brute_force_key,
     pairwise_isom_classes,
     random_cartan,
     random_word,
@@ -640,20 +643,36 @@ class TestWalkKeys:
     def test_matches_canonical_key_on_affine(self, A, max_length):
         _assert_walk_keys_match(A, max_length)
 
+    def test_matches_brute_force_key(self):
+        """The definition over every reduced word, on A3, A4, B3, G2 and H3
+        and on seeded random rank 2-4 matrices."""
+        cases = [(A3, 6), (type_a(4), 10), (B3, 9), (G2, 6), (H3, 5)]
+        rng = random.Random(20261021)
+        cases += [(random_cartan(rng, max_rank=4), 5) for _ in range(15)]
+        checked = 0
+        for A, max_length in cases:
+            elements = enumerate_elements(A, max_length)
+            for w, key in zip(elements, equivalence._keys(elements)):
+                assert brute_force_key(w) == key == canonical_key(w), w
+            checked += len(elements)
+        assert checked > 1_000
+
     def test_equal_keys_are_one_object(self):
         elements = enumerate_elements(type_a(4), 10)
         keys = equivalence._keys(elements)
         assert len({id(key) for key in keys}) == len(set(keys)) == 54
+        triples = [t for key in keys for _, entries in key[1] for t in entries]
+        assert len({id(t) for t in triples}) == len(set(triples))
 
     @pytest.mark.parametrize(
         "A, max_length, count, classes, bound",
         [
-            (_edgeless(12), 12, 4_096, 13, 2.0),  # about 0.2 s; 0.3-0.4 s by one search each
-            (_star(6), 7, 7_085, 102, 5.0),  # about 0.5 s; 0.9-1.2 s by one search each
+            (_edgeless(12), 12, 4_096, 13, 2.0),  # about 0.2 s; 0.35-0.4 s by one search each
+            (_star(6), 7, 7_085, 102, 5.0),  # 0.35-0.45 s; 0.75-1.1 s by one search each
             (
                 validate_cartan([[2 if i == j else -2 for j in range(4)] for i in range(4)],
                                 [f"s{i}" for i in range(4)]),
-                8, 13_121, 552, 5.0,  # about 0.3 s; 0.4-0.6 s by one search each
+                8, 13_121, 552, 5.0,  # about 0.25 s; 0.6-0.7 s by one search each
             ),
         ],
         ids=["edgeless12", "star6", "all-2-rank4"],
@@ -683,6 +702,22 @@ class TestWalkKeys:
             assert len(isom_classes(type_a(6), 21)) == 2_114
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_second_call_peak_memory(self):
+        """The traced peak of a second call on all of A6 is 1.8-2.0 MiB on
+        Python 3.10-3.12, since equal entries (x, y, a) are shared across
+        keys (5.3-5.4 MiB when each key held its own).  A table kept for the
+        whole call, one list of constrained pairs per least word, takes it
+        to 5.3 MiB and breaks the bound."""
+        A = type_a(6)
+        isom_classes(A, 21)
+        tracemalloc.start()
+        try:
+            assert len(isom_classes(A, 21)) == 2_114
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_leaves_no_cyclic_garbage(self):
         gc.collect()
