@@ -98,9 +98,19 @@ def simple_square_closed_form(t, itv):
     return SchubertClass(itv, coeffs)
 
 
+def _label_set(J, itv):
+    """The labels of J as a set.  A label the interval's Cartan matrix does
+    not have raises UnknownLabelError; a string J is read as its characters."""
+    J = tuple(J)
+    for s in J:
+        if s not in itv.cartan.index_set:
+            raise UnknownLabelError(s)
+    return set(J)
+
+
 def minimal_coset_reps(J, itv):
     """W^J restricted to the interval: elements with no right descent in J."""
-    J = set(J)
+    J = _label_set(J, itv)
     return frozenset(u for u in itv if not (u.right_descents() & J))
 
 
@@ -114,7 +124,7 @@ def support_closure(J, itv):
     entry at an allowed index.
     """
     index = itv.cartan.index_set.index
-    allowed = [index(s) for s in weyl.support(itv.top) - set(J)]
+    allowed = [index(s) for s in weyl.support(itv.top) - _label_set(J, itv)]
     reached = [False] * len(itv)
     reached[0] = True
     for p, covers in enumerate(itv.up):

@@ -152,17 +152,18 @@ def _least_entries(word, namings, entries):
                for named in namings)
 
 
-def _component_key(w, letters):
-    """The key of the factor of w on one component, as label indices.
+def _least_word(w, letters):
+    """(M, N) of the factor of w on `letters`, as label indices: its least
+    renamed right-read word M and the namings N that reach M, each its
+    letters in naming order.
 
-    Breadth first over the left descents of w^-1 inside the component, that
-    is over reduced words of w read from their right end: a state is
+    Breadth first over the left descents of w^-1 inside `letters`, that is
+    over reduced words of w read from their right end: a state is
     (remaining vector, letters in naming order).  Its next symbol is its
     least named descent, or, if no descent is named yet, the next new name,
     reached by every unnamed descent.  Only the states whose symbol is least
-    survive each step, so they all share the least renamed word.  The
-    entries tie-break is read off that word under each distinct surviving
-    naming (`_least_entries`).
+    survive each step, so they all share the least renamed word, and their
+    namings are N.
     """
     columns = w._ctx.columns
     states = {(w._inverse_rho(), ())}
@@ -191,7 +192,7 @@ def _component_key(w, letters):
                     x[j] -= c * a
                 states.add((tuple(x), after))
         word.append(best)
-    return tuple(word), _least_entries(word, {n for _, n in states}, w.cartan.entries)
+    return tuple(word), {n for _, n in states}
 
 
 def canonical_key(w):
@@ -232,16 +233,17 @@ def canonical_key(w):
     entry 0 both ways.  A witness keeps that graph, so it maps components
     onto components, and witnesses of the factors combine into one of w.
     The key of w is therefore (length, sorted keys of the factors), which
-    avoids the k! namings of k commuting letters.  `_component_key` finds
-    each factor's least renamed word by a search from w^-1(rho) and reads
-    the entries off it (`_least_entries`).
-
-    This is the path for one element.  `isom_classes` gets the same keys
-    for all of W up to a length from `_keys`, one recurrence over the walk.
+    avoids the k! namings of k commuting letters.  A factor's key is its
+    least renamed word and the entries read off it (`_least_word`, then
+    `_least_entries`).  This is the path for one element; `isom_classes`
+    keys all of W up to a length by one recurrence over the walk (`_keys`).
     """
-    word = w._index_word()
-    components = _components(w.cartan.entries, sorted(set(word)))
-    return len(word), tuple(sorted(_component_key(w, letters) for letters in components))
+    word, entries = w._index_word(), w.cartan.entries
+    factors = []
+    for letters in _components(entries, sorted(set(word))):
+        m, namings = _least_word(w, letters)
+        factors.append((m, _least_entries(m, namings, entries)))
+    return len(word), tuple(sorted(factors))
 
 
 def _keys(elements):
@@ -249,27 +251,27 @@ def _keys(elements):
     some length in (length, ShortLex) order, as `enumerate_elements` gives
     it.  Equal keys are one object, and so are equal entries (x, y, a).
 
-    Read right to left, the reduced words of v != e ending a reading with
-    the letter j are those of u = s_j v, for each left descent j of v,
-    followed by j.  So M(v), the least renamed right-read word, is the least
-    M(u) + (symbol of j,) over the left descents j and the namings n in
-    N(u), the namings that reach M(u); the symbol of j is n.index(j) when j
-    is in n, else len(n), and n grows by j when j is new.  N(v) holds the
-    namings that reach M(v).  u is one length shorter and comes from the
-    O(rank) column update of v(rho), so (M, N) are kept for the previous
-    length only, in a dict keyed by vector.
+    One bottom-up pass, one length at a time.  Read right to left, the
+    reduced words of v != e ending a reading with the letter j are those of
+    u = s_j v, for each left descent j of v, followed by j.  So M(v), the
+    least renamed right-read word, is the least M(u) + (symbol of j,) over
+    the left descents j and the namings n in N(u), the namings that reach
+    M(u); the symbol of j is n.index(j) when j is in n, else len(n), and n
+    grows by j when j is new.  N(v) holds the namings that reach M(v).  u is
+    one length shorter and comes from the O(rank) column update of v(rho),
+    so (M, N) are kept for the previous length only, in a dict keyed by
+    vector.  A connected v runs that recurrence and takes
+    (length, ((M(v), E(v)),)), E(v) read off M(v) under N(v) by
+    `_least_entries`.  A predecessor missing from the dict is disconnected;
+    its (M, N) come from `_least_word` and stay in the dict for that length.
 
-    A connected v takes (length, ((M(v), E(v)),)), E(v) read off M(v) under
-    N(v) by `_least_entries`.  A disconnected v takes (length, sorted factor
-    keys), as `canonical_key` does.  The factor on a component is a
-    connected element of the walk, and its canonical word is v's canonical
-    word cut to the component: the greedy least left descent of v, when it
-    lies in the component, is the least one of the factor.  So the factor
-    is found by bisection among the elements of its length.  The namings of
-    k commuting letters number k!, so (M, N) are built only where they are
-    used: for connected elements, and for the disconnected ones that a
-    connected element reaches through disconnected predecessors.  Those are
-    marked top down, one length at a time, before the bottom-up pass.
+    A disconnected v builds no namings (k commuting letters have k! of
+    them) and takes (length, sorted factor keys), as `canonical_key` does.
+    The factor on a component is a connected element of the walk, and its
+    canonical word is v's cut to the component: the greedy least left
+    descent of v, when it lies in the component, is the least one of the
+    factor.  So the factor is found by bisection among the elements of its
+    length.
     """
     ctx = elements[0]._ctx
     columns, entries, rho = ctx.columns, ctx.cartan.entries, ctx.rho
@@ -284,22 +286,6 @@ def _keys(elements):
         parts.append(split[sup])
     starts.append(len(elements))
 
-    need = [len(components) == 1 for components in parts]
-    marked = set()
-    for length in range(len(starts) - 2, 0, -1):
-        below = set()
-        for p in range(starts[length], starts[length + 1]):
-            x = elements[p].rho
-            if need[p] or x in marked:
-                need[p] = True
-                for j, c in enumerate(x):
-                    if c < 0:
-                        u = list(x)
-                        for i, a in columns[j]:
-                            u[i] -= c * a
-                        below.add(tuple(u))
-        marked = below
-
     keys = [(0, ())]
     interned = {}
     previous, current = {}, {rho: ((), ((),))}
@@ -307,14 +293,17 @@ def _keys(elements):
         previous, current = current, {}
         for p in range(starts[length], starts[length + 1]):
             x = elements[p].rho
-            if need[p]:
+            if len(parts[p]) == 1:
                 best, sources = None, []
                 for j, c in enumerate(x):
                     if c < 0:
                         u = list(x)
                         for i, a in columns[j]:
                             u[i] -= c * a
-                        m, namings = previous[tuple(u)]
+                        u = tuple(u)
+                        if u not in previous:
+                            previous[u] = _least_word(WeylElement(ctx, u), range(len(u)))
+                        m, namings = previous[u]
                         if best is None or m < best:
                             best, sources = m, [(j, namings)]
                         elif m == best:
@@ -329,7 +318,6 @@ def _keys(elements):
                             reached.add(named if name < len(named) else named + (j,))
                 m = best + (symbol,)
                 current[x] = m, tuple(reached)
-            if len(parts[p]) == 1:
                 least = _least_entries(m, reached, entries)
                 key = length, ((m, tuple(map(interned.setdefault, least, least))),)
             else:

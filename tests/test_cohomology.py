@@ -176,6 +176,20 @@ class TestSupportClosure:
                 for J in _subsets(sorted(sup), size):
                     assert support_closure(J, itv) == minimal_coset_reps(J, itv)
 
+    @pytest.mark.parametrize("closure", [support_closure, minimal_coset_reps])
+    @pytest.mark.parametrize("J, unknown", [(["zz"], "zz"), ("s1", "s"), (["s1", "s0"], "s0")])
+    def test_unknown_label_raises(self, closure, J, unknown):
+        """A label the matrix lacks is an error, not an empty set: a string
+        J is its characters, so "s1" fails on "s"."""
+        itv = interval(element_from_word(A3, ["s1", "s2", "s3", "s1"]))
+        with pytest.raises(UnknownLabelError) as raised:
+            closure(J, itv)
+        assert raised.value.label == unknown
+
+    @pytest.mark.parametrize("closure", [support_closure, minimal_coset_reps])
+    def test_labels_outside_support_allowed(self, closure):
+        itv = interval(element_from_word(A3, ["s1", "s2"]))
+        assert closure(["s1", "s3"], itv) == closure(["s1"], itv)
 
     def test_matches_closure_of_product_supports(self, rng, monkeypatch):
         """The sweep over positions gives the closure of the Chevalley
