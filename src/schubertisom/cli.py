@@ -318,11 +318,20 @@ _parser = None
 
 def main(argv=None):
     """Run one request and return its exit status, argparse's included:
-    0 for --help, 2 for a usage error."""
+    0 for --help, 2 for a usage error.
+
+    A token "-h<more>" before "--" is a usage error on every Python version:
+    argparse up to 3.12 refuses it, but 3.13 reads "-h1" as "-h -1" and
+    prints the help."""
     global _parser
     if _parser is None:
         _parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    options = argv[:argv.index("--")] if "--" in argv else argv
     try:
+        for arg in options:
+            if arg.startswith("-h") and arg != "-h":
+                _parser.error(f"argument -h/--help: ignored explicit argument {arg[2:]!r}")
         args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code

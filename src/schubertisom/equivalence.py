@@ -134,22 +134,21 @@ def transport_interval(witness):
     return {v: target.elements[q] for v, q in zip(source, image)}
 
 
-def _least_entries(word, namings, entries):
-    """The least constrained entries (x, y, A[n[x]][n[y]]) of a connected
-    element with least renamed right-read word `word`, over `namings` (each
-    its letters in naming order), x then y ascending, so sorted.  By the
-    subword property (Bjorner-Brenti, Thm 2.2.2) all reduced words have the
-    same constrained pairs: (x, y) is one when its entry is 0 or y first
-    occurs in `word` before x last does, that is when y is below reach[x],
-    the number of names seen before the last x.
+def _entries(word, named, entries):
+    """The constrained entries (x, y, A[n[x]][n[y]]) of an element with
+    renamed right-read word `word` under the naming `named` (its letters in
+    naming order), x then y ascending, so sorted.  By the subword property
+    (Bjorner-Brenti, Thm 2.2.2) all reduced words have the same constrained
+    pairs: (x, y) is one when its entry is 0 or y first occurs in `word`
+    before x last does, that is when y is below reach[x], the number of names
+    seen before the last x.
     """
-    reach, seen = [0] * len(word), 0
+    reach, seen = [0] * len(named), 0
     for x in word:
         reach[x] = seen
         seen += x == seen
-    return min(tuple([(x, y, row[j]) for x, row in enumerate([entries[i] for i in named])
-                      for y, j in enumerate(named) if y != x and (y < reach[x] or not row[j])])
-               for named in namings)
+    return tuple([(x, y, row[j]) for x, row in enumerate([entries[i] for i in named])
+                  for y, j in enumerate(named) if y != x and (y < reach[x] or not row[j])])
 
 
 def _least_word(w, letters):
@@ -234,15 +233,16 @@ def canonical_key(w):
     onto components, and witnesses of the factors combine into one of w.
     The key of w is therefore (length, sorted keys of the factors), which
     avoids the k! namings of k commuting letters.  A factor's key is its
-    least renamed word and the entries read off it (`_least_word`, then
-    `_least_entries`).  This is the path for one element; `isom_classes`
-    keys all of W up to a length by one recurrence over the walk (`_keys`).
+    least renamed word and the least entries read off it under the namings
+    that reach it (`_least_word`, then `_entries`).  This is the path for
+    one element; `isom_classes` keys all of W up to a length by one
+    recurrence over the walk (`_keys`).
     """
     word, entries = w._index_word(), w.cartan.entries
     factors = []
     for letters in _components(entries, sorted(set(word))):
         m, namings = _least_word(w, letters)
-        factors.append((m, _least_entries(m, namings, entries)))
+        factors.append((m, min(_entries(m, named, entries) for named in namings)))
     return len(word), tuple(sorted(factors))
 
 
@@ -259,11 +259,26 @@ def _keys(elements):
     M(u); the symbol of j is n.index(j) when j is in n, else len(n), and n
     grows by j when j is new.  N(v) holds the namings that reach M(v).  u is
     one length shorter and comes from the O(rank) column update of v(rho),
-    so (M, N) are kept for the previous length only, in a dict keyed by
-    vector.  A connected v runs that recurrence and takes
-    (length, ((M(v), E(v)),)), E(v) read off M(v) under N(v) by
-    `_least_entries`.  A predecessor missing from the dict is disconnected;
-    its (M, N) come from `_least_word` and stay in the dict for that length.
+    so M, N and the entries E(u, n) of each naming (`_entries`) are kept for
+    the previous length only, in a dict keyed by vector, N and its entries
+    as two parallel tuples; the last length keeps none, as no length
+    follows it.  A connected v takes (length, ((M(v), E(v)),)),
+    E(v) the least E(v, n) over N(v).  A predecessor missing from the dict
+    is disconnected; its M and N come from `_least_word` on that element of
+    the walk, whose canonical word is already built, its entries from
+    `_entries`, and they stay in the dict for that length.
+
+    E(v, n) is spliced from E(u, n_u), where n is n_u, or n_u + (j,) when
+    the symbol s of j is the new name len(n_u).  The constrained pairs
+    (x, y) of a name x depend only on reach[x], the number of names seen
+    before its last occurrence (`_entries`), and appending s changes
+    reach[s] alone, to len(n_u).  So row s becomes full, (s, y,
+    A[n[s]][n[y]]) for every y != s (when it already was, E(u, n_u) is
+    reused as it is), and when s is new, each row x < s gains (x, s, 0)
+    exactly when A[n[x]][j] = 0, since s is not below any reach[x].  Every
+    other entry is E(u, n_u)'s, already interned.  Entry tuples built in
+    one length are stored once per length, so the k! namings of commuting
+    letters share a few tuples.
 
     A disconnected v builds no namings (k commuting letters have k! of
     them) and takes (length, sorted factor keys), as `canonical_key` does.
@@ -288,9 +303,11 @@ def _keys(elements):
 
     keys = [(0, ())]
     interned = {}
-    previous, current = {}, {rho: ((), ((),))}
-    for length in range(1, len(starts) - 1):
-        previous, current = current, {}
+    intern = interned.setdefault
+    current, apart = {rho: ((), ((),), ((),))}, {}
+    last = len(starts) - 2
+    for length in range(1, last + 1):
+        previous, current, shared = current, {}, {}
         for p in range(starts[length], starts[length + 1]):
             x = elements[p].rho
             if len(parts[p]) == 1:
@@ -302,25 +319,49 @@ def _keys(elements):
                             u[i] -= c * a
                         u = tuple(u)
                         if u not in previous:
-                            previous[u] = _least_word(WeylElement(ctx, u), range(len(u)))
-                        m, namings = previous[u]
+                            m, namings = _least_word(apart[u], range(len(u)))
+                            namings = tuple(namings)
+                            tables = [tuple(map(intern, t, t))
+                                      for t in (_entries(m, named, entries) for named in namings)]
+                            previous[u] = m, namings, tuple(map(shared.setdefault, tables, tables))
+                        m, namings, tables = previous[u]
                         if best is None or m < best:
-                            best, sources = m, [(j, namings)]
+                            best, sources = m, [(j, namings, tables)]
                         elif m == best:
-                            sources.append((j, namings))
-                symbol, reached = len(rho), set()
-                for j, namings in sources:
-                    for named in namings:
+                            sources.append((j, namings, tables))
+                symbol, chosen = len(rho), []
+                for j, namings, tables in sources:
+                    for named, table in zip(namings, tables):
                         name = named.index(j) if j in named else len(named)
                         if name <= symbol:
                             if name < symbol:
-                                symbol, reached = name, set()
-                            reached.add(named if name < len(named) else named + (j,))
+                                symbol, chosen = name, []
+                            chosen.append((j, named, table))
+                namings, tables = [], []
+                for j, named, table in chosen:
+                    if symbol < len(named):
+                        lo = bisect_left(table, (symbol,))
+                        hi = bisect_left(table, (symbol + 1,), lo)
+                        if hi - lo == len(named) - 1:
+                            namings.append(named)
+                            tables.append(table)
+                            continue
+                        head, tail = table[:lo], table[hi:]
+                    else:
+                        zeros = [(y, symbol, 0) for y, i in enumerate(named) if not entries[i][j]]
+                        head, tail = sorted([*table, *map(intern, zeros, zeros)]), ()
+                        named += (j,)
+                    row = entries[j]
+                    full = [(symbol, y, row[i]) for y, i in enumerate(named) if y != symbol]
+                    spliced = (*head, *map(intern, full, full), *tail)
+                    namings.append(named)
+                    tables.append(shared.setdefault(spliced, spliced))
                 m = best + (symbol,)
-                current[x] = m, tuple(reached)
-                least = _least_entries(m, reached, entries)
-                key = length, ((m, tuple(map(interned.setdefault, least, least))),)
+                if length < last:
+                    current[x] = m, tuple(namings), tuple(tables)
+                key = length, ((m, min(tables)),)
             else:
+                apart[x] = elements[p]
                 factors = []
                 for letters in parts[p]:
                     cut = tuple(i for i in elements[p]._index_word() if i in letters)
@@ -328,7 +369,7 @@ def _keys(elements):
                     q = bisect_left(elements, cut, lo, hi, key=WeylElement._index_word)
                     factors.append(keys[q][1][0])
                 key = length, tuple(sorted(factors))
-            keys.append(interned.setdefault(key, key))
+            keys.append(intern(key, key))
     return keys
 
 
@@ -337,15 +378,16 @@ def isom_classes(A, max_length, max_elements=weyl.DEFAULT_ELEMENT_CAP):
 
     Elements are grouped by `canonical_key`, one key per element and no
     pairwise checks.  `_keys` computes all of them in one pass over the
-    walk, each key's word from one a length shorter and its entries from
-    that word.  Elements come in (length, ShortLex) order and a dict keeps
-    its insertion order, so members come out in that order and classes come
-    out sorted by their least member.
+    walk, each key's word and entries from one a length shorter.  Equal
+    keys are one object there, so they are grouped by identity, without
+    hashing a key again.  Elements come in (length, ShortLex) order and a
+    dict keeps its insertion order, so members come out in that order and
+    classes come out sorted by their least member.
     """
     elements = enumerate_elements(A, max_length, max_elements)
     classes = {}
     for w, key in zip(elements, _keys(elements)):
-        classes.setdefault(key, []).append(w)
+        classes.setdefault(id(key), []).append(w)
     return list(classes.values())
 
 

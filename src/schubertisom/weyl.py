@@ -111,8 +111,7 @@ class WeylElement:
     @property
     def canonical_word(self):
         """The ShortLex-least reduced word, via greedy least-left-descent."""
-        labels = self.cartan.labels
-        return tuple(labels[i] for i in self._index_word())
+        return tuple(map(self.cartan.labels.__getitem__, self._index_word()))
 
     @property
     def length(self):

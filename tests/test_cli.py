@@ -688,8 +688,9 @@ class TestNormalForm:
         assert "rewrite cap 100" in err
 
     def test_leading_dash_is_a_usage_error(self, capsys):
-        """Without '--', argparse reads '-h1' as its -h option: main returns
-        the usage error's status instead of raising SystemExit."""
+        """Without '--', '-h1' is read as the -h option with an argument on
+        every Python version (3.13's argparse alone would print the help):
+        main returns the usage error's status instead of raising SystemExit."""
         code, out, err = run(capsys, "normal-form", "-h1")
         assert code == 2
         assert out == ""
