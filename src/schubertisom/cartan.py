@@ -25,7 +25,7 @@ from .errors import (
 
 # Bounds the rank, not the number of maps listed, which sets the cost: the
 # edgeless rank-12 diagram lists 12! ~ 4.8e8, by extrapolation from rank 9
-# about 1.4 h and well over 100 GB. ROADMAP item 3 would bound the cost.
+# about 0.5 h and well over 100 GB. ROADMAP item 5 would bound the cost.
 AUTOMORPHISM_CAP = 12
 
 
@@ -224,10 +224,12 @@ def search_injections(source, target):
     with the same value.  So it sends the pairs one to one onto the
     target's (differing counts yield nothing), and each label to one with
     the same profile: its value with itself and the sorted values out of it
-    and into it.  Labels are mapped in the order given, each to its
-    same-profile targets in the target's order, and a pair is checked as
-    soon as both its labels are mapped.  The search runs only as far as
-    its caller reads, in one loop with no depth limit.
+    and into it.  With as many labels as images it also sends the missing
+    pairs onto the missing pairs, so callers leave out zero entries.  Labels
+    are mapped in the order given, each to its same-profile targets in the
+    target's order, and a pair is checked as soon as both its labels are
+    mapped.  The search runs only as far as its caller reads, in one loop
+    with no depth limit.
     """
     (labels, pairs), (images, image_pairs) = source, target
     if len(pairs) != len(image_pairs):
@@ -299,13 +301,12 @@ def graph_automorphisms(G):
     The order is lexicographic in the image tuple relative to the input
     vertex order, so the identity always comes first.
     """
-    labels = G.vertices.labels
-    table = {(s, t): G.has_edge(s, t) for s in labels for t in labels}
-    return _automorphisms(labels, table)
+    table = {(s, t): True for edge in G.edges for s in edge for t in edge if s != t}
+    return _automorphisms(G.vertices.labels, table)
 
 
 def diagram_automorphisms(A):
     """All vertex bijections preserving every Cartan entry, lexicographically."""
     labels = A.labels
-    table = {(s, t): a for s, row in zip(labels, A.entries) for t, a in zip(labels, row)}
+    table = {(s, t): a for s, row in zip(labels, A.entries) for t, a in zip(labels, row) if a}
     return _automorphisms(labels, table)

@@ -4,10 +4,10 @@ Two pairs are Cartan equivalent when a bijection of supports matches some
 reduced word of w letterwise to a reduced word of w' and matches the Cartan
 entries A[s][t] for every pair with st <= w.  Any reduced word works, so the
 decision procedure searches bijections of supports rather than reduced
-words: `check_equivalence` hands the constrained pairs of both sides to
-`cartan.search_injections`.  Classes are found without any search:
-`canonical_key` is a complete invariant, so `isom_classes` groups elements
-by it.
+words: `check_equivalence` hands the constrained pairs with nonzero entries
+of both sides to `cartan.search_injections`.  Classes are found without any
+search: `canonical_key` is a complete invariant, so `isom_classes` groups
+elements by it.
 """
 
 from bisect import bisect_left
@@ -60,24 +60,20 @@ def _constraints(w):
     """(support, constrained pairs) of w, on label indices.
 
     The support is in ascending index order.  The constrained pairs map
-    (i, j) to A[i][j] over the support pairs with s_i s_j <= w, which holds
-    exactly when A[i][j] = 0 or j occurs after the first i in a reduced word
+    (i, j) to A[i][j] != 0 over the support pairs with s_i s_j <= w, which
+    holds exactly when j occurs after the first i in a reduced word
     (`two_letter_leq`); one pass over the canonical word finds each letter's
-    first and last position.
+    first and last position.  Zero entries are left out (`canonical_key`):
+    each letter's nonzero entries are read off its column, as A[i][j] = 0
+    exactly when A[j][i] = 0, so the walk is O(edges).
     """
     first, last = {}, {}
     for k, i in enumerate(w._index_word()):
         first.setdefault(i, k)
         last[i] = k
-    sup = sorted(first)
-    entries = w.cartan.entries
-    constraints = {}
-    for i in sup:
-        row, after = entries[i], first[i]
-        for j in sup:
-            if j != i and (row[j] == 0 or last[j] > after):
-                constraints[i, j] = row[j]
-    return sup, constraints
+    sup, entries = sorted(first), w.cartan.entries
+    return sup, {(i, j): entries[i][j] for i in sup for j, _ in w._ctx.columns[i]
+                 if last.get(j, -1) > first[i] and j != i}
 
 
 def check_equivalence(w, w_prime):
@@ -85,12 +81,12 @@ def check_equivalence(w, w_prime):
 
     Searches bijections sigma of the supports, on label indices and in
     lexicographic order, that send the constrained pairs of w (st <= w)
-    onto those of w' entry for entry: `search_injections` on the two
-    `_constraints` graphs.  Every witness does so (see `canonical_key`).
-    The first sigma of that stream under which the canonical word of w
-    multiplies to w' is taken: the image word's vector is built in
-    O(n * length) and compared with w'(rho), and the image word is then
-    reduced.  sigma is mapped to labels once, at the end.
+    onto those of w' entry for entry, as every witness does; the nonzero
+    ones imply the rest (`canonical_key`), so `search_injections` runs on
+    the two `_constraints` graphs.  The first sigma of that stream under
+    which the canonical word of w multiplies to w' is taken: the image
+    word's vector is built in O(n * length) and compared with w'(rho), and
+    the image word is then reduced.  sigma goes to labels once, at the end.
     """
     if w.length != w_prime.length:
         return None
@@ -135,12 +131,12 @@ def transport_interval(witness):
 
 
 def _entries(word, named, entries):
-    """The constrained entries (x, y, A[n[x]][n[y]]) of an element with
-    renamed right-read word `word` under the naming `named` (its letters in
-    naming order), x then y ascending, so sorted.  By the subword property
+    """The nonzero constrained entries (x, y, A[n[x]][n[y]]) of an element
+    with renamed right-read word `word` under the naming `named` (its letters
+    in naming order), x then y ascending, so sorted.  By the subword property
     (Bjorner-Brenti, Thm 2.2.2) all reduced words have the same constrained
-    pairs: (x, y) is one when its entry is 0 or y first occurs in `word`
-    before x last does, that is when y is below reach[x], the number of names
+    pairs: one with a nonzero entry is (x, y) with y first occurring in
+    `word` before x last does, that is y below reach[x], the number of names
     seen before the last x.
     """
     reach, seen = [0] * len(named), 0
@@ -148,7 +144,7 @@ def _entries(word, named, entries):
         reach[x] = seen
         seen += x == seen
     return tuple([(x, y, row[j]) for x, row in enumerate([entries[i] for i in named])
-                  for y, j in enumerate(named) if y != x and (y < reach[x] or not row[j])])
+                  for y, j in enumerate(named[:reach[x]]) if y != x and row[j]])
 
 
 def _least_word(w, letters):
@@ -201,9 +197,16 @@ def canonical_key(w):
     Keys from different Cartan matrices compare directly.  Let r range over
     the reduced words Red(w), read each r from its right end, rename its
     letters to 0, 1, ... by first occurrence in that reading, and rename the
-    constrained pairs (s, t) (those with st <= w) along with it, each
-    carrying its entry A[s][t].  The key of w with a connected support is
-    the least (renamed r, sorted renamed entries).
+    constrained pairs (s, t) (those with st <= w) with A[s][t] != 0 along
+    with it, each carrying its entry.  The key of w with a connected support
+    is the least (renamed r, sorted renamed entries).
+
+    Zero entries carry nothing.  Support letters s, t with A[s][t] = 0
+    commute, so st = ts <= w.  Two with A[s][t] != 0 make a constrained pair
+    at least one way round, so the graph of nonzero constrained entries is
+    the graph A[s][t] != 0 on the support.  A support bijection that sends
+    those entries one to one onto those of w' keeps that graph, so it sends
+    non-adjacent pairs, all constrained with entry 0, onto the same.
 
     Invariance under a witness sigma from (w, A) to (w', A').  sigma sends
     one reduced word of w to one of w', and it keeps the entry of every
@@ -221,16 +224,13 @@ def canonical_key(w):
     Equal keys give a witness.  If r in Red(w) and r' in Red(w') reach the
     same least pair, sigma = (naming of r')^-1 o (naming of r) sends the
     reversal of r to that of r', so r to r', a reduced word of w', and
-    matches the constrained pairs of w with those of w', entry for entry.
+    matches the nonzero constrained entries, so by the above all of them.
 
-    Factorisation along components.  Two support letters s, t with
-    A[s][t] != 0 always make a constrained pair one way round, so the graph
-    of nonzero constrained entries is the graph A[s][t] != 0 on the support,
-    and letters of different components commute.  w is the product of its
-    factors on the components, Red(w) is the set of shuffles of their
-    reduced words, and every pair across components is constrained with
-    entry 0 both ways.  A witness keeps that graph, so it maps components
-    onto components, and witnesses of the factors combine into one of w.
+    Factorisation along components.  Letters of different components of
+    that graph commute, so w is the product of its factors on the
+    components and Red(w) is the set of shuffles of their reduced words.  A
+    witness keeps the graph, so it maps components onto components, and
+    witnesses of the factors combine into one of w.
     The key of w is therefore (length, sorted keys of the factors), which
     avoids the k! namings of k commuting letters.  A factor's key is its
     least renamed word and the least entries read off it under the namings
@@ -269,16 +269,14 @@ def _keys(elements):
     `_entries`, and they stay in the dict for that length.
 
     E(v, n) is spliced from E(u, n_u), where n is n_u, or n_u + (j,) when
-    the symbol s of j is the new name len(n_u).  The constrained pairs
-    (x, y) of a name x depend only on reach[x], the number of names seen
-    before its last occurrence (`_entries`), and appending s changes
+    the symbol s of j is the new name len(n_u).  A name x's constrained
+    pairs depend only on reach[x] (`_entries`), and appending s changes
     reach[s] alone, to len(n_u).  So row s becomes full, (s, y,
-    A[n[s]][n[y]]) for every y != s (when it already was, E(u, n_u) is
-    reused as it is), and when s is new, each row x < s gains (x, s, 0)
-    exactly when A[n[x]][j] = 0, since s is not below any reach[x].  Every
-    other entry is E(u, n_u)'s, already interned.  Entry tuples built in
-    one length are stored once per length, so the k! namings of commuting
-    letters share a few tuples.
+    A[n[s]][n[y]]) for every y != s with a nonzero entry; E(u, n_u) is
+    reused when its row s is that long.  A new s joins no other row, being
+    below no reach[x], so its row, the last, is appended.  Every other entry
+    is E(u, n_u)'s, already interned.  Entry tuples are stored once per
+    length, so the k! namings of commuting letters share a few tuples.
 
     A disconnected v builds no namings (k commuting letters have k! of
     them) and takes (length, sorted factor keys), as `canonical_key` does.
@@ -339,23 +337,20 @@ def _keys(elements):
                             chosen.append((j, named, table))
                 namings, tables = [], []
                 for j, named, table in chosen:
+                    row = entries[j]
+                    full = [(symbol, y, row[i]) for y, i in enumerate(named)
+                            if y != symbol and row[i]]
                     if symbol < len(named):
                         lo = bisect_left(table, (symbol,))
                         hi = bisect_left(table, (symbol + 1,), lo)
-                        if hi - lo == len(named) - 1:
-                            namings.append(named)
-                            tables.append(table)
-                            continue
-                        head, tail = table[:lo], table[hi:]
                     else:
-                        zeros = [(y, symbol, 0) for y, i in enumerate(named) if not entries[i][j]]
-                        head, tail = sorted([*table, *map(intern, zeros, zeros)]), ()
+                        lo = hi = len(table)
                         named += (j,)
-                    row = entries[j]
-                    full = [(symbol, y, row[i]) for y, i in enumerate(named) if y != symbol]
-                    spliced = (*head, *map(intern, full, full), *tail)
+                    if hi - lo < len(full):
+                        table = (*table[:lo], *map(intern, full, full), *table[hi:])
+                        table = shared.setdefault(table, table)
                     namings.append(named)
-                    tables.append(shared.setdefault(spliced, spliced))
+                    tables.append(table)
                 m = best + (symbol,)
                 if length < last:
                     current[x] = m, tuple(namings), tuple(tables)

@@ -83,6 +83,16 @@ UNIVERSAL_5 = validate_cartan(
 UNIVERSAL_5_WORD = tuple(UNIVERSAL_5.labels) * 4
 
 
+def star(k):
+    """A centre c joined to k leaves by entries -1."""
+    n = k + 1
+    rows = [
+        [2 if i == j else (-1 if (i == k) != (j == k) else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    return validate_cartan(rows, [f"l{i}" for i in range(k)] + ["c"])
+
+
 def random_cartan(rng, max_rank=4, min_entry=-3):
     """A random valid Cartan matrix with entries in [min_entry, 0]."""
     n = rng.randint(2, max_rank)
@@ -98,6 +108,21 @@ def random_cartan(rng, max_rank=4, min_entry=-3):
 
 def random_word(rng, A, max_len=8):
     return tuple(rng.choice(A.labels) for _ in range(rng.randint(0, max_len)))
+
+
+def relabeled(rng, A):
+    """A copy of A under a random bijection pi onto labels u1..un, listed in a
+    random order; returns (B, pi)."""
+    names = [f"u{i}" for i in range(1, len(A) + 1)]
+    rng.shuffle(names)
+    pi = dict(zip(A.labels, rng.sample(names, len(names))))
+    back = {t: s for s, t in pi.items()}
+    rows = [[A.entry(back[x], back[y]) for y in names] for x in names]
+    nonzero = [(i, j) for i, row in enumerate(rows) for j, a in enumerate(row) if a < 0]
+    if nonzero and rng.random() < 0.3:  # one changed entry gives near misses
+        i, j = rng.choice(nonzero)
+        rows[i][j] = -2 if rows[i][j] == -1 else -1
+    return validate_cartan(rows, names), pi
 
 
 # A_11 affine: the 12-cycle s1 - s2 - ... - s12 - s1
@@ -166,9 +191,10 @@ def brute_force_key(w):
     On each component, each reduced word of w is cut to the component's
     letters and read from its right end; its letters are renamed 0, 1, ...
     by first occurrence, and the pairs (s, t) with st <= w
-    (`two_letter_leq`) are renamed along with it, each carrying A[s][t].
-    The factor's key is the least (renamed word, sorted renamed entries);
-    w's key is (length, sorted factor keys).  Its cost is |Red(w)|."""
+    (`two_letter_leq`) and A[s][t] != 0 are renamed along with it, each
+    carrying A[s][t].  The factor's key is the least (renamed word, sorted
+    renamed entries); w's key is (length, sorted factor keys).  Its cost is
+    |Red(w)|."""
     A = w.cartan
     components = []
     for s in sorted(support(w), key=A.index_set.index):
@@ -177,7 +203,7 @@ def brute_force_key(w):
     keys = []
     for letters in components:
         pairs = [(s, t) for s in letters for t in letters
-                 if s != t and two_letter_leq(A, s, t, w)]
+                 if s != t and A.entry(s, t) and two_letter_leq(A, s, t, w)]
         candidates = []
         for word in reduced_words(w):
             read = [s for s in reversed(word) if s in letters]

@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -49,6 +48,8 @@ from conftest import (
     pairwise_isom_classes,
     random_cartan,
     random_word,
+    relabeled,
+    star,
     type_a,
 )
 
@@ -94,21 +95,6 @@ def brute_force_equivalence(w, w_prime):
     return None
 
 
-def _relabeled(rng, A):
-    """A copy of A under a random bijection pi onto labels u1..un, listed in a
-    random order; returns (B, pi)."""
-    names = [f"u{i}" for i in range(1, len(A) + 1)]
-    rng.shuffle(names)
-    pi = dict(zip(A.labels, rng.sample(names, len(names))))
-    back = {t: s for s, t in pi.items()}
-    rows = [[A.entry(back[x], back[y]) for y in names] for x in names]
-    nonzero = [(i, j) for i, row in enumerate(rows) for j, a in enumerate(row) if a < 0]
-    if nonzero and rng.random() < 0.3:  # one changed entry gives near misses
-        i, j = rng.choice(nonzero)
-        rows[i][j] = -2 if rows[i][j] == -1 else -1
-    return validate_cartan(rows, names), pi
-
-
 class TestCheckEquivalence:
     def test_first_witness_matches_brute_force(self):
         """check_equivalence returns the lexicographically first bijection the
@@ -119,7 +105,7 @@ class TestCheckEquivalence:
             A = random_cartan(rng, max_rank=4)
             w = element_from_word(A, random_word(rng, A, 6))
             if rng.random() < 0.5:
-                B, pi = _relabeled(rng, A)
+                B, pi = relabeled(rng, A)
                 w_prime = element_from_word(B, [pi[s] for s in w.canonical_word])
             else:
                 B = A if rng.random() < 0.5 else random_cartan(rng, max_rank=4)
@@ -242,6 +228,17 @@ class TestCheckEquivalence:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_chain_is_linear_in_rank(self):
+        """The chain s1 ... s600 of A600 against itself, timed and traced in a
+        child interpreter.  On a 2-vCPU x86-64 host, Python 3.11.7, it took
+        3.1-3.8 s and a 109 MiB traced peak while the constraint tables kept
+        every zero-entry pair, n^2 of them; with the nonzero ones alone it
+        takes 0.07-0.1 s and 0.5 MiB."""
+        identity, elapsed, peak = _in_child(_CHAIN_CHILD, 600, 60)
+        assert identity
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
+        assert peak < 10 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_no_recursion(self):
         """The search keeps no frame per support letter: the chain s1 ... s100
@@ -510,7 +507,7 @@ class TestCanonicalKey:
         pairs, by_length = [], {}
         for _ in range(20):
             A = random_cartan(rng, max_rank=4)
-            B, pi = _relabeled(rng, A)
+            B, pi = relabeled(rng, A)
             for _ in range(20):
                 w = element_from_word(A, random_word(rng, A, 6))
                 w_prime = element_from_word(B, [pi[s] for s in w.canonical_word])
@@ -589,16 +586,6 @@ def _edgeless(n):
     )
 
 
-def _star(k):
-    """A centre c joined to k leaves by entries -1."""
-    n = k + 1
-    rows = [
-        [2 if i == j else (-1 if (i == k) != (j == k) else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    return validate_cartan(rows, [f"l{i}" for i in range(k)] + ["c"])
-
-
 def _assert_walk_keys_match(A, max_length):
     elements = enumerate_elements(A, max_length)
     keys = equivalence._keys(elements)
@@ -620,6 +607,49 @@ found = isom_classes(A, max_length)
 elapsed = time.monotonic() - start
 print(json.dumps([sum(map(len, found)), len(found), elapsed]))
 """
+
+# Prints the class count of a second isom_classes call, for the matrix,
+# labels and length bound in argv[1] (JSON), and that call's traced peak.
+_PEAK_CHILD = """
+import json, sys, tracemalloc
+from schubertisom import isom_classes, validate_cartan
+entries, labels, max_length = json.loads(sys.argv[1])
+A = validate_cartan(entries, labels)
+isom_classes(A, max_length)
+tracemalloc.start()
+count = len(isom_classes(A, max_length))
+print(json.dumps([count, tracemalloc.get_traced_memory()[1]]))
+"""
+
+# Prints whether check_equivalence(w, w) gives the identity witness on the
+# chain s1 ... sn of An, n in argv[1], its seconds and its traced peak.
+_CHAIN_CHILD = """
+import json, sys, time, tracemalloc
+from schubertisom import check_equivalence, element_from_word, validate_cartan
+n = json.loads(sys.argv[1])
+labels = [f"s{i}" for i in range(1, n + 1)]
+A = validate_cartan([[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+                     for i in range(n)], labels)
+w = element_from_word(A, labels)
+tracemalloc.start()
+start = time.monotonic()
+witness = check_equivalence(w, w)
+elapsed = time.monotonic() - start
+identity = witness is not None and witness.sigma == dict(zip(labels, labels))
+print(json.dumps([identity, elapsed, tracemalloc.get_traced_memory()[1]]))
+"""
+
+
+def _in_child(code, argument, timeout):
+    """What `code` prints, read as JSON, run in a fresh interpreter with
+    argument as JSON in argv[1].  Traced peaks depend on what ran earlier in
+    the same process (free lists refill unseen), and timings on the memo
+    tables it filled, so a fresh process reads neither."""
+    src = str(Path(equivalence.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(argument)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, check=True, timeout=timeout)
+    return json.loads(done.stdout)
 
 
 class TestWalkKeys:
@@ -656,7 +686,7 @@ class TestWalkKeys:
             if len(A) >= 3:
                 matrices.append(A)
         checked = 0
-        for A in matrices + [_star(4), _star(5)]:
+        for A in matrices + [star(4), star(5)]:
             checked += _assert_walk_keys_match(A, 8)
         assert checked == 13_573
 
@@ -664,7 +694,7 @@ class TestWalkKeys:
         """The definition over every reduced word, on A3, A4, B3, G2, H3 and
         the four-leaf star (through its disconnected predecessors) and on
         seeded random rank 2-4 matrices."""
-        cases = [(A3, 6), (type_a(4), 10), (B3, 9), (G2, 6), (H3, 5), (_star(4), 7)]
+        cases = [(A3, 6), (type_a(4), 10), (B3, 9), (G2, 6), (H3, 5), (star(4), 7)]
         rng = random.Random(20261021)
         cases += [(random_cartan(rng, max_rank=4), 5) for _ in range(15)]
         checked = 0
@@ -677,7 +707,7 @@ class TestWalkKeys:
 
     @pytest.mark.parametrize(
         "A, max_length, searched",
-        [(_edgeless(12), 12, 0), (_star(4), 7, 11), (_star(5), 6, 26), (_star(6), 7, 57),
+        [(_edgeless(12), 12, 0), (star(4), 7, 11), (star(5), 6, 26), (star(6), 7, 57),
          (A3_AFFINE, 6, 2)],
         ids=["edgeless12", "star4", "star5", "star6", "A3aff"],
     )
@@ -713,7 +743,7 @@ class TestWalkKeys:
         # isom_classes, then canonical_key on each element.
         [
             (_edgeless(12), 12, 4_096, 13, 2.0),  # 0.13-0.19 s; 0.29-0.38 s by one search each
-            (_star(6), 7, 7_085, 102, 5.0),  # 0.34-0.46 s; 0.94-1.1 s by one search each
+            (star(6), 7, 7_085, 102, 5.0),  # 0.34-0.46 s; 0.94-1.1 s by one search each
             (
                 validate_cartan([[2 if i == j else -2 for j in range(4)] for i in range(4)],
                                 [f"s{i}" for i in range(4)]),
@@ -727,12 +757,8 @@ class TestWalkKeys:
         took edgeless rank 10 from 0.1 s to 16 s, and would take edgeless
         rank 12 hours.  So the case runs in a child interpreter, timed
         inside it, and is stopped 20 s past its bound."""
-        src = str(Path(equivalence.__file__).resolve().parents[1])
-        argv = [sys.executable, "-c", _NAMINGS_CHILD,
-                json.dumps([A.entries, A.labels, max_length])]
-        done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                              text=True, check=True, timeout=bound + 20)
-        found, found_classes, elapsed = json.loads(done.stdout)
+        found, found_classes, elapsed = _in_child(
+            _NAMINGS_CHILD, [A.entries, A.labels, max_length], bound + 20)
         assert (found, found_classes) == (count, classes)
         assert elapsed < bound, f"took {elapsed:.1f}s"
 
@@ -749,35 +775,28 @@ class TestWalkKeys:
             sys.setrecursionlimit(limit)
 
     def test_second_call_peak_memory(self):
-        """The traced peak of a second call on all of A6 is 1.8-2.0 MiB on
-        Python 3.10-3.12, since equal entries (x, y, a) are shared across
-        keys (5.3-5.4 MiB when each key held its own).  A table kept for the
-        whole call, one list of constrained pairs per least word, takes it
-        to 5.3 MiB and breaks the bound."""
+        """The traced peak of a second call on all of A6 is 1.5 MiB on
+        Python 3.10-3.13 (1.7-1.9 MiB while keys held their zero entries),
+        since equal entries (x, y, a) are shared across keys (5.3-5.4 MiB
+        when each key held its own).  A table kept for the whole call, one
+        list of constrained pairs per least word, takes it to 5.3 MiB and
+        breaks the bound.  In one process after two calls on the six-leaf
+        star it read 2.9-3.1 MiB, so it runs in a child."""
         A = type_a(6)
-        isom_classes(A, 21)
-        tracemalloc.start()
-        try:
-            assert len(isom_classes(A, 21)) == 2_114
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        count, peak = _in_child(_PEAK_CHILD, [A.entries, A.labels, 21], 60)
+        assert count == 2_114
         assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_second_call_peak_memory_on_commuting_letters(self):
         """The six-leaf star to length 7 has up to 6! namings per element, and
         `_keys` keeps each naming's entries for one length.  The traced peak
-        of a second call is 3.3-3.7 MiB on Python 3.10-3.13; it was 5.7-6.6
+        of a second call is 3.0-3.2 MiB on Python 3.10-3.13 (3.3-3.7 MiB
+        while keys held their zero entries); it was 5.7-6.6
         MiB when each element kept only its namings, and the last length's
         too, and 6.2 MiB with entry tuples not stored once per length."""
-        A = _star(6)
-        isom_classes(A, 7)
-        tracemalloc.start()
-        try:
-            assert len(isom_classes(A, 7)) == 102
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        A = star(6)
+        count, peak = _in_child(_PEAK_CHILD, [A.entries, A.labels, 7], 60)
+        assert count == 102
         assert peak < 5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_leaves_no_cyclic_garbage(self):
