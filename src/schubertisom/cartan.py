@@ -11,6 +11,7 @@ one table against itself.  A matrix is held once, as its rows `entries`.
 """
 
 import math
+from itertools import chain
 
 from .errors import (
     DiagonalNotTwoError,
@@ -78,23 +79,23 @@ class CartanMatrix:
     def __init__(self, index_set, entries):
         if not isinstance(index_set, IndexSet):
             index_set = IndexSet(index_set)
-        try:
-            entries = tuple(tuple(int(x) for x in row) for row in entries)
-        except (TypeError, ValueError):
+        try:  # exactly int: a float, a string or a bool is refused, not coerced
+            entries = tuple(map(tuple, entries))
+            if not set(map(type, chain.from_iterable(entries))) <= {int}:
+                raise TypeError
+        except TypeError:
             raise MalformedCartanError("matrix must be integer rows") from None
         n = len(index_set)
         if len(entries) != n or any(len(row) != n for row in entries):
             raise NonSquareError(len(entries), len(entries[0]) if entries else 0)
         labels = index_set.labels
-        for i, s in enumerate(labels):
-            if entries[i][i] != 2:
-                raise DiagonalNotTwoError(s, entries[i][i])
-            for j, t in enumerate(labels):
-                if i == j:
-                    continue
-                if entries[i][j] > 0:
-                    raise PositiveOffDiagonalError(s, t, entries[i][j])
-                if (entries[i][j] == 0) != (entries[j][i] == 0):
+        for i, (s, row, column) in enumerate(zip(labels, entries, zip(*entries))):
+            if row[i] != 2:
+                raise DiagonalNotTwoError(s, row[i])
+            for t, a, b in zip(labels, row, column):
+                if a > 0 and t != s:
+                    raise PositiveOffDiagonalError(s, t, a)
+                if (a == 0) != (b == 0):
                     raise ZeroAsymmetryError(s, t)
         self.index_set = index_set
         self.entries = entries
@@ -141,11 +142,6 @@ class CartanMatrix:
         labels, matrix = data["index_set"], data["matrix"]
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise InvalidIndexSetError("index_set must be a list of string labels")
-        # The constructor's int() would read -1.7, "-1" and false as entries.
-        if not isinstance(matrix, list) or not all(
-            isinstance(row, list) and all(type(x) is int for x in row) for row in matrix
-        ):
-            raise MalformedCartanError("matrix must be a list of rows of integers")
         return cls(IndexSet(labels), matrix)
 
 

@@ -32,12 +32,14 @@ def _parse_word(text):
     return tuple(text.split())
 
 
-def _parse_pair(value):
-    """Parse 'cartan.json:word with spaces' into (CartanMatrix, word)."""
+def _parse_pair(value, matrices):
+    """Parse 'cartan.json:word' into (CartanMatrix, word), each file read once into `matrices`."""
     path, sep, word = value.partition(":")
     if not sep:
         raise SchubertError(f"expected FILE:WORD, got {value!r}")
-    return _load_cartan(path), _parse_word(word)
+    if path not in matrices:
+        matrices[path] = _load_cartan(path)
+    return matrices[path], _parse_word(word)
 
 
 def _json_text(value, pad="\n"):
@@ -150,8 +152,9 @@ def cmd_bruhat(args):
 
 
 def cmd_equiv(args):
-    A, word_left = _parse_pair(args.left)
-    B, word_right = _parse_pair(args.right)
+    matrices = {}
+    A, word_left = _parse_pair(args.left, matrices)
+    B, word_right = _parse_pair(args.right, matrices)
     w = weyl.element_from_word(A, word_left)
     w_prime = weyl.element_from_word(B, word_right)
     witness = equivalence.check_equivalence(w, w_prime)

@@ -14,7 +14,7 @@ that downstream reconstruction cannot peek at element names.
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 from operator import itemgetter
 
 from .errors import MalformedOracleError, NotInIntervalError, UnknownLabelError
@@ -160,6 +160,13 @@ class CohomologyOracle:
         return max(self.basis, key=itemgetter(1))[0]
 
     def validate(self):
+        # Types first: no unhashable id reaches a set, no float or bool passes.
+        if not {(type(bid), type(d)) for bid, d in self.basis} <= {(str, int)}:
+            raise MalformedOracleError("expected a string id and an integer degree")
+        if not set(map(type, self.generators)) <= {str}:
+            raise MalformedOracleError("generator ids must be strings")
+        if not {(type(v), type(c)) for ts in self.products.values() for v, c in ts} <= {(str, int)}:
+            raise MalformedOracleError("expected a string id and an integer coeff")
         degrees = dict(self.basis)
         if len(degrees) != len(self.basis):
             raise MalformedOracleError("duplicate basis ids")
@@ -233,8 +240,10 @@ class CohomologyOracle:
 
     @classmethod
     def from_json(cls, data):
+        """Read the shape only; `validate` checks the types and the table."""
+        id_degree, id_coeff = itemgetter("id", "degree"), itemgetter("id", "coeff")
         try:
-            basis = tuple(map(_id_and_int, data["basis"], repeat("degree")))
+            basis = tuple(map(id_degree, data["basis"]))
             generators = data["generators"]
             if not isinstance(generators, list):
                 raise MalformedOracleError("generators must be a list of ids")
@@ -243,19 +252,10 @@ class CohomologyOracle:
                 g, _, bid = key.partition("|")
                 if not bid:
                     raise MalformedOracleError(f"bad product key {key!r}")
-                products[(g, bid)] = tuple(map(_id_and_int, terms, repeat("coeff")))
+                products[(g, bid)] = tuple(map(id_coeff, terms))
         except (KeyError, TypeError, AttributeError) as exc:
             raise MalformedOracleError(f"wrong shape: {exc!r}") from None
-        if not all(isinstance(g, str) for g in generators):
-            raise MalformedOracleError("generator ids must be strings")
         return cls(basis, tuple(generators), products)
-
-
-def _id_and_int(entry, key):
-    bid, value = entry["id"], entry[key]
-    if not isinstance(bid, str) or type(value) is not int:
-        raise MalformedOracleError(f"expected a string id and an integer {key}")
-    return bid, value
 
 
 # bytes.translate arguments that turn the top byte b of a 32-bit word into

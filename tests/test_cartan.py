@@ -75,9 +75,29 @@ class TestValidate:
         with pytest.raises(InvalidIndexSetError):
             IndexSet([[1]])
 
-    def test_non_integer_entry(self):
-        with pytest.raises(MalformedCartanError, match="integer rows"):
-            CartanMatrix(["a"], [["x"]])
+    @pytest.mark.parametrize(
+        "build",
+        [validate_cartan, lambda rows, labels: CartanMatrix(labels, rows)],
+        ids=["validate_cartan", "CartanMatrix"],
+    )
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[2, "x"], [-1, 2]],
+            [[2, -1.7], [-1, 2]],
+            [[2.9, -1], [-1, 2]],
+            [[2, "-1"], [-1, 2]],
+            [[2, False], [0, 2]],
+            [[2.0, -1], [-1, 2]],
+            [[2, [1]], [-1, 2]],
+        ],
+        ids=["str_x", "-1.7", "2.9", "str_-1", "False", "2.0", "list"],
+    )
+    def test_non_integer_entry(self, build, rows):
+        """Read with int(), each of -1.7 to 2.0 would give a valid matrix;
+        each is refused as JSON refuses it."""
+        with pytest.raises(MalformedCartanError, match="^matrix must be integer rows$"):
+            build(rows, ["a", "b"])
 
     def test_json_round_trip(self):
         data = C3.to_json()

@@ -93,6 +93,8 @@ class TestInputErrors:
             {"index_set": ["s1", "s2"], "matrix": [[2, False], [False, 2]]},
             {"index_set": ["s1", "s2"], "matrix": [[2.0, -1], [-1, 2]]},
             {"index_set": ["s1", "s2"], "matrix": "22"},
+            {"index_set": ["s1", "s2"], "matrix": [[2.9, -1], [-1, 2]]},
+            {"index_set": ["s1", "s2"], "matrix": [[2, [1]], [-1, 2]]},
         ],
     )
     def test_cartan_wrong_shape(self, capsys, tmp_path, data):
@@ -141,6 +143,36 @@ class TestInputErrors:
         path = tmp_path / "oracle.json"
         path.write_text(json.dumps(data))
         self.assert_typed(capsys, "reconstruct", str(path))
+
+    TYPE_DEFECTS = {
+        "1.5_coefficient": "expected a string id and an integer coeff",
+        "true_coefficient": "expected a string id and an integer coeff",
+        "2.0_degree": "expected a string id and an integer degree",
+        "int_generator_id": "generator ids must be strings",
+        "list_generator_id": "generator ids must be strings",
+        "list_term_id": "expected a string id and an integer coeff",
+    }
+
+    @pytest.mark.parametrize("defect", list(TYPE_DEFECTS))
+    def test_oracle_entry_of_wrong_type(self, capsys, tmp_path, defect):
+        """A file is refused with the library's one message per defect."""
+        data = export_oracle(element_from_word(A3, ["s1", "s2", "s3", "s1"]), seed=1).to_json()
+        term = next(t for terms in data["products"].values() for t in terms if t["coeff"] == 1)
+        generators = data["generators"]
+        if defect == "1.5_coefficient":
+            term["coeff"] = 1.5
+        elif defect == "true_coefficient":
+            term["coeff"] = True
+        elif defect == "list_term_id":
+            term["id"] = [term["id"]]
+        elif defect == "2.0_degree":
+            data["basis"] = [{"id": b["id"], "degree": float(b["degree"])} for b in data["basis"]]
+        else:
+            generators[0] = 7 if defect == "int_generator_id" else [generators[0]]
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps(data))
+        message = f"error: MalformedOracleError: {self.TYPE_DEFECTS[defect]}\n"
+        assert run(capsys, "reconstruct", str(path)) == (2, "", message)
 
 
 class TestWord:
@@ -207,6 +239,16 @@ class TestEquiv:
         )
         assert code == 1
         assert json.loads(out)["witness"] is None
+
+    def test_each_matrix_file_loaded_once(self, capsys, monkeypatch, a3_file, c3_file):
+        loaded = []
+        load = cli._load_cartan
+        monkeypatch.setattr(cli, "_load_cartan", lambda path: loaded.append(path) or load(path))
+        run_json(capsys, "equiv", "--left", f"{a3_file}:s1 s2", "--right", f"{a3_file}:s2 s1")
+        assert loaded == [a3_file]
+        loaded.clear()
+        run_json(capsys, "equiv", "--left", f"{a3_file}:s1 s2", "--right", f"{c3_file}:s1 s2")
+        assert loaded == [a3_file, c3_file]
 
     def test_bad_pair_syntax(self, capsys, a3_file):
         code, _, err = run(capsys, "equiv", "--left", a3_file, "--right", a3_file)

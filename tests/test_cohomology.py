@@ -497,6 +497,50 @@ class TestValidationFallback:
         products[key] = ((vid, 0),)
         self._rejects(o, products, "zero coefficients must be omitted")
 
+    TYPE_DEFECTS = {
+        "1.5_coefficient": "expected a string id and an integer coeff",
+        "True_coefficient": "expected a string id and an integer coeff",
+        "2.0_degree": "expected a string id and an integer degree",
+        "int_generator_id": "generator ids must be strings",
+        "list_generator_id": "generator ids must be strings",
+        "list_term_id": "expected a string id and an integer coeff",
+    }
+
+    @pytest.mark.parametrize("defect", list(TYPE_DEFECTS))
+    def test_wrong_type_built_in_python(self, defect):
+        """Oracles built in Python are refused as their JSON is, before any
+        id is hashed; a coerced 1.5, True or 2.0 would otherwise pass."""
+        o = self._oracle()
+        basis, generators, products = list(o.basis), list(o.generators), dict(o.products)
+        key = next(k for k, terms in sorted(products.items()) if terms and terms[0][1] == 1)
+        (vid, c), *rest = products[key]
+        if defect == "1.5_coefficient":
+            products[key] = ((vid, 1.5), *rest)
+        elif defect == "True_coefficient":
+            products[key] = ((vid, True), *rest)
+        elif defect == "list_term_id":
+            products[key] = (([vid], c), *rest)
+        elif defect == "2.0_degree":
+            basis = [(bid, 2.0 if d == 2 else d) for bid, d in basis]
+        else:
+            generators[0] = 7 if defect == "int_generator_id" else [generators[0]]
+        bad = CohomologyOracle(tuple(basis), tuple(generators), products)
+        with pytest.raises(MalformedOracleError, match=f"^{self.TYPE_DEFECTS[defect]}$"):
+            bad.validate()
+
+    def test_half_integer_coefficients_do_not_reconstruct(self):
+        """With c + 0.5 on every non-unit product, int() would truncate each
+        coefficient back to c and rebuild the original matrix."""
+        o = self._oracle()
+        unit = o.unit_id
+        products = {
+            (g, bid): terms if bid == unit else tuple((v, c + 0.5) for v, c in terms)
+            for (g, bid), terms in o.products.items()
+        }
+        bad = CohomologyOracle(o.basis, o.generators, products)
+        with pytest.raises(MalformedOracleError, match="^expected a string id and an integer coeff$"):
+            reconstruct(bad)
+
 
 def _first_defect(oracle, products):
     """The message of the first defect, found term by term: the reference
