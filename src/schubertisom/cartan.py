@@ -86,9 +86,12 @@ class CartanMatrix:
         except TypeError:
             raise MalformedCartanError("matrix must be integer rows") from None
         n = len(index_set)
-        if len(entries) != n or any(len(row) != n for row in entries):
-            raise NonSquareError(len(entries), len(entries[0]) if entries else 0)
+        if len(entries) != n:
+            raise NonSquareError(n, len(entries))
         labels = index_set.labels
+        for s, row in zip(labels, entries):
+            if len(row) != n:
+                raise NonSquareError(n, n, s, len(row))
         for i, (s, row, column) in enumerate(zip(labels, entries, zip(*entries))):
             if row[i] != 2:
                 raise DiagonalNotTwoError(s, row[i])

@@ -290,8 +290,9 @@ def _fresh_ids(count, seed):
     return list(ids)
 
 
-def _export(w, seed, max_elements):
-    """(oracle, elements of [e, w], their ids drawn one per position)."""
+def export_oracle_with_map(w, seed=0, max_elements=weyl.DEFAULT_ELEMENT_CAP):
+    """Build the anonymized oracle of H*(X(w,A)) plus the element -> id map,
+    unvalidated: each reader of an oracle validates it where it enters."""
     itv = weyl.interval(w, max_elements)
     elements = itv.elements
     ids = _fresh_ids(len(elements), seed)
@@ -310,14 +311,8 @@ def _export(w, seed, max_elements):
         k = letter_of[gid]
         for bid, covers in zip(ids, named):
             products[gid, bid] = tuple([(vid, c) for vid, coroot in covers if (c := coroot[k])])
-    return CohomologyOracle(basis, generators, products).validate(), elements, ids
-
-
-def export_oracle_with_map(w, seed=0, max_elements=weyl.DEFAULT_ELEMENT_CAP):
-    """Build the anonymized oracle of H*(X(w,A)) plus the element -> id map."""
-    oracle, elements, ids = _export(w, seed, max_elements)
-    return oracle, dict(zip(elements, ids))
+    return CohomologyOracle(basis, generators, products), dict(zip(elements, ids))
 
 
 def export_oracle(w, seed=0, max_elements=weyl.DEFAULT_ELEMENT_CAP):
-    return _export(w, seed, max_elements)[0]
+    return export_oracle_with_map(w, seed, max_elements)[0]

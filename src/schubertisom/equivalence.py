@@ -380,6 +380,8 @@ def isom_classes(A, max_length, max_elements=weyl.DEFAULT_ELEMENT_CAP):
     classes come out sorted by their least member.
     """
     elements = enumerate_elements(A, max_length, max_elements)
+    if not elements:  # max_length < 0
+        return []
     classes = {}
     for w, key in zip(elements, _keys(elements)):
         classes.setdefault(id(key), []).append(w)

@@ -6,8 +6,12 @@ class SchubertError(Exception):
 
 
 class NonSquareError(SchubertError):
-    def __init__(self, nrows, ncols):
-        super().__init__(f"matrix is not square: {nrows} rows, {ncols} columns")
+    """The rows are not n x n over the n labels: there are `nrows` rows, or,
+    when `label` is given, its row is the first of the wrong length, `ncols`."""
+
+    def __init__(self, nlabels, nrows, label=None, ncols=None):
+        where = f"row count {nrows}" if label is None else f"row {label!r} has length {ncols}"
+        super().__init__(f"matrix is not square over {nlabels} labels: {where}")
         self.nrows = nrows
         self.ncols = ncols
 

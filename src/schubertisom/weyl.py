@@ -461,6 +461,8 @@ def _walk(ctx, max_length, max_elements, keep=None):
     """
     if max_elements < 1:
         raise EnumerationCapExceededError(max_elements)
+    if max_length < 0:
+        return [], []
     columns = ctx.columns
     rank = len(columns)
     elements = [WeylElement(ctx, ctx.rho, indices=())]

@@ -222,6 +222,8 @@ def bfs_enumerate_elements(A, max_length, max_elements=DEFAULT_ELEMENT_CAP):
     first by left multiplication with a `seen` set, then sorted by (length,
     canonical word as label indices).  The count is checked as each new
     element is found, and more than max_elements raises."""
+    if max_length < 0:
+        return []
     order = A.index_set.index
     reflections = {s: simple_reflection(A, s) for s in A.labels}
     seen = {identity_element(A)}

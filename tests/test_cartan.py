@@ -63,9 +63,18 @@ class TestValidate:
         with pytest.raises(PositiveOffDiagonalError):
             validate_cartan([[2, 1], [-1, 2]], ["s1", "s2"])
 
-    def test_non_square(self):
-        with pytest.raises(NonSquareError):
-            validate_cartan([[2, -1]], ["s1", "s2"])
+    @pytest.mark.parametrize("rows, message", [
+        pytest.param([[2, -1]], "row count 1", id="missing_row"),
+        pytest.param([[2, 0, 0], [0, 2, 0], [0, 0, 2]], "row count 3", id="rows_over_labels"),
+        pytest.param([[2, -1], [-1]], "row 'b' has length 1", id="short_row"),
+        pytest.param([[2, -1], [-1, 2, 0]], "row 'b' has length 3", id="long_row"),
+    ])
+    def test_non_square(self, rows, message):
+        """The message names the actual mismatch: rows against labels, or
+        the first row whose length is off."""
+        with pytest.raises(NonSquareError) as info:
+            CartanMatrix(["a", "b"], rows)
+        assert str(info.value) == f"matrix is not square over 2 labels: {message}"
 
     def test_duplicate_labels(self):
         with pytest.raises(ValueError):

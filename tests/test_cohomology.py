@@ -9,6 +9,7 @@ from schubertisom import (
     SchubertClass,
     chevalley_product,
     element_from_word,
+    enumerate_elements,
     export_oracle,
     export_oracle_with_map,
     interval,
@@ -27,7 +28,7 @@ from schubertisom.errors import (
 )
 from schubertisom.weyl import identity_element
 
-from conftest import A2, A3, random_cartan, random_word
+from conftest import A2, A2_AFFINE, A3, B3, D4, G2, random_cartan, random_word, type_a
 
 
 def hirzebruch(n):
@@ -244,10 +245,19 @@ class TestOracleExport:
         assert oracle.products[(g, g)] == ()
 
     def test_validates(self, rng):
+        """The export does not validate what it builds, so this does: every
+        element to length 4 of A3, B3, G2 and affine A2, w0 of A4 and D4 (the
+        longest elements of the benchmark's round trip) and random elements."""
+        elements = [w for A in (A3, B3, G2, A2_AFFINE) for w in enumerate_elements(A, 4)]
+        w0_a4 = element_from_word(type_a(4), "s1 s2 s1 s3 s2 s1 s4 s3 s2 s1".split())
+        w0_d4 = element_from_word(D4, ["s1", "s2", "s3", "s4"] * 3)
+        assert (w0_a4.length, w0_d4.length) == (10, 12)
+        elements += [w0_a4, w0_d4]
         for _ in range(10):
             A = random_cartan(rng, max_rank=3)
-            w = element_from_word(A, random_word(rng, A, 5))
-            export_oracle(w).validate()
+            elements.append(element_from_word(A, random_word(rng, A, 5)))
+        for seed, w in enumerate(elements):
+            export_oracle(w, seed=seed).validate()
 
     def test_seed_determinism(self):
         w = element_from_word(A3, ["s1", "s2", "s3"])

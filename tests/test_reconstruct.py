@@ -154,6 +154,26 @@ class TestReadersValidate:
         reconstruct(oracle)
         assert calls == [oracle]
 
+    def test_export_leaves_validation_to_the_reader(self, monkeypatch):
+        """Neither export validates, `export_oracle` goes through
+        `export_oracle_with_map` once, and export then `reconstruct`
+        validates exactly once."""
+        w = element_from_word(A2, ["s1", "s2"])
+        calls, exports = [], []
+        validate = CohomologyOracle.validate
+        monkeypatch.setattr(CohomologyOracle, "validate", lambda o: calls.append(o) or validate(o))
+        with_map = cohomology_module.export_oracle_with_map
+        monkeypatch.setattr(
+            cohomology_module, "export_oracle_with_map",
+            lambda *args: exports.append(args) or with_map(*args),
+        )
+        expected, _ = export_oracle_with_map(w, seed=3)  # the unwrapped function
+        oracle = export_oracle(w, seed=3)
+        assert oracle == expected
+        assert calls == [] and len(exports) == 1
+        reconstruct(oracle)
+        assert calls == [oracle]
+
     def test_no_unit(self):
         oracle = CohomologyOracle((("a", 2),), ("a",), {})
         with pytest.raises(MalformedOracleError, match="no degree-0 basis element"):

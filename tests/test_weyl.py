@@ -363,9 +363,14 @@ class TestInterval:
 
     def test_elements_are_the_subword_products_in_shortlex_order(self):
         """Kept to the subword products, the walk gives exactly [e, w], in
-        (length, ShortLex) order, each element with its vector's greedy word."""
+        (length, ShortLex) order, each element with its vector's greedy word.
+        [e, w] is also checked against the Bruhat order on all of W up to
+        length(w), which does not go through the subword products."""
         for itv in self._seeded_intervals():
-            assert set(itv) == subword_products(itv.top)
+            w = itv.top
+            assert set(itv) == subword_products(w)
+            below = {v for v in enumerate_elements(itv.cartan, w.length) if bruhat_leq(v, w)}
+            assert set(itv) == below
             words = [v._index_word() for v in itv]
             assert words == sorted(words, key=lambda word: (len(word), word))
             ctx = weyl._context(itv.cartan)
@@ -690,6 +695,12 @@ def test_enumeration_cap_boundary_matches_bfs_oracle(A, max_length):
         with pytest.raises(EnumerationCapExceededError) as info:
             enumerate_(A, max_length, max_elements=count - 1)
         assert info.value.cap == count - 1
+
+
+def test_negative_length_has_no_elements():
+    """Every length is >= 0, so a negative bound admits no element, not e."""
+    assert enumerate_elements(A3, -1) == bfs_enumerate_elements(A3, -1) == []
+    assert isom_classes(A3, -1) == []
 
 
 @settings(max_examples=60, deadline=None)
