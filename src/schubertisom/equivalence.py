@@ -17,7 +17,7 @@ from .cartan import diagram_automorphisms, graph_automorphisms, search_injection
 from .cartan import simple_graph, submatrix
 from .errors import InvalidWitnessError, MixedContextsError, NotFullySupportedError
 from . import weyl
-from .weyl import WeylElement, _apply, element_from_word, enumerate_elements, support
+from .weyl import WeylElement, _apply, element_from_word, support
 
 
 @dataclass(frozen=True)
@@ -246,10 +246,67 @@ def canonical_key(w):
     return len(word), tuple(sorted(factors))
 
 
-def _keys(elements):
+def _extend(ctx, x, u, previous, shared, intern):
+    """(M(v), N(v), the entries E(v, n) over N(v)) of the element v with
+    vector x, by the recurrence of `_keys` from the data of its predecessors
+    in `previous`.  u is the vector of v's parent, its predecessor through
+    its least left descent; the others come from the O(rank) column update
+    of x.  A predecessor missing from `previous` gets its data from
+    `_least_word` and `_entries`, and keeps it there.
+    """
+    columns, entries = ctx.columns, ctx.cartan.entries
+    best, sources = None, []
+    for j, c in enumerate(x):
+        if c < 0:
+            if u is None:
+                u = list(x)
+                for i, a in columns[j]:
+                    u[i] -= c * a
+                u = tuple(u)
+            data = previous.get(u)
+            if data is None:
+                m, namings = _least_word(WeylElement(ctx, u), range(len(u)))
+                namings = tuple(namings)
+                tables = [tuple(map(intern, t, t))
+                          for t in (_entries(m, named, entries) for named in namings)]
+                data = previous[u] = m, namings, tuple(map(shared.setdefault, tables, tables))
+            m, namings, tables = data
+            u = None
+            if best is None or m < best:
+                best, sources = m, [(j, namings, tables)]
+            elif m == best:
+                sources.append((j, namings, tables))
+    symbol, chosen = len(x), []
+    for j, namings, tables in sources:
+        for named, table in zip(namings, tables):
+            name = named.index(j) if j in named else len(named)
+            if name <= symbol:
+                if name < symbol:
+                    symbol, chosen = name, []
+                chosen.append((j, named, table))
+    namings, tables = [], []
+    for j, named, table in chosen:
+        row = entries[j]
+        full = [(symbol, y, row[i]) for y, i in enumerate(named) if y != symbol and row[i]]
+        if symbol < len(named):
+            lo = bisect_left(table, (symbol,))
+            hi = bisect_left(table, (symbol + 1,), lo)
+        else:
+            lo = hi = len(table)
+            named += (j,)
+        if hi - lo < len(full):
+            table = (*table[:lo], *map(intern, full, full), *table[hi:])
+            table = shared.setdefault(table, table)
+        namings.append(named)
+        tables.append(table)
+    return best + (symbol,), tuple(namings), tuple(tables)
+
+
+def _keys(elements, parents):
     """`canonical_key` of each of `elements`, which must be all of W up to
-    some length in (length, ShortLex) order, as `enumerate_elements` gives
-    it.  Equal keys are one object, and so are equal entries (x, y, a).
+    some length in (length, ShortLex) order, with the position of each
+    one's parent, as `weyl._walk` gives them.  Equal keys are one object,
+    and so are equal entries (x, y, a).
 
     One bottom-up pass, one length at a time.  Read right to left, the
     reduced words of v != e ending a reading with the letter j are those of
@@ -258,15 +315,11 @@ def _keys(elements):
     the left descents j and the namings n in N(u), the namings that reach
     M(u); the symbol of j is n.index(j) when j is in n, else len(n), and n
     grows by j when j is new.  N(v) holds the namings that reach M(v).  u is
-    one length shorter and comes from the O(rank) column update of v(rho),
-    so M, N and the entries E(u, n) of each naming (`_entries`) are kept for
-    the previous length only, in a dict keyed by vector, N and its entries
-    as two parallel tuples; the last length keeps none, as no length
-    follows it.  A connected v takes (length, ((M(v), E(v)),)),
-    E(v) the least E(v, n) over N(v).  A predecessor missing from the dict
-    is disconnected; its M and N come from `_least_word` on that element of
-    the walk, whose canonical word is already built, its entries from
-    `_entries`, and they stay in the dict for that length.
+    one length shorter, so M, N and the entries E(u, n) of each naming
+    (`_entries`) are kept for the previous length only, in a dict keyed by
+    vector, N and its entries as two parallel tuples; the last length keeps
+    none, as no length follows it (`_extend` runs one step).  A connected v
+    takes (length, ((M(v), E(v)),)), E(v) the least E(v, n) over N(v).
 
     E(v, n) is spliced from E(u, n_u), where n is n_u, or n_u + (j,) when
     the symbol s of j is the new name len(n_u).  A name x's constrained
@@ -278,87 +331,67 @@ def _keys(elements):
     is E(u, n_u)'s, already interned.  Entry tuples are stored once per
     length, so the k! namings of commuting letters share a few tuples.
 
-    A disconnected v builds no namings (k commuting letters have k! of
-    them) and takes (length, sorted factor keys), as `canonical_key` does.
-    The factor on a component is a connected element of the walk, and its
-    canonical word is v's cut to the component: the greedy least left
-    descent of v, when it lies in the component, is the least one of the
-    factor.  So the factor is found by bisection among the elements of its
-    length.
+    A disconnected v takes (length, sorted factor keys), as `canonical_key`
+    does.  The factor on a component is a connected element of the walk,
+    and its canonical word is v's cut to the component: the greedy least
+    left descent of v, when it lies in the component, is the least one of
+    the factor.  So the factor is found by bisection among the elements of
+    its length.  The recurrence never uses connectivity, and a disconnected
+    v below the last length gets its M, N and entries by it too when some
+    letter j outside its support has a neighbour in every component.  Those are exactly the
+    disconnected u = s_j v' below a connected v' one longer, the only ones
+    whose namings a connected element reads, so no other disconnected
+    element builds namings (k commuting letters have k! of them): none on
+    an edgeless diagram, where no letter joins.  A predecessor that is
+    itself disconnected and joined by no letter has no data; only there
+    does `_extend` fall back to the search `canonical_key` runs.
+
+    Supports are bitmasks, each the parent's plus the least left descent,
+    and each support's components are computed once and shared.
     """
     ctx = elements[0]._ctx
     columns, entries, rho = ctx.columns, ctx.cartan.entries, ctx.rho
-    starts, split, parts = [], {}, []
-    for p, v in enumerate(elements):
-        word = v._index_word()
+    near = [sum(1 << j for j, _ in column if j != i) for i, column in enumerate(columns)]
+    starts, masks, parts, split = [0], [0], [None], {}
+    for p in range(1, len(elements)):
+        word = elements[p]._index_word()
         if len(word) == len(starts):
             starts.append(p)
-        sup = frozenset(word)
-        if sup not in split:
-            split[sup] = _components(entries, sorted(sup))
-        parts.append(split[sup])
+        mask = masks[parents[p]] | 1 << word[0]
+        masks.append(mask)
+        if mask not in split:
+            components = _components(entries, [i for i in range(len(rho)) if mask >> i & 1])
+            # With two components or more, a common neighbour lies outside the support.
+            joins = -1
+            for component in components:
+                reach = 0
+                for i in component:
+                    reach |= near[i]
+                joins &= reach
+            split[mask] = components, len(components) > 1 and joins != 0
+        parts.append(split[mask])
     starts.append(len(elements))
 
     keys = [(0, ())]
     interned = {}
     intern = interned.setdefault
-    current, apart = {rho: ((), ((),), ((),))}, {}
+    current = {rho: ((), ((),), ((),))}
     last = len(starts) - 2
     for length in range(1, last + 1):
         previous, current, shared = current, {}, {}
         for p in range(starts[length], starts[length + 1]):
             x = elements[p].rho
-            if len(parts[p]) == 1:
-                best, sources = None, []
-                for j, c in enumerate(x):
-                    if c < 0:
-                        u = list(x)
-                        for i, a in columns[j]:
-                            u[i] -= c * a
-                        u = tuple(u)
-                        if u not in previous:
-                            m, namings = _least_word(apart[u], range(len(u)))
-                            namings = tuple(namings)
-                            tables = [tuple(map(intern, t, t))
-                                      for t in (_entries(m, named, entries) for named in namings)]
-                            previous[u] = m, namings, tuple(map(shared.setdefault, tables, tables))
-                        m, namings, tables = previous[u]
-                        if best is None or m < best:
-                            best, sources = m, [(j, namings, tables)]
-                        elif m == best:
-                            sources.append((j, namings, tables))
-                symbol, chosen = len(rho), []
-                for j, namings, tables in sources:
-                    for named, table in zip(namings, tables):
-                        name = named.index(j) if j in named else len(named)
-                        if name <= symbol:
-                            if name < symbol:
-                                symbol, chosen = name, []
-                            chosen.append((j, named, table))
-                namings, tables = [], []
-                for j, named, table in chosen:
-                    row = entries[j]
-                    full = [(symbol, y, row[i]) for y, i in enumerate(named)
-                            if y != symbol and row[i]]
-                    if symbol < len(named):
-                        lo = bisect_left(table, (symbol,))
-                        hi = bisect_left(table, (symbol + 1,), lo)
-                    else:
-                        lo = hi = len(table)
-                        named += (j,)
-                    if hi - lo < len(full):
-                        table = (*table[:lo], *map(intern, full, full), *table[hi:])
-                        table = shared.setdefault(table, table)
-                    namings.append(named)
-                    tables.append(table)
-                m = best + (symbol,)
+            components, joined = parts[p]
+            if len(components) == 1 or joined and length < last:
+                data = _extend(ctx, x, elements[parents[p]].rho, previous, shared, intern)
                 if length < last:
-                    current[x] = m, tuple(namings), tuple(tables)
+                    current[x] = data
+            if len(components) == 1:
+                m, _, tables = data
                 key = length, ((m, min(tables)),)
             else:
-                apart[x] = elements[p]
                 factors = []
-                for letters in parts[p]:
+                for letters in components:
                     cut = tuple(i for i in elements[p]._index_word() if i in letters)
                     lo, hi = starts[len(cut)], starts[len(cut) + 1]
                     q = bisect_left(elements, cut, lo, hi, key=WeylElement._index_word)
@@ -379,11 +412,11 @@ def isom_classes(A, max_length, max_elements=weyl.DEFAULT_ELEMENT_CAP):
     dict keeps its insertion order, so members come out in that order and
     classes come out sorted by their least member.
     """
-    elements = enumerate_elements(A, max_length, max_elements)
+    elements, parents = weyl._walk(weyl._context(A), max_length, max_elements)
     if not elements:  # max_length < 0
         return []
     classes = {}
-    for w, key in zip(elements, _keys(elements)):
+    for w, key in zip(elements, _keys(elements, parents)):
         classes.setdefault(id(key), []).append(w)
     return list(classes.values())
 

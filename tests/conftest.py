@@ -14,6 +14,7 @@ from schubertisom import (
     two_letter_leq,
     validate_cartan,
 )
+from schubertisom import weyl
 from schubertisom.errors import EnumerationCapExceededError
 from schubertisom.weyl import DEFAULT_ELEMENT_CAP, enumerate_elements, identity_element
 
@@ -243,6 +244,12 @@ def bfs_enumerate_elements(A, max_length, max_elements=DEFAULT_ELEMENT_CAP):
                         raise EnumerationCapExceededError(max_elements)
         frontier = nxt
     return sorted(seen, key=lambda v: (v.length, [order(s) for s in v.canonical_word]))
+
+
+def walk(A, max_length):
+    """(elements, parents) of length at most max_length, as `isom_classes`
+    hands them to `equivalence._keys`."""
+    return weyl._walk(weyl._context(A), max_length, DEFAULT_ELEMENT_CAP)
 
 
 def pairwise_isom_classes(A, max_length):

@@ -51,6 +51,7 @@ from conftest import (
     relabeled,
     star,
     type_a,
+    walk,
 )
 
 
@@ -587,8 +588,8 @@ def _edgeless(n):
 
 
 def _assert_walk_keys_match(A, max_length):
-    elements = enumerate_elements(A, max_length)
-    keys = equivalence._keys(elements)
+    elements, parents = walk(A, max_length)
+    keys = equivalence._keys(elements, parents)
     assert len(keys) == len(elements)
     for w, key in zip(elements, keys):
         assert key == canonical_key(w), w
@@ -699,40 +700,71 @@ class TestWalkKeys:
         cases += [(random_cartan(rng, max_rank=4), 5) for _ in range(15)]
         checked = 0
         for A, max_length in cases:
-            elements = enumerate_elements(A, max_length)
-            for w, key in zip(elements, equivalence._keys(elements)):
+            elements, parents = walk(A, max_length)
+            for w, key in zip(elements, equivalence._keys(elements, parents)):
                 assert brute_force_key(w) == key == canonical_key(w), w
             checked += len(elements)
         assert checked > 1_000
 
     @pytest.mark.parametrize(
-        "A, max_length, searched",
-        [(_edgeless(12), 12, 0), (star(4), 7, 11), (star(5), 6, 26), (star(6), 7, 57),
-         (A3_AFFINE, 6, 2)],
-        ids=["edgeless12", "star4", "star5", "star6", "A3aff"],
+        "A, max_length, joinable, searched",
+        [(_edgeless(12), 12, 0, 0), (star(4), 7, 11, 0), (star(5), 6, 26, 0),
+         (star(6), 7, 57, 0), (A3_AFFINE, 6, 2, 0), (type_a(5), 15, 50, 9)],
+        ids=["edgeless12", "star4", "star5", "star6", "A3aff", "A5"],
     )
-    def test_searches_only_disconnected_predecessors(self, monkeypatch, A, max_length, searched):
-        """The k! guard, by structure: `_keys` builds namings by a search
-        (`_least_word`) only for the disconnected u = s_j v below a connected
-        v, once each; on the star with k leaves there are 2^k - k - 1.  On the
-        4-cycle, s0 s2 and s1 s3 each lie below two connected elements."""
-        elements = enumerate_elements(A, max_length)
+    def test_searches_only_disconnected_predecessors(
+            self, monkeypatch, A, max_length, joinable, searched):
+        """The k! guard, by structure.  A disconnected u builds namings only
+        when a connected v = s_j u one longer reads them (`expected`: some
+        letter outside u's support joins its components), by the recurrence
+        (`_extend`), or when such a u lacks them for a predecessor, by the
+        search (`_least_word`), once each.  On the star with k leaves there
+        are 2^k - k - 1 such u, on the 4-cycle s0 s2 and s1 s3, and neither
+        needs a search; on an edgeless diagram no letter joins."""
+        elements, parents = walk(A, max_length)
         expected = {
             u
             for v in elements if len(_factors(v)) == 1
             for u in (multiply(simple_reflection(A, s), v) for s in v.left_descents())
             if len(_factors(u)) > 1
         }
-        assert len(expected) == searched
+        assert len(expected) == joinable
+        lacking = {
+            u
+            for v in expected
+            for u in (multiply(simple_reflection(A, s), v) for s in v.left_descents())
+            if len(_factors(u)) > 1 and u not in expected
+        }
+        by_vector = {w.rho: w for w in elements}
+        calls, extended = [], []
+        least_word, extend = equivalence._least_word, equivalence._extend
+        monkeypatch.setattr(equivalence, "_least_word",
+                            lambda w, letters: calls.append(w) or least_word(w, letters))
+        monkeypatch.setattr(equivalence, "_extend",
+                            lambda ctx, x, *rest: extended.append(by_vector[x])
+                            or extend(ctx, x, *rest))
+        equivalence._keys(elements, parents)
+        assert len(calls) == len(set(calls)) == searched
+        assert set(calls) == lacking
+        assert {v for v in extended if len(_factors(v)) > 1} == expected
+
+    @pytest.mark.parametrize(
+        "A, max_length, searches", [(type_a(6), 21, 61), (star(6), 7, 0)], ids=["A6", "star6"]
+    )
+    def test_search_count(self, monkeypatch, A, max_length, searches):
+        """`isom_classes` searches only where the recurrence left a
+        predecessor without data: 61 times on all of A6 and never on the
+        six-leaf star, against 312 and 57 when every disconnected
+        predecessor of a connected element was searched."""
         calls, least_word = [], equivalence._least_word
         monkeypatch.setattr(equivalence, "_least_word",
                             lambda w, letters: calls.append(w) or least_word(w, letters))
-        equivalence._keys(elements)
-        assert len(calls) == len(set(calls)) and set(calls) == expected
+        isom_classes(A, max_length)
+        assert len(calls) <= searches
 
     def test_equal_keys_are_one_object(self):
-        elements = enumerate_elements(type_a(4), 10)
-        keys = equivalence._keys(elements)
+        elements, parents = walk(type_a(4), 10)
+        keys = equivalence._keys(elements, parents)
         assert len({id(key) for key in keys}) == len(set(keys)) == 54
         triples = [t for key in keys for _, entries in key[1] for t in entries]
         assert len({id(t) for t in triples}) == len(set(triples))

@@ -28,7 +28,7 @@ from schubertisom import equivalence
 from schubertisom.cartan import search_injections
 from schubertisom.weyl import enumerate_elements
 
-from conftest import A2_AFFINE, B4, G2, H3, random_cartan, random_word, relabeled, star, type_a
+from conftest import A2_AFFINE, B4, G2, H3, random_cartan, random_word, relabeled, star, type_a, walk
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -149,6 +149,6 @@ def test_same_automorphisms_as_dense_tables(name, graph, count, labels, rows):
     ids=["A5", "B4", "G2", "H3", "A2aff", "star5"],
 )
 def test_keys_hold_no_zero_entries(A, max_length):
-    elements = enumerate_elements(A, max_length)
-    for keys in (equivalence._keys(elements), map(canonical_key, elements)):
+    elements, parents = walk(A, max_length)
+    for keys in (equivalence._keys(elements, parents), map(canonical_key, elements)):
         assert all(a for _, factors in keys for _, entries in factors for _, _, a in entries)
