@@ -10,7 +10,6 @@ from .cartan import (
     CartanMatrix,
     IndexSet,
     SimpleCoxeterGraph,
-    coxeter_exponent,
     diagram_automorphisms,
     graph_automorphisms,
     simple_graph,
@@ -23,7 +22,6 @@ from .cohomology import (
     chevalley_product,
     export_oracle,
     export_oracle_with_map,
-    multiply_by_simple,
     simple_square_closed_form,
     support_closure,
 )
@@ -31,7 +29,6 @@ from .equivalence import (
     EquivalenceWitness,
     canonical_key,
     check_equivalence,
-    isom_class_bound,
     isom_classes,
     restriction_witness,
     transport_interval,

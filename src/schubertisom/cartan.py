@@ -1,4 +1,4 @@
-"""Cartan matrices, Coxeter exponents, graphs and the label-bijection search.
+"""Cartan matrices, graphs and the label-bijection search.
 
 A (generalized) Cartan matrix is an integer matrix A indexed by a finite
 label set S with A[s][s] = 2, A[s][t] <= 0 for s != t, and A[s][t] = 0
@@ -10,7 +10,6 @@ runs it on the constrained pairs of two elements, and the automorphisms on
 one table against itself.  A matrix is held once, as its rows `entries`.
 """
 
-import math
 from itertools import chain
 
 from .errors import (
@@ -127,14 +126,6 @@ class CartanMatrix:
     def entry(self, s, t):
         return self.entries[self.index_set.index(s)][self.index_set.index(t)]
 
-    def is_symmetric(self):
-        n = len(self)
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-
     def to_json(self):
         return {"index_set": list(self.labels), "matrix": [list(r) for r in self.entries]}
 
@@ -163,20 +154,6 @@ def submatrix(A, J):
     return CartanMatrix(IndexSet(A.labels[i] for i in keep), rows)
 
 
-def coxeter_exponent(A, s, t):
-    """The Coxeter exponent m_st: the order of st in the Weyl group.
-
-    Returns 1 on the diagonal, one of 2, 3, 4, 6 in the finite cases,
-    and math.inf when A[s][t]*A[t][s] >= 4.
-    """
-    if s == t:
-        A.index_set.index(s)
-        return 1
-    product = A.entry(s, t) * A.entry(t, s)
-    table = {0: 2, 1: 3, 2: 4, 3: 6}
-    return table.get(product, math.inf)
-
-
 class SimpleCoxeterGraph:
     """The underlying simple graph: edge {s,t} iff A[s][t] != 0, s != t."""
 
@@ -197,12 +174,6 @@ class SimpleCoxeterGraph:
 
     def __hash__(self):
         return hash((self.vertices, self.edges))
-
-    def has_edge(self, s, t):
-        return frozenset((s, t)) in self.edges
-
-    def degree(self, s):
-        return sum(1 for e in self.edges if s in e)
 
 
 def simple_graph(A):

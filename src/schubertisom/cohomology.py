@@ -42,19 +42,6 @@ class SchubertClass:
             and self.coeffs == other.coeffs
         )
 
-    def __add__(self, other):
-        coeffs = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            coeffs[v] = coeffs.get(v, 0) + c
-        return SchubertClass(self.interval, coeffs)
-
-    def scaled(self, k):
-        return SchubertClass(self.interval, {v: k * c for v, c in self.coeffs.items()})
-
-    def is_homogeneous(self):
-        lengths = {v.length for v in self.coeffs}
-        return len(lengths) <= 1
-
 
 def chevalley_product(s, u, itv):
     """Expand xi_s * xi_u on the Schubert basis of the interval: the
@@ -68,15 +55,6 @@ def chevalley_product(s, u, itv):
     elements = itv.elements
     covers = itv.up[itv.position[u.rho]]
     return SchubertClass(itv, {elements[q]: c for q, coroot in covers if (c := coroot[k])})
-
-
-def multiply_by_simple(s, F):
-    """Linear extension of chevalley_product to arbitrary classes."""
-    coeffs = defaultdict(int)
-    for u, c in F.coeffs.items():
-        for v, d in chevalley_product(s, u, F.interval).coeffs.items():
-            coeffs[v] += c * d
-    return SchubertClass(F.interval, coeffs)
 
 
 def simple_square_closed_form(t, itv):
@@ -153,20 +131,13 @@ class CohomologyOracle:
                 return bid
         raise MalformedOracleError("no degree-0 basis element")
 
-    @property
-    def top_id(self):
-        if not self.basis:
-            raise MalformedOracleError("no basis elements")
-        return max(self.basis, key=itemgetter(1))[0]
-
     def validate(self):
-        # Types first: no unhashable id reaches a set, no float or bool passes.
+        # Types first: no unhashable id reaches a set, no float or bool passes;
+        # the product terms are typed in their defect loop below.
         if not {(type(bid), type(d)) for bid, d in self.basis} <= {(str, int)}:
             raise MalformedOracleError("expected a string id and an integer degree")
         if not set(map(type, self.generators)) <= {str}:
             raise MalformedOracleError("generator ids must be strings")
-        if not {(type(v), type(c)) for ts in self.products.values() for v, c in ts} <= {(str, int)}:
-            raise MalformedOracleError("expected a string id and an integer coeff")
         degrees = dict(self.basis)
         if len(degrees) != len(self.basis):
             raise MalformedOracleError("duplicate basis ids")
@@ -198,8 +169,11 @@ class CohomologyOracle:
                 self._check_complete(degrees)
                 raise MalformedOracleError(f"product ({g}, {bid}) uses unknown ids")
             # An id in `level` is a known id of degree d + 2, so the first term
-            # that fails here is the first with any defect; name it.
+            # that fails here is the first with any defect; name it.  The types
+            # come first, so no unhashable id reaches `level`.
             for vid, coeff in terms:
+                if type(vid) is not str or type(coeff) is not int:
+                    raise MalformedOracleError("expected a string id and an integer coeff")
                 if vid not in level or coeff == 0:
                     if vid not in degrees:
                         raise MalformedOracleError(f"product ({g}, {bid}) hits unknown id")

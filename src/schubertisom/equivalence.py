@@ -13,9 +13,8 @@ elements by it.
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .cartan import diagram_automorphisms, graph_automorphisms, search_injections
-from .cartan import simple_graph, submatrix
-from .errors import InvalidWitnessError, MixedContextsError, NotFullySupportedError
+from .cartan import search_injections, submatrix
+from .errors import InvalidIndexSetError, InvalidWitnessError
 from . import weyl
 from .weyl import WeylElement, _apply, element_from_word, support
 
@@ -109,13 +108,16 @@ def transport_interval(witness):
     word.  The map is checked to be a bijection onto [e,w'] that sends the
     upper covers of each element onto the upper covers of its image, which
     on graded posets is an order isomorphism; a witness that fails either
-    check, or whose sigma misses a support label, raises InvalidWitnessError.
+    check, or whose sigma misses a support label or sends one outside the
+    target's labels, raises InvalidWitnessError.
     """
-    sigma = witness.sigma
-    missing = support(witness.source) - sigma.keys()
+    sigma, sup, B = witness.sigma, support(witness.source), witness.target.cartan
+    missing = sup - sigma.keys()
     if missing:
         raise InvalidWitnessError(f"sigma does not map the support labels {sorted(missing)}")
-    B = witness.target.cartan
+    strays = {sigma[s] for s in sup} - set(B.labels)
+    if strays:
+        raise InvalidWitnessError(f"sigma maps onto labels {sorted(strays, key=str)} that A' lacks")
     source = weyl.interval(witness.source)
     target = weyl.interval(witness.target)
     image = [
@@ -421,20 +423,13 @@ def isom_classes(A, max_length, max_elements=weyl.DEFAULT_ELEMENT_CAP):
     return list(classes.values())
 
 
-def isom_class_bound(A, w):
-    """Upper bound on |Isom(w,A)| for fully supported w, via automorphisms."""
-    if w.cartan != A:
-        raise MixedContextsError()
-    missing = set(A.labels) - support(w)
-    if missing:
-        raise NotFullySupportedError(missing)
-    if A.is_symmetric():
-        return len(diagram_automorphisms(A))
-    return len(graph_automorphisms(simple_graph(A)))
-
-
 def restriction_witness(w):
-    """Witness for X(w,A) = X(w,A_{S(w)}): identity sigma onto the submatrix."""
+    """Witness for X(w,A) = X(w,A_{S(w)}), the reduction to the support
+    submatrix: the identity sigma onto it.  w = e has no restriction, as A
+    restricted to the empty support is not a Cartan matrix (X(e) is a
+    point), and raises InvalidIndexSetError."""
+    if w.is_identity():
+        raise InvalidIndexSetError("e has an empty support: there is no matrix to restrict to")
     A = w.cartan
     sub = submatrix(A, sorted(support(w), key=A.index_set.index))
     w_restricted = element_from_word(sub, w.canonical_word)

@@ -101,11 +101,5 @@ class NotACoverError(SchubertError):
         super().__init__("second element does not cover the first in Bruhat order")
 
 
-class NotFullySupportedError(SchubertError):
-    def __init__(self, missing):
-        super().__init__(f"element is not fully supported; missing {sorted(missing)}")
-        self.missing = missing
-
-
 class MalformedOracleError(SchubertError):
     """The given product table is not the cohomology of any Schubert variety."""

@@ -191,9 +191,6 @@ class FreeAlgebraElement(_SparseSum):
     def __rmul__(self, other):
         return FreeAlgebraElement.scalar(other) * self
 
-    def is_normal_form(self):
-        return all(_violation(mono) is None for mono in self.terms)
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -143,7 +143,7 @@ def brute_force_graph_automorphisms(G):
     autos = []
     for images in permutations(labels):
         sigma = dict(zip(labels, images))
-        if all(G.has_edge(sigma[s], sigma[t]) == G.has_edge(s, t)
+        if all((frozenset((sigma[s], sigma[t])) in G.edges) == (frozenset((s, t)) in G.edges)
                for i, s in enumerate(labels) for t in labels[i + 1:]):
             autos.append(sigma)
     return autos
@@ -290,6 +290,11 @@ def pairwise_isom_classes(A, max_length):
         return (len(word), tuple(order(s) for s in word))
 
     return sorted(classes, key=class_key)
+
+
+def top_id(oracle):
+    """The id of the oracle's top-degree basis element."""
+    return max(oracle.basis, key=lambda b: b[1])[0]
 
 
 def support_closure(oracle, J):

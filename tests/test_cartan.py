@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from schubertisom import (
     CartanMatrix,
     IndexSet,
-    coxeter_exponent,
     diagram_automorphisms,
+    element_from_word,
     graph_automorphisms,
     simple_graph,
     submatrix,
@@ -139,36 +139,41 @@ class TestSubmatrix:
         assert inner == submatrix(A3, ["s2"])
 
 
+def _order(A, s, t, bound=12):
+    """The order of s t in the Weyl group of A, by multiplying out its
+    powers; math.inf when none up to `bound` is e."""
+    for k in range(1, bound + 1):
+        if element_from_word(A, (s, t) * k).is_identity():
+            return k
+    return math.inf
+
+
 class TestCoxeterExponent:
+    """The Coxeter exponent m_st is the order of s t: 1 on the diagonal,
+    2, 3, 4 or 6 as A[s][t] * A[t][s] is 0, 1, 2 or 3, else infinite."""
+
     def test_simply_laced_edge(self):
-        assert coxeter_exponent(A3, "s1", "s2") == 3
+        assert _order(A3, "s1", "s2") == 3
 
     def test_diagonal(self):
-        assert coxeter_exponent(A3, "s2", "s2") == 1
+        assert _order(A3, "s2", "s2") == 1
 
     def test_commuting(self):
-        assert coxeter_exponent(A3, "s1", "s3") == 2
+        assert _order(A3, "s1", "s3") == 2
 
     def test_double_edge(self):
-        assert coxeter_exponent(B2, "s1", "s2") == 4
+        assert _order(B2, "s1", "s2") == 4
 
     def test_triple_edge(self):
-        assert coxeter_exponent(G2, "s1", "s2") == 6
+        assert _order(G2, "s1", "s2") == 6
 
     def test_infinite(self):
-        assert coxeter_exponent(A1_AFFINE, "s1", "s2") == math.inf
-
-    def test_unknown_label(self):
-        with pytest.raises(UnknownLabelError):
-            coxeter_exponent(A3, "s1", "t1")
+        assert _order(A1_AFFINE, "s1", "s2") == math.inf
 
 
 class TestSimpleGraph:
     def test_a3_path(self):
-        G = simple_graph(A3)
-        assert G.has_edge("s1", "s2")
-        assert G.has_edge("s2", "s3")
-        assert not G.has_edge("s1", "s3")
+        assert simple_graph(A3).edges == {frozenset(("s1", "s2")), frozenset(("s2", "s3"))}
 
     def test_c3_path(self):
         assert simple_graph(C3).edges == simple_graph(A3).edges
@@ -178,8 +183,9 @@ class TestSimpleGraph:
         assert simple_graph(A).edges == frozenset()
 
     def test_degree(self):
-        assert simple_graph(D4).degree("s2") == 3
-        assert simple_graph(D4).degree("s1") == 1
+        edges = simple_graph(D4).edges
+        assert sum("s2" in e for e in edges) == 3
+        assert sum("s1" in e for e in edges) == 1
 
 
 def _random_pair_table(rng, labels):

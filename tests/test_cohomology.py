@@ -13,7 +13,6 @@ from schubertisom import (
     export_oracle,
     export_oracle_with_map,
     interval,
-    multiply_by_simple,
     reconstruct,
     simple_square_closed_form,
     support_closure,
@@ -28,7 +27,7 @@ from schubertisom.errors import (
 )
 from schubertisom.weyl import identity_element
 
-from conftest import A2, A2_AFFINE, A3, B3, D4, G2, random_cartan, random_word, type_a
+from conftest import A2, A2_AFFINE, A3, B3, D4, G2, random_cartan, random_word, top_id, type_a
 
 
 def hirzebruch(n):
@@ -75,17 +74,6 @@ class TestChevalley:
         F = chevalley_product("s1", element_from_word(A2, ["s1"]), itv)
         assert F.coeffs == {element_from_word(A2, ["s2", "s1"]): 1}
 
-    def test_linearity(self):
-        itv = interval(element_from_word(A2, ["s1", "s2", "s1"]))
-        e = identity_element(A2)
-        s2 = element_from_word(A2, ["s2"])
-        F = SchubertClass(itv, {e: 1}).scaled(3) + SchubertClass(itv, {s2: 1}).scaled(2)
-        G = multiply_by_simple("s1", F)
-        expected = chevalley_product("s1", e, itv).scaled(3) + chevalley_product(
-            "s1", s2, itv
-        ).scaled(2)
-        assert G == expected
-
     def test_square_matches_closed_form(self, rng):
         for _ in range(20):
             A = random_cartan(rng, max_rank=3)
@@ -125,7 +113,6 @@ class TestChevalley:
             for s in sorted(set(w.canonical_word)):
                 for u in itv:
                     F = chevalley_product(s, u, itv)
-                    assert F.is_homogeneous()
                     for v, c in F.coeffs.items():
                         assert v.length == u.length + 1
                         assert c > 0
@@ -271,7 +258,7 @@ class TestOracleExport:
         degree = dict(oracle.basis)
         for v, bid in naming.items():
             assert degree[bid] == 2 * v.length
-        assert oracle.top_id == naming[w]
+        assert top_id(oracle) == naming[w]
 
     def test_products_match_chevalley(self):
         w = element_from_word(A2, ["s1", "s2", "s1"])
@@ -392,7 +379,7 @@ class TestOracleValidation:
         o = self._oracle()
         products = dict(o.products)
         g = o.generators[0]
-        products[(g, o.top_id)] = ((o.unit_id, 1),)
+        products[(g, top_id(o))] = ((o.unit_id, 1),)
         with pytest.raises(MalformedOracleError):
             CohomologyOracle(o.basis, o.generators, products).validate()
 
@@ -400,7 +387,7 @@ class TestOracleValidation:
         o = self._oracle()
         products = dict(o.products)
         g = o.generators[0]
-        products[(g, g)] = products[(g, g)] + ((o.top_id, 0),)
+        products[(g, g)] = products[(g, g)] + ((top_id(o), 0),)
         with pytest.raises(MalformedOracleError):
             CohomologyOracle(o.basis, o.generators, products).validate()
 

@@ -17,11 +17,12 @@ from schubertisom import (
     check_equivalence,
     diagram_automorphisms,
     element_from_word,
+    graph_automorphisms,
     interval,
     inversion_set,
-    isom_class_bound,
     isom_classes,
     restriction_witness,
+    simple_graph,
     submatrix,
     support,
     transport_interval,
@@ -30,7 +31,7 @@ from schubertisom import (
 )
 from schubertisom import equivalence
 from schubertisom.equivalence import EquivalenceWitness
-from schubertisom.errors import InvalidWitnessError, MixedContextsError, NotFullySupportedError
+from schubertisom.errors import InvalidIndexSetError, InvalidWitnessError
 from schubertisom.weyl import enumerate_elements, identity_element, multiply, simple_reflection
 
 from conftest import (
@@ -286,6 +287,11 @@ class TestTransportInterval:
         w = element_from_word(A3, ["s1", "s2"])
         with pytest.raises(InvalidWitnessError, match=r"support labels \['s2'\]"):
             transport_interval(EquivalenceWitness(w, w, {"s1": "s1"}))
+
+    def test_sigma_onto_a_label_the_target_lacks(self):
+        w = element_from_word(A3, ["s1", "s2"])
+        with pytest.raises(InvalidWitnessError, match=r"labels \['x'\] that A' lacks"):
+            transport_interval(EquivalenceWitness(w, w, {"s1": "s1", "s2": "x"}))
 
     def test_preserves_length(self, rng):
         found = 0
@@ -842,40 +848,18 @@ class TestWalkKeys:
 
 
 class TestIsomClassBound:
-    def test_a3_longest(self):
-        w0 = element_from_word(A3, ["s3", "s2", "s1", "s3", "s2", "s3"])
-        assert isom_class_bound(A3, w0) == 2
-
-    def test_c3_uses_graph(self):
-        w = element_from_word(C3, ["s1", "s2", "s3"])
-        assert isom_class_bound(C3, w) == 2
-
-    def test_d4_star(self):
-        w = element_from_word(D4, ["s1", "s2", "s3", "s4"])
-        assert isom_class_bound(D4, w) == 6
-
-    def test_not_fully_supported(self):
-        with pytest.raises(NotFullySupportedError):
-            isom_class_bound(A3, element_from_word(A3, ["s1", "s2"]))
-
-    def test_element_of_another_matrix(self):
-        """s1 s2 s3 of A3 has bound 2; read against the edgeless matrix over
-        the same labels it would give 3! = 6."""
-        w = element_from_word(A3, ["s1", "s2", "s3"])
-        edgeless = validate_cartan([[2, 0, 0], [0, 2, 0], [0, 0, 2]], ["s1", "s2", "s3"])
-        assert isom_class_bound(A3, w) == 2
-        with pytest.raises(MixedContextsError):
-            isom_class_bound(edgeless, w)
-
     def test_bounds_class_sizes(self):
+        """A class holds no more fully supported members than A has diagram
+        automorphisms, when A is symmetric, or graph automorphisms."""
         for A in (A2, A3, C3):
+            if A.entries == tuple(zip(*A.entries)):
+                bound = len(diagram_automorphisms(A))
+            else:
+                bound = len(graph_automorphisms(simple_graph(A)))
             cap = 4 if len(A) == 3 else 6
             for members in isom_classes(A, cap):
-                w = members[0]
-                if support(w) != set(A.labels):
-                    continue
                 full = [x for x in members if support(x) == set(A.labels)]
-                assert len(full) <= isom_class_bound(A, w)
+                assert len(full) <= bound
 
 
 class TestRestrictionWitness:
@@ -894,3 +878,8 @@ class TestRestrictionWitness:
         w = element_from_word(A3, ["s1", "s2", "s1"])
         wit = restriction_witness(w)
         assert wit.target.cartan == submatrix(A3, ["s1", "s2"])
+
+    def test_identity_has_no_restriction(self):
+        """A restricted to the empty support of e is not a Cartan matrix."""
+        with pytest.raises(InvalidIndexSetError, match="e has an empty support"):
+            restriction_witness(identity_element(A3))

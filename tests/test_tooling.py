@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
 WORKER = ROOT / "bench" / "worker.py"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+README = ROOT / "README.md"
 PACKAGE_SRC = ROOT / "src" / "schubertisom"
 
 
@@ -113,11 +115,12 @@ def test_cli_import_builds_no_parser():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
-# Public names that nothing in src/, the package exports, the benchmark or
-# the acceptance gate refers to, each kept on purpose.
+# Public names that nothing in src/, the README, the benchmark or the
+# acceptance gate refers to, each kept on purpose.
 DOCUMENTED = {
     ("reconstruct", "descent_sets"): "the README describes it: every abstract descent set of an oracle",
     ("weyl", "identity_element"): "the WeylElement docstring names it as a constructor of e",
+    ("weyl", "simple_reflection"): "the WeylElement docstring names it as the constructor of a simple reflection",
 }
 
 
@@ -141,13 +144,15 @@ def test_src_names_have_a_caller():
     """Every public module-level function and class in src/ is used: by
     name in its own module outside its own body, imported (`from .module
     import name`) or read as `module.name` elsewhere in src/, exported by
-    the package, traced or called by the benchmark, imported by the
-    acceptance gate, or listed in DOCUMENTED with its reason.  Helpers that
-    only tests call belong in the tests."""
+    the package and named in the README as a whole word, traced or called
+    by the benchmark, imported by the acceptance gate, or listed in
+    DOCUMENTED with its reason.  Being exported is not a use on its own:
+    helpers that only tests call belong in the tests."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE_SRC.glob("*.py"))}
     exports = _imported(trees.pop("__init__"))
     exported = {name: module for module, name in exports}
-    used = exports | set(_span_targets())
+    readme = set(re.findall(r"\w+", README.read_text()))
+    used = {(module, name) for module, name in exports if name in readme} | set(_span_targets())
     used |= {(module or exported.get(name), name)
              for module, name in _imported(ast.parse(ACCEPTANCE.read_text()))}
     mentioned = {getattr(node, "id", None) or getattr(node, "attr", None)
