@@ -42,33 +42,54 @@ def _parse_pair(value, matrices):
     return matrices[path], _parse_word(word)
 
 
-def _json_text(value, pad="\n"):
-    """The text of json.dumps(value, indent=2, sort_keys=True), for the
-    str-keyed dicts, lists, tuples, str, int, bool and None that payloads
-    hold.  With indent set the json module runs its pure-Python encoder,
-    whose nested closures leave a reference cycle behind on every call;
-    this writer is plain recursion and leaves none."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+def _json_text(value):
+    """The text of json.dumps(value, indent=2, sort_keys=True) for str-keyed
+    payloads.  One pass appends fragments to one list, joined once at the
+    end: a str or int in an entry is written inline, and a list of strings
+    is quoted and joined at C speed.  json.dumps with indent set runs the
+    pure-Python encoder, slower, and leaves a reference cycle on every call."""
+    out = []
+    _write(value, "\n", out, "")
+    return "".join(out)
+
+
+def _write(value, pad, out, lead):
+    """Append lead and the text of value, indented at pad, to out."""
     inner = pad + "  "
+    sep = "," + inner
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (f"{_quote(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) + pad + "]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        head = lead + "{" + inner
+        for k in sorted(value):  # sorting the keys alone is faster than the items
+            v = value[k]
+            if type(v) is str:
+                out.append(f"{head}{_quote(k)}: {_quote(v)}")
+            elif type(v) is int:
+                out.append(f"{head}{_quote(k)}: {v}")
+            else:
+                _write(v, inner, out, f"{head}{_quote(k)}: ")
+            head = sep
+        out.append(pad + "}" if value else lead + "{}")
+    elif isinstance(value, (list, tuple)):
+        if value and type(value[0]) is str:
+            try:  # _quote refuses anything but a str, so the text is exact
+                out.append(f"{lead}[{inner}" + sep.join(map(_quote, value)) + f"{pad}]")
+                return
+            except TypeError:
+                pass
+        head = lead + "[" + inner
+        for v in value:
+            if type(v) is str:
+                out.append(head + _quote(v))
+            elif type(v) is int:
+                out.append(f"{head}{v}")
+            else:
+                _write(v, inner, out, head)
+            head = sep
+        out.append(pad + "]" if value else lead + "[]")
+    elif value is None or type(value) is bool:
+        out.append(lead + ("null" if value is None else "true" if value else "false"))
+    else:  # a str or int subclass, or json's own TypeError for a non-JSON value
+        out.append(lead + json.dumps(value))
 
 
 def _count(text):
@@ -186,17 +207,18 @@ def cmd_cohomology(args):
     w = weyl.element_from_word(A, _parse_word(args.word))
     itv = weyl.interval(w, args.max_elements)
     words = [v.canonical_word for v in itv.elements]
+    texts = [" ".join(word) for word in words]
+    # Position order is ShortLex by label index; the output lists terms by
+    # their label words, which differ when labels are not listed in sorted
+    # order.  Each element's covers are sorted once for all letters.
+    named = [sorted([(words[q], coroot) for q, coroot in covers]) for covers in itv.up]
     order = A.index_set.index
     products = {}
     for s in sorted(weyl.support(w), key=order):
         k = order(s)
-        for word_u, covers in zip(words, itv.up):
-            # Position order is ShortLex by label index; the output lists
-            # terms by their label words, which differ when labels are not
-            # listed in sorted order.
-            terms = sorted([(words[q], c) for q, coroot in covers if (c := coroot[k])])
-            products[f"{s}|{' '.join(word_u)}"] = [
-                {"word": list(word), "coeff": c} for word, c in terms
+        for text_u, covers in zip(texts, named):
+            products[f"{s}|{text_u}"] = [
+                {"word": list(word), "coeff": c} for word, coroot in covers if (c := coroot[k])
             ]
     return _emit(args, {"interval_size": len(itv), "products": products})
 

@@ -274,16 +274,16 @@ def export_oracle_with_map(w, seed=0, max_elements=weyl.DEFAULT_ELEMENT_CAP):
     basis = tuple(sorted(zip(ids, [2 * len(word) for word in words])))
     letter_of = {bid: word[0] for bid, word in zip(ids, words) if len(word) == 1}
     generators = tuple(sorted(letter_of))
-    # Each element's upper covers as (id, coroot), sorted by id once for all
-    # generators; the coefficient of g * xi_u at a cover is its coroot's
-    # entry at g's letter, nonnegative as `interval` checks.  Dropping the
-    # interval before the products are built lowers the peak memory.
-    named = [sorted([(ids[q], coroot) for q, coroot in covers]) for covers in itv.up]
+    # (id, covers as (id, coroot)) in id order, so products fill in key order.
+    # g * xi_u has at each cover its coroot's entry at g's letter, >= 0 as
+    # `interval` checks.  Dropping the interval first lowers the peak memory.
+    named = sorted(zip(ids, [sorted([(ids[q], coroot) for q, coroot in covers])
+                             for covers in itv.up]))
     del itv
     products = {}
     for gid in generators:
         k = letter_of[gid]
-        for bid, covers in zip(ids, named):
+        for bid, covers in named:
             products[gid, bid] = tuple([(vid, c) for vid, coroot in covers if (c := coroot[k])])
     return CohomologyOracle(basis, generators, products), dict(zip(elements, ids))
 

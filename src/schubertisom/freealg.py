@@ -213,8 +213,7 @@ class FreeAlgebraElement(_SparseSum):
         return f"FreeAlgebraElement({self})"
 
 
-def _plain_index(idx):
-    return re.fullmatch(r"[A-Za-z0-9_]+", idx) and "[" not in idx
+_plain_index = re.compile(r"[A-Za-z0-9_]+").fullmatch  # e1, not e[s 1]
 
 
 def _violation(mono):

@@ -6,8 +6,6 @@ from itertools import permutations
 import pytest
 
 from schubertisom import (
-    CartanMatrix,
-    IndexSet,
     check_equivalence,
     simple_reflection,
     support,

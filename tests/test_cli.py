@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import schubertisom
 from schubertisom import CartanMatrix, element_from_word, export_oracle
@@ -422,17 +422,46 @@ JSON_SCALARS = (
 )
 JSON_PAYLOADS = st.recursive(
     JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
     max_leaves=20,
 )
 
 
+class Label(str):
+    pass
+
+
 @settings(max_examples=300, deadline=None)
 @given(JSON_PAYLOADS)
+@example([1, True])
+@example(["a", 1])
+@example([True])
+@example({"k": ["a", None]})
+@example([["s1", Label("s2")], [Label("s1"), "s2"], ("a", ["b"])])
 def test_json_writer_matches_json_dumps(payload):
     """Labels may be any text: non-ASCII, quotes and control characters are
-    escaped as json.dumps escapes them."""
+    escaped as json.dumps escapes them.  A list whose first item is a str
+    is written by one join only when every item is a str."""
     assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+W0_A4 = "s1 s2 s1 s3 s2 s1 s4 s3 s2 s1"
+
+
+@pytest.mark.parametrize("A, argv", [
+    (type_a(4), ["export-oracle", "@", W0_A4]),
+    (type_a(4), ["isom-classes", "@"]),
+    (D4_AFFINE, ["automorphisms", "@"]),
+    (B3, ["cohomology", "@", "s1 s2 s3 s1 s2 s3"]),
+    (A3, ["normal-form", "h[s1]*e[s2]*e[s3]*f[s2]", "--specialize", "@"]),
+], ids=["export-oracle", "isom-classes", "automorphisms", "cohomology", "normal-form"])
+def test_json_writer_matches_json_dumps_on_real_payloads(capsys, tmp_path, A, argv):
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps(A.to_json()))
+    code, out, err = run(capsys, *[str(path) if arg == "@" else arg for arg in argv])
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_json_request_leaves_no_reference_cycle(capsys, a3_file):

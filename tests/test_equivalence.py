@@ -12,13 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schubertisom import (
-    bruhat_leq,
     canonical_key,
     check_equivalence,
     diagram_automorphisms,
     element_from_word,
     graph_automorphisms,
-    interval,
     inversion_set,
     isom_classes,
     restriction_witness,

@@ -543,8 +543,9 @@ class TestDescentMasks:
 
 
 class TestExportReader:
-    """export_oracle reads each product off the interval's cover table;
-    chevalley_product, one (generator, element) pair at a time, is the reference."""
+    """export_oracle reads each product off the interval's cover table, in id
+    order; chevalley_product, one (generator, element) pair at a time, is the
+    reference."""
 
     @pytest.mark.parametrize("A, word", _seeded_cases())
     def test_products_match_chevalley_product(self, A, word):
@@ -558,7 +559,7 @@ class TestExportReader:
                 for v, c in chevalley_product(s.canonical_word[0], u, itv).coeffs.items()
             ))
             for s in simples
-            for u in itv
+            for u in sorted(itv, key=naming.get)
         }
         assert list(oracle.products.items()) == list(expected.items())
 
