@@ -10,7 +10,7 @@ runs it on the constrained pairs of two elements, and the automorphisms on
 one table against itself.  A matrix is held once, as its rows `entries`.
 """
 
-from itertools import chain, compress, repeat
+from itertools import chain
 
 from .errors import (
     DiagonalNotTwoError,
@@ -70,24 +70,6 @@ class IndexSet:
             raise UnknownLabelError(label) from None
 
 
-def _sparse_and_valid(entries):
-    """Whether each row's nonzero positions and values, found at C speed, pass
-    the checks.  False also where the loop's n² steps cost no more than this
-    path's 25 per row and 2 per nonzero entry: small or dense matrices."""
-    n = len(entries)
-    if n <= 25 or 2 * sum(map(tuple.count, entries, repeat(0))) <= n * (n + 25):
-        return False
-    support = [tuple(compress(range(n), row)) for row in entries]
-    columns = [[] for _ in entries]
-    for i, js in enumerate(support):
-        for j in js:
-            columns[j].append(i)
-    values = [list(map(row.__getitem__, js)) for row, js in zip(entries, support)]
-    return not (any(row[i] != 2 for i, row in enumerate(entries))
-                or any(max(v) > 2 or v.count(2) > 1 or 1 in v for v in values)
-                or list(map(tuple, columns)) != support)
-
-
 class CartanMatrix:
     """A validated generalized Cartan matrix over an ordered index set."""
 
@@ -109,15 +91,14 @@ class CartanMatrix:
         for s, row in zip(labels, entries):
             if len(row) != n:
                 raise NonSquareError(n, n, s, len(row))
-        if not _sparse_and_valid(entries):  # the loop checks the rest and names the defect
-            for i, (s, row, column) in enumerate(zip(labels, entries, zip(*entries))):
-                if row[i] != 2:
-                    raise DiagonalNotTwoError(s, row[i])
-                for t, a, b in zip(labels, row, column):
-                    if a > 0 and t != s:
-                        raise PositiveOffDiagonalError(s, t, a)
-                    if (a == 0) != (b == 0):
-                        raise ZeroAsymmetryError(s, t)
+        for i, (s, row, column) in enumerate(zip(labels, entries, zip(*entries))):
+            if row[i] != 2:
+                raise DiagonalNotTwoError(s, row[i])
+            for t, a, b in zip(labels, row, column):
+                if a > 0 and t != s:
+                    raise PositiveOffDiagonalError(s, t, a)
+                if (a == 0) != (b == 0):
+                    raise ZeroAsymmetryError(s, t)
         self.index_set = index_set
         self.entries = entries
         self._hash = hash((index_set.labels, entries))

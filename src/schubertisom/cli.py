@@ -1,6 +1,7 @@
 """Command-line interface with deterministic, diff-stable JSON/text output."""
 
 import argparse
+import io
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
@@ -44,17 +45,18 @@ def _parse_pair(value, matrices):
 
 def _json_text(value):
     """The text of json.dumps(value, indent=2, sort_keys=True) for str-keyed
-    payloads.  One pass appends fragments to one list, joined once at the
-    end: a str or int in an entry is written inline, and a list of strings
-    is quoted and joined at C speed.  json.dumps with indent set runs the
+    payloads.  One pass writes into one text buffer: a str or int in an
+    entry is written inline, and a list of strings is quoted and joined at C
+    speed.  The buffer holds a large output once, where a list of fragments
+    would hold each as an object.  json.dumps with indent set runs the
     pure-Python encoder, slower, and leaves a reference cycle on every call."""
-    out = []
-    _write(value, "\n", out, "")
-    return "".join(out)
+    buf = io.StringIO()
+    _write(value, "\n", buf.write, "")
+    return buf.getvalue()
 
 
-def _write(value, pad, out, lead):
-    """Append lead and the text of value, indented at pad, to out."""
+def _write(value, pad, write, lead):
+    """Write lead and the text of value, indented at pad."""
     inner = pad + "  "
     sep = "," + inner
     if isinstance(value, dict):
@@ -62,34 +64,34 @@ def _write(value, pad, out, lead):
         for k in sorted(value):  # sorting the keys alone is faster than the items
             v = value[k]
             if type(v) is str:
-                out.append(f"{head}{_quote(k)}: {_quote(v)}")
+                write(f"{head}{_quote(k)}: {_quote(v)}")
             elif type(v) is int:
-                out.append(f"{head}{_quote(k)}: {v}")
+                write(f"{head}{_quote(k)}: {v}")
             else:
-                _write(v, inner, out, f"{head}{_quote(k)}: ")
+                _write(v, inner, write, f"{head}{_quote(k)}: ")
             head = sep
-        out.append(pad + "}" if value else lead + "{}")
+        write(pad + "}" if value else lead + "{}")
     elif isinstance(value, (list, tuple)):
         if value and type(value[0]) is str:
             try:  # _quote refuses anything but a str, so the text is exact
-                out.append(f"{lead}[{inner}" + sep.join(map(_quote, value)) + f"{pad}]")
+                write(f"{lead}[{inner}" + sep.join(map(_quote, value)) + f"{pad}]")
                 return
             except TypeError:
                 pass
         head = lead + "[" + inner
         for v in value:
             if type(v) is str:
-                out.append(head + _quote(v))
+                write(head + _quote(v))
             elif type(v) is int:
-                out.append(f"{head}{v}")
+                write(f"{head}{v}")
             else:
-                _write(v, inner, out, head)
+                _write(v, inner, write, head)
             head = sep
-        out.append(pad + "]" if value else lead + "[]")
+        write(pad + "]" if value else lead + "[]")
     elif value is None or type(value) is bool:
-        out.append(lead + ("null" if value is None else "true" if value else "false"))
+        write(lead + ("null" if value is None else "true" if value else "false"))
     else:  # a str or int subclass, or json's own TypeError for a non-JSON value
-        out.append(lead + json.dumps(value))
+        write(lead + json.dumps(value))
 
 
 def _count(text):

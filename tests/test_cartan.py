@@ -108,37 +108,6 @@ class TestValidate:
         with pytest.raises(MalformedCartanError, match="^matrix must be integer rows$"):
             build(rows, ["a", "b"])
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_rank_40_defects_named_as_entry_by_entry(self, seed):
-        """A sparse matrix above rank 25 is checked through its rows' nonzero
-        positions; every defect must still be found and named as the
-        entry-by-entry reading names the first one."""
-        rng = random.Random(seed)
-        n = 40
-        labels = [f"s{i}" for i in range(n)]
-        rows = [[2 if i == j else -rng.randint(1, 3) if abs(i - j) == 1 else 0
-                 for j in range(n)] for i in range(n)]
-        for _ in range(rng.randint(0, 2)):
-            i = rng.randrange(1, n - 1)
-            j = rng.choice([i, i - 1, i + 1, rng.randrange(n)])
-            rows[i][j] = rng.choice([-1, 0, 1, 2, 3]) if i != j else rng.choice([0, 1, 3])
-        expected = None
-        for i, s in enumerate(labels):
-            if expected is None and rows[i][i] != 2:
-                expected = DiagonalNotTwoError(s, rows[i][i])
-            for j, t in enumerate(labels):
-                a, b = rows[i][j], rows[j][i]
-                if expected is None and a > 0 and i != j:
-                    expected = PositiveOffDiagonalError(s, t, a)
-                if expected is None and (a == 0) != (b == 0):
-                    expected = ZeroAsymmetryError(s, t)
-        if expected is None:
-            assert CartanMatrix(labels, rows).entries == tuple(map(tuple, rows))
-        else:
-            with pytest.raises(type(expected)) as info:
-                CartanMatrix(labels, rows)
-            assert str(info.value) == str(expected)
-
     def test_json_round_trip(self):
         data = C3.to_json()
         assert data == {
