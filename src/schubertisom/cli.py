@@ -113,7 +113,8 @@ def _emit(args, payload, exit_code=0):
         text = _json_text(payload)
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)  # not text + "\n", which copies the whole output
+            fh.write("\n")
     else:
         print(text)
     return exit_code
@@ -343,6 +344,33 @@ def build_parser():
 _parser = None
 
 
+def _parse(parser, argv):
+    """parser.parse_args(argv), leaving out the top-level pass when it has
+    nothing to read.
+
+    When argv starts with a subcommand and each later token that starts
+    with "-" is one of that subcommand's own option strings, the top level
+    would only hand argv[1:] to the subcommand's parser, so that parser
+    parses it alone, into the namespace of top-level defaults and command
+    that the nested parse builds.  Anything else takes the full parse:
+    global options first, help, no command or an unknown one, "--", an
+    abbreviation (the top level refuses "--s", which could name --strict
+    or --seed), and tokens left over, reported with the top-level usage."""
+    commands = parser._subparsers._group_actions[0].choices
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        known = sub._option_string_actions
+        if all(arg in known for arg in argv[1:] if arg.startswith("-")):
+            namespace = argparse.Namespace(**{
+                a.dest: a.default for a in parser._actions if a.default is not argparse.SUPPRESS
+            })
+            namespace.command = argv[0]
+            namespace, extras = sub.parse_known_args(argv[1:], namespace)
+            if not extras:
+                return namespace
+    return parser.parse_args(argv)
+
+
 def main(argv=None):
     """Run one request and return its exit status, argparse's included:
     0 for --help, 2 for a usage error.
@@ -359,7 +387,7 @@ def main(argv=None):
         for arg in options:
             if arg.startswith("-h") and arg != "-h":
                 _parser.error(f"argument -h/--help: ignored explicit argument {arg[2:]!r}")
-        args = _parser.parse_args(argv)
+        args = _parse(_parser, argv)
     except SystemExit as exc:
         return exc.code
     try:

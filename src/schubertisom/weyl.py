@@ -38,11 +38,6 @@ def _apply(columns, letters, v):
     return tuple(v)
 
 
-def _first_negative(v):
-    """The least left descent of the element with vector v, or None."""
-    return next((i for i, c in enumerate(v) if c < 0), None)
-
-
 def _act(rows, letters, coords):
     """`letters` applied, last first, to a root (rows of A) or coroot (columns)."""
     v = list(coords)
@@ -99,12 +94,16 @@ class WeylElement:
     def _index_word(self):
         """The canonical word as label indices."""
         if self._indices is None:
-            v, word = self.rho, []
-            i = _first_negative(v)
-            while i is not None:
+            columns, v, word = self._ctx.columns, list(self.rho), []
+            while True:
+                for i, c in enumerate(v):  # the least left descent, if any
+                    if c < 0:
+                        break
+                else:
+                    break
                 word.append(i)
-                v = _apply(self._ctx.columns, (i,), v)
-                i = _first_negative(v)
+                for j, a in columns[i]:
+                    v[j] -= c * a
             self._indices = tuple(word)
         return self._indices
 
@@ -221,14 +220,19 @@ def bruhat_leq(u, w):
     if u._ctx is not w._ctx:
         raise MixedContextsError()
     columns = u._ctx.columns
-    x, y = u.rho, w.rho
-    i = _first_negative(y)
-    while i is not None:
-        y = _apply(columns, (i,), y)
-        if x[i] < 0:
-            x = _apply(columns, (i,), x)
-        i = _first_negative(y)
-    return _first_negative(x) is None
+    x, y = list(u.rho), list(w.rho)
+    while True:
+        for i, c in enumerate(y):  # the least left descent of y, if any
+            if c < 0:
+                break
+        else:
+            return min(x) >= 0
+        for j, a in columns[i]:
+            y[j] -= c * a
+        d = x[i]
+        if d < 0:
+            for j, a in columns[i]:
+                x[j] -= d * a
 
 
 def two_letter_leq(A, s, t, w):

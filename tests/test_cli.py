@@ -804,6 +804,19 @@ class TestFormatting:
         assert out == ""
         assert json.loads(dest.read_text())["length"] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["word", "s2 s1 s3 s2"],
+        ["--format", "table", "word", "s2 s1 s3 s2"],
+        ["cohomology", "s1 s2 s3"],
+    ])
+    def test_output_file_bytes_equal_stdout(self, capsys, a3_file, tmp_path, argv):
+        *options, command, word = argv
+        code, out, _ = run(capsys, *options, command, a3_file, word)
+        assert code == 0
+        dest = tmp_path / "out.txt"
+        assert run(capsys, "--output", str(dest), *options, command, a3_file, word) == (0, "", "")
+        assert dest.read_bytes() == out.encode()
+
     def test_deterministic_json(self, capsys, a3_file):
         one = run(capsys, "word", a3_file, "s2 s1 s3 s2")[1]
         two = run(capsys, "word", a3_file, "s2 s1 s3 s2")[1]
@@ -839,7 +852,74 @@ def _mixed_requests(cartan, tmp_path):
         ["bruhat", cartan],
         ["--help"],
         ["word", "--help"],
+        ["word", cartan, "s1 s2", "--format", "table"],
+        ["validate", cartan, cartan],
+        ["normal-form", "h1*e2", "--s", cartan],
+        ["normal-form", "--", "-h1"],
+        ["automorphisms", cartan, "--g"],
+        [],
     ]
+
+
+# argv shapes that cli._parse reads either by the subcommand's parser alone
+# or by the full parse; C stands for a Cartan file, which no parse opens.
+C = "a3.json"
+PARSE_SHAPES = [
+    [], ["frobnicate"], ["Word", C, "s1"], ["-h"], ["--help"], ["-h1"], ["--", "-h1"],
+    ["--seed", "1"], ["--output"],
+    ["--format", "table", "word", C, "s1"], ["--max-elements", "64", "cohomology", C, "s1"],
+    ["--max-length", "x", "isom-classes", C], ["--strict", "bruhat", C, "s1", "s2"],
+    ["word", C, "s1 s2"], ["word", C, "s1 s2", "--canonical"], ["word", "--canonical", C, "s1"],
+    ["word", C, "s1", "--can"], ["word", C, "s1", "--canonical=1"], ["word", C],
+    ["word", C, "s1", "extra"], ["word", C, "s1", "--format", "table"],
+    ["word", C, "s1", "--format=table"], ["word", C, "s1", "--bogus"], ["word", "-h"],
+    ["word", "--help"], ["word", C, "-h1"], ["word", C, "--", "-h1"], ["word", "--", C, "s1"],
+    ["word", C, "s1", "--"], ["word", C, "-1"], ["word", C, "-s1 s2"],
+    ["bruhat", C, "s1"], ["bruhat", C, "s1", "s2", "--strict"],
+    ["equiv", "--left", "a:s1", "--right", "b:s2"], ["equiv", "--left=a:s1", "--right=b:s2"],
+    ["equiv", "--le", "a:s1", "--ri", "b:s2"], ["equiv", "--left", "a:s1"],
+    ["equiv", "--left", "a:s1", "--right"], ["equiv", "--right", "b", "--left", "a", "x"],
+    ["normal-form", "e1*f1"], ["normal-form", "e1", "--specialize", C],
+    ["normal-form", "e1", "--s", C], ["normal-form", "e1", "--s=" + C],
+    ["normal-form", "e1", "--sp", C], ["normal-form", "e1", "--st"],
+    ["normal-form", "-h1"], ["normal-form", "--", "-h1"],
+    ["automorphisms", C, "--graph"], ["automorphisms", C, "--g"], ["automorphisms", C, "--ma"],
+    ["validate", C], ["validate", C, "--seed", "3"], ["validate"], ["validate", C, C],
+    ["isom-classes", C, "--max-length", "3"], ["export-oracle", C, "s1", "--seed=2"],
+    ["reconstruct", "oracle.json"],
+]
+
+
+def _parsed(capsys, parse, argv):
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_SHAPES, ids=" ".join)
+def test_parse_matches_full_parse(capsys, monkeypatch, argv):
+    """cli._parse gives the namespace, or the exit status and the text, of a
+    fresh parser's parse_args, whether the subcommand's parser reads argv
+    alone or the full parse runs; "--s" is one that must take the full
+    parse, as the top level finds it ambiguous."""
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = _parsed(capsys, cli.build_parser().parse_args, argv)
+    shared = cli.build_parser()
+    for _ in range(2):  # the second parse through the same parser answers alike
+        assert _parsed(capsys, lambda a: cli._parse(shared, a), argv) == fresh
+
+
+def test_parse_leaves_out_the_top_level_parse(monkeypatch):
+    """A request that starts with its subcommand and spells out its options
+    never reaches the top-level parser's parse_args."""
+    parser = cli.build_parser()
+    monkeypatch.setattr(parser, "parse_args", None)
+    for argv in (["word", C, "s1"], ["equiv", "--left", "a:s1", "--right", "b:s2"],
+                 ["normal-form", "e1", "--specialize", C], ["automorphisms", C, "--graph"]):
+        assert cli._parse(parser, argv).command == argv[0]
 
 
 def test_cap_flags_name_what_they_bound():
