@@ -13,24 +13,23 @@ that downstream reconstruction cannot peek at element names.
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 
 from .errors import MalformedOracleError, NotInIntervalError, UnknownLabelError
 from . import weyl
-from .weyl import element_from_word
+from .weyl import _Record, element_from_word
 
 
-@dataclass
-class SchubertClass:
-    """A finitely supported integer combination of Schubert basis classes."""
+class SchubertClass(_Record):
+    """A finitely supported integer combination of Schubert basis classes
+    over a `weyl.BruhatInterval`."""
 
-    interval: weyl.BruhatInterval
-    coeffs: dict
+    __slots__ = ("interval", "coeffs")
 
-    def __post_init__(self):
-        self.coeffs = {v: c for v, c in self.coeffs.items() if c != 0}
+    def __init__(self, interval, coeffs):
+        self.interval = interval
+        self.coeffs = {v: c for v, c in coeffs.items() if c != 0}
         for v in self.coeffs:
             if v not in self.interval:
                 raise NotInIntervalError(v.canonical_word)
@@ -116,13 +115,15 @@ def support_closure(J, itv):
     return frozenset(compress(itv.elements, reached))
 
 
-@dataclass
-class CohomologyOracle:
+class CohomologyOracle(_Record):
     """An anonymized graded basis with its degree-2 multiplication table."""
 
-    basis: tuple  # of (id, degree) pairs
-    generators: tuple  # ids of degree 2
-    products: dict  # (generator id, basis id) -> tuple of (basis id, coeff)
+    __slots__ = ("basis", "generators", "products")
+
+    def __init__(self, basis, generators, products):
+        self.basis = basis  # tuple of (id, degree) pairs
+        self.generators = generators  # tuple of the ids of degree 2
+        self.products = products  # (generator id, basis id) -> tuple of (basis id, coeff)
 
     @property
     def unit_id(self):

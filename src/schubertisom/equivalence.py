@@ -11,21 +11,23 @@ elements by it.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .cartan import search_injections, submatrix
 from .errors import InvalidIndexSetError, InvalidWitnessError
 from . import weyl
-from .weyl import WeylElement, _apply, element_from_word, support
+from .weyl import WeylElement, _FrozenRecord, _apply, element_from_word, support
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
-    """A support bijection plus matched reduced words certifying equivalence."""
+class EquivalenceWitness(_FrozenRecord):
+    """A support bijection plus matched reduced words certifying equivalence:
+    `sigma` maps the support of `source` onto that of `target`."""
 
-    source: weyl.WeylElement
-    target: weyl.WeylElement
-    sigma: dict
+    __slots__ = ("source", "target", "sigma")
+
+    def __init__(self, source, target, sigma):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def source_word(self):

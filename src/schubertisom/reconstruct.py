@@ -7,19 +7,23 @@ such) and a reduced word for the top class, so that the original pair is
 Cartan equivalent to the reconstructed one.
 """
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .cartan import CartanMatrix, IndexSet
 from .errors import MalformedOracleError, SchubertError
-from .weyl import element_from_word
+from .weyl import _Record, element_from_word
 
 
-@dataclass
-class ReconstructedPresentation:
-    cartan: CartanMatrix
-    word: tuple
-    free_entries: frozenset  # ordered generator pairs whose entry was a free choice
+class ReconstructedPresentation(_Record):
+    """A Cartan matrix, a reduced word over its labels, and the frozenset of
+    ordered generator pairs whose entry was a free choice."""
+
+    __slots__ = ("cartan", "word", "free_entries")
+
+    def __init__(self, cartan, word, free_entries):
+        self.cartan = cartan
+        self.word = word
+        self.free_entries = free_entries
 
     def to_json(self):
         return {

@@ -115,6 +115,19 @@ def test_cli_import_builds_no_parser():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def test_cli_import_loads_no_dataclasses():
+    """The package's records are plain classes, so importing the CLI does
+    not pull in `dataclasses` and, through it, `inspect`.  `-S` keeps
+    site-packages hooks, which may import either, out of the check."""
+    code = (
+        "import sys, schubertisom.cli; "
+        "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
+        "assert not loaded, loaded"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True, timeout=60)
+
+
 # Public names that nothing in src/, the README, the benchmark or the
 # acceptance gate refers to, each kept on purpose.
 DOCUMENTED = {
