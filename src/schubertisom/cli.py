@@ -139,8 +139,6 @@ def _render_table(payload, indent=0):
                 lines.append(_render_table(value, indent + 1))
             else:
                 lines.append(f"{pad}- {value}")
-    else:
-        lines.append(f"{pad}{payload}")
     return "\n".join(lines)
 
 

@@ -6,8 +6,8 @@ simply transitively on the chambers of the Tits cone and rho is regular, so
 the vector determines w for every generalized Cartan matrix (Kac, Infinite
 Dimensional Lie Algebras, 3.12).  Left multiplication by s_i is the O(n)
 update v_j -= v_i * A[j][i], the left descents are the negative coordinates,
-and equality is a tuple compare.  The ShortLex word, inverse, right descents
-and the action on roots and coroots come from the canonical word in
+and equality is a tuple compare.  The ShortLex word, inverse, right descents,
+inversion set and cover reflections come from the canonical word in
 O(n * length).  Root and coroot vectors are integer tuples in the simple
 root / coroot bases, in label order; all arithmetic is exact.
 """
@@ -34,14 +34,6 @@ def _apply(columns, letters, v):
         c = v[i]
         for j, a in columns[i]:
             v[j] -= c * a
-    return tuple(v)
-
-
-def _act(rows, letters, coords):
-    """`letters` applied, last first, to a root (rows of A) or coroot (columns)."""
-    v = list(coords)
-    for i in reversed(letters):
-        v[i] -= sum(a * v[j] for j, a in rows[i])
     return tuple(v)
 
 
@@ -121,18 +113,6 @@ class WeylElement:
 
     def inverse(self):
         return WeylElement(self._ctx, self._inverse_rho())
-
-    def apply_to_root(self, coords):
-        return _act(_rows(self.cartan), self._index_word(), coords)
-
-    def apply_inverse_to_root(self, coords):
-        return _act(_rows(self.cartan), self._index_word()[::-1], coords)
-
-    def apply_to_coroot(self, coords):
-        return _act(self._ctx.columns, self._index_word(), coords)
-
-    def apply_inverse_to_coroot(self, coords):
-        return _act(self._ctx.columns, self._index_word()[::-1], coords)
 
     def right_descents(self):
         """Labels s with w(alpha_s) a negative root."""
@@ -243,11 +223,6 @@ def support(w):
     return set(w.canonical_word)
 
 
-def simple_root(A, s):
-    k = A.index_set.index(s)
-    return tuple(int(i == k) for i in range(len(A)))
-
-
 def bruhat_leq(u, w):
     """Bruhat order test by descent recursion on the two vectors.
 
@@ -332,29 +307,6 @@ def subword_products(w, max_elements=DEFAULT_ELEMENT_CAP):
     raises: at most 2 * max_elements vectors are ever held.
     """
     return frozenset(WeylElement(w._ctx, v) for v in _subword_vectors(w, max_elements))
-
-
-def _lower_covers(v):
-    """Yield (k, u(rho)) for each 0-based position k, last first, of v's
-    canonical word s_1...s_m whose deletion leaves a reduced word u.  By
-    strong exchange these u are the lower covers of v (Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, 1.4 and 2.2).  s_{k-1}, ..., s_1 are
-    applied one at a time to (s_{k+1}...s_m)(rho); the word stays reduced
-    while each s_i meets a positive coordinate x_i."""
-    columns = v._ctx.columns
-    word = v._index_word()
-    suffix = v._ctx.rho  # (s_{k+1}...s_m)(rho)
-    for k in range(len(word) - 1, -1, -1):
-        x = list(suffix)
-        for i in reversed(word[:k]):
-            c = x[i]
-            if c < 0:
-                break
-            for j, a in columns[i]:
-                x[j] -= c * a
-        else:
-            yield k, tuple(x)
-        suffix = _apply(columns, (word[k],), suffix)
 
 
 class BruhatInterval:
@@ -450,38 +402,60 @@ def interval(w, max_elements=DEFAULT_ELEMENT_CAP):
     return BruhatInterval(w, tuple(elements), position, up)
 
 
+def _root(vectors, word, k):
+    """The root s_1...s_{k-1}(alpha_{s_k}) of the word s_1...s_m of label
+    indices at its 0-based position k, in simple-root coordinates, with
+    `vectors` the rows of A; with its columns, the coroot likewise."""
+    v = [0] * len(vectors)
+    v[word[k]] = 1
+    for i in reversed(word[:k]):
+        v[i] -= sum(a * v[j] for j, a in vectors[i])
+    return tuple(v)
+
+
 def inversion_set(w):
     """The positive roots sent negative by w^{-1}; size equals length(w)."""
     rows = _rows(w.cartan)
     word = w._index_word()
-    roots = set()
-    for k, s in enumerate(w.canonical_word):
-        beta = _act(rows, word[:k], simple_root(w.cartan, s))
-        assert min(beta) >= 0 and any(beta)
-        roots.add(beta)
-    return frozenset(roots)
+    roots = frozenset(_root(rows, word, k) for k in range(len(word)))
+    assert all(min(beta) >= 0 and any(beta) for beta in roots)
+    return roots
 
 
 def cover_reflection(u, v):
     """The unique reflection r with r*u = v for a Bruhat cover u <| v.
 
-    Finds the letter s_l of v's canonical word s_1...s_m whose deletion
-    gives u (`_lower_covers`).  Then beta = s_1...s_{l-1}(alpha_{s_l}), with
-    the matching coroot, and r(rho) = rho - <beta_vee, rho> beta.
+    Walks v's canonical word s_1...s_m as `bruhat_leq` does.  Step k
+    strips s_k from v.  If u now equals s_{k+1}...s_m, deleting s_k from
+    v's word gives u, and as every letter stripped from u was a left
+    descent, l(u) = m - 1 and u <| v.  Otherwise s_k must be a left descent
+    of u too, and is stripped from it; if it is not, or the word runs out,
+    u is no cover (Bjorner-Brenti, Combinatorics of Coxeter Groups, 1.4
+    and 2.2).  Then beta = s_1...s_{k-1}(alpha_{s_k}), with the matching
+    coroot, and r(rho) = rho - <beta_vee, rho> beta.
     """
     if u._ctx is not v._ctx:
         raise MixedContextsError()
-    ctx, rows = u._ctx, _rows(u.cartan)
+    ctx = u._ctx
+    columns = ctx.columns
     word = v._index_word()
-    for k, rho in _lower_covers(v):
-        if rho == u.rho:
-            simple = tuple(int(j == word[k]) for j in range(len(rho)))
-            root = _act(rows, word[:k], simple)
-            coroot = _act(ctx.columns, word[:k], simple)
+    x, y = list(u.rho), list(v.rho)
+    for k, i in enumerate(word):
+        c = y[i]
+        for j, a in columns[i]:
+            y[j] -= c * a
+        if x == y:
+            rows = _rows(u.cartan)
+            root, coroot = _root(rows, word, k), _root(columns, word, k)
             height = sum(coroot)
             weight = [sum(a * root[j] for j, a in row) for row in rows]
             element = WeylElement(ctx, tuple(1 - height * c for c in weight))
             return Reflection(element, root, coroot)
+        d = x[i]
+        if d >= 0:
+            break
+        for j, a in columns[i]:
+            x[j] -= d * a
     raise NotACoverError()
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from schubertisom import (
     CartanMatrix,
     IndexSet,
+    SimpleCoxeterGraph,
     diagram_automorphisms,
     element_from_word,
     graph_automorphisms,
@@ -83,6 +84,15 @@ class TestValidate:
     def test_unhashable_label(self):
         with pytest.raises(InvalidIndexSetError):
             IndexSet([[1]])
+
+    def test_index_set_iteration_hash_and_repr(self):
+        labels = IndexSet(["s2", "s1", "s3"])
+        assert list(labels) == ["s2", "s1", "s3"]
+        assert hash(labels) == hash(IndexSet(("s2", "s1", "s3")))
+        assert labels == IndexSet(iter(["s2", "s1", "s3"]))
+        assert labels != IndexSet(["s1", "s2", "s3"])
+        assert labels != ("s2", "s1", "s3")
+        assert repr(labels) == "IndexSet(['s2', 's1', 's3'])"
 
     @pytest.mark.parametrize(
         "build",
@@ -186,6 +196,26 @@ class TestSimpleGraph:
         edges = simple_graph(D4).edges
         assert sum("s2" in e for e in edges) == 3
         assert sum("s1" in e for e in edges) == 1
+
+    def test_equality_and_hash(self):
+        """Equal vertices and edges make equal graphs, whatever the edge order
+        and orientation; B3 and C3 share their graph, a relabelled A3 does not."""
+        g = simple_graph(A3)
+        same = SimpleCoxeterGraph(A3.index_set, [("s3", "s2"), ("s2", "s1")])
+        assert g == same and hash(g) == hash(same)
+        assert simple_graph(B3) == simple_graph(C3)
+        assert g != SimpleCoxeterGraph(["t1", "t2", "t3"], [("t1", "t2"), ("t2", "t3")])
+        assert g != SimpleCoxeterGraph(A3.index_set, [("s1", "s2")])
+        assert g != A3
+
+    def test_vertex_labels_coerced(self):
+        """A plain label sequence becomes an IndexSet; an invalid one is refused."""
+        g = SimpleCoxeterGraph(["s1", "s2", "s3"], [("s1", "s2"), ("s2", "s3")])
+        assert isinstance(g.vertices, IndexSet)
+        assert g.vertices == A3.index_set
+        assert g == simple_graph(A3)
+        with pytest.raises(InvalidIndexSetError):
+            SimpleCoxeterGraph(["s1", "s1"], [])
 
 
 def _random_pair_table(rng, labels):

@@ -726,6 +726,12 @@ class TestNormalForm:
         payload = run_json(capsys, "normal-form", "h1*e2*e3*f2")
         assert payload["normal_form"] == "(-a12)*f2*e2*e3 + h1*h2*e3 + f2*h1*e2*e3"
 
+    def test_zero(self, capsys):
+        """[e1, f1] = h1, so the normal form of e1 f1 - f1 e1 - h1 is 0."""
+        code, out, _ = run(capsys, "normal-form", "e1*f1 - f1*e1 - h1")
+        assert code == 0
+        assert '"normal_form": "0"' in out
+
     def test_specialize(self, capsys, a3_file):
         payload = run_json(
             capsys,

@@ -141,6 +141,11 @@ class TestEta:
     def test_e_f_distinct(self):
         assert eta(E("1") * F("2")) == F("2") * E("1")
 
+    def test_cancelling_term_is_skipped(self):
+        """e1 e1 f1 rewrites to e1 f1 e1 + e1 h1, and its e1 f1 e1 cancels the
+        input's, so that monomial is dropped before it is rewritten."""
+        assert eta(parse("e1*e1*f1 - e1*f1*e1")) == parse("e1*h1")
+
     def test_h_f_rule(self):
         out = eta(H("1") * F("2"))
         expected = F("2") * H("1") - FreeAlgebraElement.scalar(A("1", "2")) * F("2")
@@ -341,6 +346,7 @@ class TestParse:
             A("1", "2") * A("2", "1") * 2 - A("1", "1")
         )
         assert parse("(a12-a12)*f1") == FreeAlgebraElement()
+        assert parse("f1 ") == parse(" f1") == parse("f1")
 
     def test_bracket_syntax(self):
         assert parse("f[s1]*h[s2]") == F("s1") * H("s2")

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -185,4 +186,38 @@ def test_src_names_have_a_caller():
     unused = [f"{module}.{name}" for module, name in public
               if (module, name) not in used and name not in mentioned
               and (module, name) not in DOCUMENTED]
+    assert not unused, unused
+
+
+def _attributes(tree):
+    """The attribute names read as `.name` anywhere in tree."""
+    return [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+
+
+def test_src_members_have_a_caller():
+    """Every public method and property of a public class in src/ is used:
+    read as `.name` somewhere in src/ outside its own body, named in the
+    README as a whole word, read by the benchmark's worker or tracer, read
+    as `.name` by the acceptance gate, or listed in DOCUMENTED as
+    ("module", "Class.name") with its reason.  Dunder methods are the
+    language's to call and are not checked."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE_SRC.glob("*.py"))}
+    reads = Counter(name for tree in trees.values() for name in _attributes(tree))
+    outside = set(re.findall(r"\w+", README.read_text()))
+    outside |= set(_attributes(ast.parse(ACCEPTANCE.read_text())))
+    for path in (WORKER, SPANS):
+        outside |= {getattr(node, "id", None) or getattr(node, "attr", None)
+                    for node in ast.walk(ast.parse(path.read_text()))}
+    unused = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                own = _attributes(node).count(node.name)
+                if (reads[node.name] == own and node.name not in outside
+                        and (module, f"{cls.name}.{node.name}") not in DOCUMENTED):
+                    unused.append(f"{module}.{cls.name}.{node.name}")
     assert not unused, unused

@@ -32,7 +32,6 @@ from schubertisom import weyl
 from schubertisom.weyl import (
     identity_element,
     multiply,
-    simple_root,
     subword_products,
     support,
 )
@@ -72,18 +71,27 @@ def brute_force_subword_leq(u, w):
     return False
 
 
+def simple_root(A, s):
+    """alpha_s, or h_s, in the simple root (coroot) basis."""
+    k = A.index_set.index(s)
+    return tuple(int(i == k) for i in range(len(A)))
+
+
 class TestSimpleReflection:
+    """s_i's action on roots, read off inversion sets: the inversion set of
+    s_i s_j is {alpha_i, s_i(alpha_j)}."""
+
     def test_a2_neighbor_root(self):
-        s1 = simple_reflection(A2, "s1")
-        assert s1.apply_to_root(simple_root(A2, "s2")) == (1, 1)
+        s1s2 = simple_reflection(A2, "s1") * simple_reflection(A2, "s2")
+        assert inversion_set(s1s2) == {simple_root(A2, "s1"), (1, 1)}
 
     def test_own_root_negated(self):
-        s2 = simple_reflection(A3, "s2")
-        assert s2.apply_to_root(simple_root(A3, "s2")) == (0, -1, 0)
+        """s2 sends alpha_2, and no other positive root, negative."""
+        assert inversion_set(simple_reflection(A3, "s2")) == {simple_root(A3, "s2")}
 
     def test_affine_doubled(self):
-        s1 = simple_reflection(A1_AFFINE, "s1")
-        assert s1.apply_to_root(simple_root(A1_AFFINE, "s2")) == (2, 1)
+        s1s2 = simple_reflection(A1_AFFINE, "s1") * simple_reflection(A1_AFFINE, "s2")
+        assert inversion_set(s1s2) == {simple_root(A1_AFFINE, "s1"), (2, 1)}
 
     def test_unknown_label(self):
         with pytest.raises(UnknownLabelError):
@@ -394,9 +402,10 @@ class TestInterval:
                 assert [q for q, _ in ups] == sorted({q for q, _ in ups})
             for p, ups in enumerate(itv.up):
                 u = itv.elements[p]
+                u_inverse = MatrixElement.from_word(itv.cartan, u.canonical_word).cinv
                 for q, coroot in ups:
                     reflection = cover_reflection(u, itv.elements[q])
-                    assert coroot == u.apply_inverse_to_coroot(reflection.coroot)
+                    assert coroot == _matvec(u_inverse, reflection.coroot)
 
     @pytest.mark.parametrize(
         "A",
@@ -404,23 +413,24 @@ class TestInterval:
         ids=["A4", "B4", "G2", "A2aff", "A1aff", "H3", "random0", "random1"],
     )
     def test_covers_match_letter_deletion(self, A):
-        """The covers built from parents against `_lower_covers`: deleting
-        s_k from v's word s_1...s_m gives the cover u <| v with coroot
-        s_m...s_{k+1}(alpha_vee_{s_k})."""
+        """The covers built from parents against letter deletion: deleting
+        s_k from v's word s_1...s_m gives the cover u <| v, with coroot
+        s_m...s_{k+1}(alpha_vee_{s_k}), exactly when s_1...s_m without s_k
+        has length m - 1 (strong exchange)."""
         rng = random.Random(repr(A))
-        columns = weyl._context(A).columns
         for _ in range(8):
             itv = interval(element_from_word(A, random_word(rng, A, 9)))
             down = _lower_covers_from_up(itv)
             for q, v in enumerate(itv):
-                word = v._index_word()
-                expected = sorted(
-                    (itv.position[rho],
-                     weyl._act(columns, word[k + 1:][::-1],
-                               tuple(int(j == word[k]) for j in range(len(A)))))
-                    for k, rho in weyl._lower_covers(v)
-                )
-                assert down[q] == expected
+                word = v.canonical_word
+                expected = []
+                for k, s in enumerate(word):
+                    u = element_from_word(A, word[:k] + word[k + 1:])
+                    if u.length == len(word) - 1:
+                        suffix = MatrixElement.from_word(A, word[k + 1:][::-1])
+                        coroot = _matvec(suffix.cmat, simple_root(A, s))
+                        expected.append((itv.position[u.rho], coroot))
+                assert down[q] == sorted(expected)
 
     def test_peak_memory_near_what_it_keeps(self):
         """Each element reads only its parent's lower covers, one length
@@ -614,10 +624,40 @@ class TestCoverReflection:
         assert refl.coroot == (0, 1)
 
     def test_not_a_cover(self):
+        """e under a length-2 element: s1 is no descent of e."""
         with pytest.raises(NotACoverError):
             cover_reflection(
                 identity_element(A2), element_from_word(A2, ["s1", "s2"])
             )
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            (["s1", "s2"], ["s1", "s2"]),
+            (["s1", "s2", "s3"], ["s1", "s2"]),
+            (["s3"], ["s1", "s2"]),
+            ([], ["s1", "s2", "s1"]),  # deleting s2 gives e, two shorter
+        ],
+        ids=["equal", "longer", "one-shorter-not-below", "non-reduced-deletion"],
+    )
+    def test_walk_ends_without_a_cover(self, u, v):
+        with pytest.raises(NotACoverError):
+            cover_reflection(element_from_word(A3, u), element_from_word(A3, v))
+
+    @pytest.mark.parametrize("A", [A3, B3, A2_AFFINE], ids=["A3", "B3", "A2aff"])
+    def test_raises_exactly_on_non_covers(self, A):
+        """Over every pair of [e, w], a reflection comes back exactly for
+        the covers that `interval` builds, and it carries u to v."""
+        w = enumerate_elements(A, 9)[-1]
+        itv = interval(w)
+        covers_up = itv.covers_up
+        for u in itv:
+            for v in itv:
+                if v in covers_up[u]:
+                    assert multiply(cover_reflection(u, v).element, u) == v
+                else:
+                    with pytest.raises(NotACoverError):
+                        cover_reflection(u, v)
 
     def test_mixed_contexts(self):
         """e <| s1 in A3, but s1 is taken over C3."""
@@ -635,7 +675,8 @@ class TestCoverReflection:
                     refl = cover_reflection(u, v)
                     assert multiply(refl.element, u) == v
                     assert multiply(refl.element, refl.element).is_identity()
-                    flipped = refl.element.apply_to_root(refl.root)
+                    r = MatrixElement.from_word(A, refl.element.canonical_word)
+                    flipped = _matvec(r.mat, refl.root)
                     assert flipped == tuple(-c for c in refl.root)
 
 
@@ -821,6 +862,16 @@ def matrix_cover_reflection(A, u, v):
     raise AssertionError("not a cover")
 
 
+def matrix_inversion_set(A, word):
+    """The roots s_1...s_{k-1}(alpha_{s_k}) of a reduced word, by matrix
+    products."""
+    roots, prefix = set(), MatrixElement.from_word(A, ())
+    for s in word:
+        roots.add(_matvec(prefix.mat, simple_root(A, s)))
+        prefix = prefix * MatrixElement.generator(A, s)
+    return roots
+
+
 def _non_symmetrizable_rank_4(rng):
     """A random rank-4 matrix with a triangle whose cycle products differ,
     which rules out a symmetrization."""
@@ -852,7 +903,6 @@ class TestAgainstMatrixOracle:
     def test_element_queries(self, name):
         A = ORACLE_MATRICES[name]
         rng = random.Random(name)
-        n = len(A)
         by_rho, by_mat = {}, {}
         for k in range(60):
             word = random_word(rng, A, 9)
@@ -865,31 +915,37 @@ class TestAgainstMatrixOracle:
             assert w.right_descents() == ref.right_descents()
             assert w.inverse().canonical_word == ref.inverse().canonical_word()
             assert w.inverse() == element_from_word(A, word[::-1])
-            vectors = [simple_root(A, s) for s in A.labels]
-            vectors.append(tuple(rng.randint(-3, 3) for _ in range(n)))
-            for x in vectors:
-                assert w.apply_to_root(x) == _matvec(ref.mat, x)
-                assert w.apply_inverse_to_root(x) == _matvec(ref.inv, x)
-                assert w.apply_to_coroot(x) == _matvec(ref.cmat, x)
-                assert w.apply_inverse_to_coroot(x) == _matvec(ref.cinv, x)
+            roots = inversion_set(w)
+            assert roots == matrix_inversion_set(A, ref.canonical_word())
+            assert all(max(_matvec(ref.inv, beta)) <= 0 for beta in roots)
         # equality: words group into the same elements either way
         assert sorted(map(sorted, by_rho.values())) == sorted(
             map(sorted, by_mat.values())
         )
+
+    @staticmethod
+    def _check_cover_reflections(itv):
+        A = itv.cartan
+        covers_up = itv.covers_up
+        for u in itv:
+            ref_u = MatrixElement.from_word(A, u.canonical_word)
+            for v in covers_up[u]:
+                ref_v = MatrixElement.from_word(A, v.canonical_word)
+                refl = cover_reflection(u, v)
+                ref_refl, root, coroot = matrix_cover_reflection(A, ref_u, ref_v)
+                assert (refl.root, refl.coroot) == (root, coroot)
+                assert refl.element.canonical_word == ref_refl.canonical_word()
 
     @pytest.mark.parametrize("name", ORACLE_MATRICES)
     def test_cover_reflections(self, name):
         A = ORACLE_MATRICES[name]
         rng = random.Random(name)
         for _ in range(3):
-            w = element_from_word(A, random_word(rng, A, 5))
-            itv = interval(w)
-            covers_up = itv.covers_up
-            for u in itv:
-                ref_u = MatrixElement.from_word(A, u.canonical_word)
-                for v in covers_up[u]:
-                    ref_v = MatrixElement.from_word(A, v.canonical_word)
-                    refl = cover_reflection(u, v)
-                    ref_refl, root, coroot = matrix_cover_reflection(A, ref_u, ref_v)
-                    assert (refl.root, refl.coroot) == (root, coroot)
-                    assert refl.element.canonical_word == ref_refl.canonical_word()
+            self._check_cover_reflections(interval(element_from_word(A, random_word(rng, A, 5))))
+
+    @pytest.mark.parametrize("A", [type_a(4), B3], ids=["A4", "B3"])
+    def test_cover_reflections_of_longest(self, A):
+        """Every cover of w0, so the walk runs down whole words of w0."""
+        w0 = enumerate_elements(A, 10**6)[-1]
+        assert w0.length == {4: 10, 3: 9}[len(A)]
+        self._check_cover_reflections(interval(w0))
