@@ -209,19 +209,13 @@ def cmd_cohomology(args):
     itv = weyl.interval(w, args.max_elements)
     words = [v.canonical_word for v in itv.elements]
     texts = [" ".join(word) for word in words]
-    # Position order is ShortLex by label index; the output lists terms by
-    # their label words, which differ when labels are not listed in sorted
-    # order.  Each element's covers are sorted once for all letters.
-    named = [sorted([(words[q], coroot) for q, coroot in covers]) for covers in itv.up]
-    order = A.index_set.index
-    products = {}
-    for s in sorted(weyl.support(w), key=order):
-        k = order(s)
-        for text_u, covers in zip(texts, named):
-            products[f"{s}|{text_u}"] = [
-                {"word": list(word), "coeff": c} for word, coroot in covers if (c := coroot[k])
-            ]
-    return _emit(args, {"interval_size": len(itv), "products": products})
+    table = cohomology._product_table(itv, words)
+    del itv
+    products = {
+        f"{words[g][0]}|{texts[p]}": [{"word": list(word), "coeff": c} for word, c in terms]
+        for g, p, terms in table
+    }
+    return _emit(args, {"interval_size": len(words), "products": products})
 
 
 def cmd_export_oracle(args):
@@ -353,19 +347,22 @@ def _parse(parser, argv):
     that the nested parse builds.  Anything else takes the full parse:
     global options first, help, no command or an unknown one, "--", an
     abbreviation (the top level refuses "--s", which could name --strict
-    or --seed), and tokens left over, reported with the top-level usage."""
-    commands = parser._subparsers._group_actions[0].choices
-    sub = commands.get(argv[0]) if argv else None
-    if sub is not None:
-        known = sub._option_string_actions
-        if all(arg in known for arg in argv[1:] if arg.startswith("-")):
-            namespace = argparse.Namespace(**{
-                a.dest: a.default for a in parser._actions if a.default is not argparse.SUPPRESS
-            })
-            namespace.command = argv[0]
-            namespace, extras = sub.parse_known_args(argv[1:], namespace)
-            if not extras:
-                return namespace
+    or --seed), and tokens left over, reported with the top-level usage,
+    and any request when argparse lacks an attribute read here."""
+    try:  # private argparse attributes, which a Python release may rename
+        sub = parser._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
+        known = sub._option_string_actions if sub is not None else {}
+        actions = parser._actions
+    except AttributeError:
+        sub = None
+    if sub is not None and all(arg in known for arg in argv[1:] if arg.startswith("-")):
+        namespace = argparse.Namespace(**{
+            a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS
+        })
+        namespace.command = argv[0]
+        namespace, extras = sub.parse_known_args(argv[1:], namespace)
+        if not extras:
+            return namespace
     return parser.parse_args(argv)
 
 

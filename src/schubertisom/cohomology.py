@@ -265,27 +265,32 @@ def _fresh_ids(count, seed):
     return list(ids)
 
 
+def _product_table(itv, names):
+    """Yield (g, p, terms) for each generator position g (an upper cover of e)
+    and each position p of the interval, both in order of names[g], names[p]:
+    xi_g * xi_p is the sum of c xi_v over terms, the (names[v], c) in name
+    order, with c > 0 the entry at g's letter of the coroot of the cover v of
+    p.  The body drops the interval once it has read the covers."""
+    generators = sorted([(names[g], g, itv.elements[g]._indices[0]) for g, _ in itv.up[0]])
+    named = [sorted([(names[q], coroot) for q, coroot in covers]) for covers in itv.up]
+    del itv
+    order = sorted(range(len(names)), key=names.__getitem__)
+    for _, g, k in generators:
+        for p in order:
+            yield g, p, tuple([(v, c) for v, coroot in named[p] if (c := coroot[k])])
+
+
 def export_oracle_with_map(w, seed=0, max_elements=weyl.DEFAULT_ELEMENT_CAP):
     """Build the anonymized oracle of H*(X(w,A)) plus the element -> id map,
     unvalidated: each reader of an oracle validates it where it enters."""
     itv = weyl.interval(w, max_elements)
     elements = itv.elements
     ids = _fresh_ids(len(elements), seed)
-    words = [v._index_word() for v in elements]
-    basis = tuple(sorted(zip(ids, [2 * len(word) for word in words])))
-    letter_of = {bid: word[0] for bid, word in zip(ids, words) if len(word) == 1}
-    generators = tuple(sorted(letter_of))
-    # (id, covers as (id, coroot)) in id order, so products fill in key order.
-    # g * xi_u has at each cover its coroot's entry at g's letter, >= 0 as
-    # `interval` checks.  Dropping the interval first lowers the peak memory.
-    named = sorted(zip(ids, [sorted([(ids[q], coroot) for q, coroot in covers])
-                             for covers in itv.up]))
-    del itv
-    products = {}
-    for gid in generators:
-        k = letter_of[gid]
-        for bid, covers in named:
-            products[gid, bid] = tuple([(vid, c) for vid, coroot in covers if (c := coroot[k])])
+    basis = tuple(sorted(zip(ids, [2 * v.length for v in elements])))
+    table = _product_table(itv, ids)
+    del itv  # before the table is built, which lowers the peak memory
+    products = {(ids[g], ids[p]): terms for g, p, terms in table}  # sorted, for to_json
+    generators = tuple([bid for bid, d in basis if d == 2])
     return CohomologyOracle(basis, generators, products), dict(zip(elements, ids))
 
 

@@ -37,9 +37,9 @@ def _apply(columns, letters, v):
     return tuple(v)
 
 
-def _rows(cartan):
-    """The sparse rows (j, A[i][j]) of A, for the action on roots."""
-    return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in cartan.entries)
+def _rows(cartan, letters):
+    """The sparse rows (j, A[i][j]) of A at the indices in `letters`."""
+    return {i: tuple((j, a) for j, a in enumerate(cartan.entries[i]) if a) for i in set(letters)}
 
 
 class WeylElement:
@@ -402,11 +402,11 @@ def interval(w, max_elements=DEFAULT_ELEMENT_CAP):
     return BruhatInterval(w, tuple(elements), position, up)
 
 
-def _root(vectors, word, k):
+def _root(vectors, word, k, rank):
     """The root s_1...s_{k-1}(alpha_{s_k}) of the word s_1...s_m of label
     indices at its 0-based position k, in simple-root coordinates, with
-    `vectors` the rows of A; with its columns, the coroot likewise."""
-    v = [0] * len(vectors)
+    `vectors` the rows of A at word[:k]; with its columns, the coroot."""
+    v = [0] * rank
     v[word[k]] = 1
     for i in reversed(word[:k]):
         v[i] -= sum(a * v[j] for j, a in vectors[i])
@@ -415,9 +415,9 @@ def _root(vectors, word, k):
 
 def inversion_set(w):
     """The positive roots sent negative by w^{-1}; size equals length(w)."""
-    rows = _rows(w.cartan)
     word = w._index_word()
-    roots = frozenset(_root(rows, word, k) for k in range(len(word)))
+    rows, rank = _rows(w.cartan, word), len(w.rho)
+    roots = frozenset(_root(rows, word, k, rank) for k in range(len(word)))
     assert all(min(beta) >= 0 and any(beta) for beta in roots)
     return roots
 
@@ -432,7 +432,7 @@ def cover_reflection(u, v):
     of u too, and is stripped from it; if it is not, or the word runs out,
     u is no cover (Bjorner-Brenti, Combinatorics of Coxeter Groups, 1.4
     and 2.2).  Then beta = s_1...s_{k-1}(alpha_{s_k}), with the matching
-    coroot, and r(rho) = rho - <beta_vee, rho> beta.
+    coroot, and r = s_1...s_{k-1} s_k s_{k-1}...s_1.
     """
     if u._ctx is not v._ctx:
         raise MixedContextsError()
@@ -445,12 +445,9 @@ def cover_reflection(u, v):
         for j, a in columns[i]:
             y[j] -= c * a
         if x == y:
-            rows = _rows(u.cartan)
-            root, coroot = _root(rows, word, k), _root(columns, word, k)
-            height = sum(coroot)
-            weight = [sum(a * root[j] for j, a in row) for row in rows]
-            element = WeylElement(ctx, tuple(1 - height * c for c in weight))
-            return Reflection(element, root, coroot)
+            root = _root(_rows(u.cartan, word[:k]), word, k, len(x))
+            element = WeylElement(ctx, _apply(columns, word[:k + 1] + word[:k][::-1], ctx.rho))
+            return Reflection(element, root, _root(columns, word, k, len(x)))
         d = x[i]
         if d >= 0:
             break

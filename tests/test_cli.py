@@ -16,14 +16,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import schubertisom
-from schubertisom import CartanMatrix, element_from_word, export_oracle
+from schubertisom import (
+    CartanMatrix, chevalley_product, element_from_word, enumerate_elements, export_oracle,
+    interval,
+)
 from schubertisom import cli, freealg
 from schubertisom.cli import main
 
 from conftest import (
-    A2, A2_AFFINE, A3, B2, B3, B4, C3, D4, D4_AFFINE, UNIVERSAL_5, UNIVERSAL_5_WORD,
+    A2, A2_AFFINE, A3, B2, B3, B4, C3, D4, D4_AFFINE, G2, UNIVERSAL_5, UNIVERSAL_5_WORD,
     type_a,
 )
+
+# Non-symmetric matrices whose labels are not listed in sorted order, so
+# position order, label order and word order all differ.
+G2_BA = CartanMatrix(["b", "a"], G2.entries)
+B3_UNSORTED = CartanMatrix(["s3", "s1", "s2"], B3.entries)
 
 
 @pytest.fixture
@@ -319,6 +327,27 @@ class TestCohomology:
         assert any(len(words) > 1 for words in lists)
         assert all(words == sorted(words) for words in lists)
 
+    @pytest.mark.parametrize("A", [G2_BA, B3_UNSORTED], ids=["G2-b-a", "B3-s3-s1-s2"])
+    def test_products_are_chevalley_products(self, capsys, tmp_path, A):
+        """For every w of W, w0 included, each printed product is
+        chevalley_product of its (s, u), its terms listed by word."""
+        path = tmp_path / "cartan.json"
+        path.write_text(json.dumps(A.to_json()))
+        for w in enumerate_elements(A, 100):
+            itv = interval(w)
+            expected = {
+                f"{s}|{' '.join(u.canonical_word)}": [
+                    {"word": list(word), "coeff": c} for word, c in sorted(
+                        (v.canonical_word, c)
+                        for v, c in chevalley_product(s, u, itv).coeffs.items()
+                    )
+                ]
+                for s in set(w.canonical_word)
+                for u in itv
+            }
+            payload = run_json(capsys, "cohomology", str(path), " ".join(w.canonical_word))
+            assert payload == {"interval_size": len(itv), "products": expected}
+
 
 @pytest.mark.parametrize("command", ["cohomology", "export-oracle"])
 class TestElementCap:
@@ -350,6 +379,16 @@ class TestElementCap:
         assert err.startswith("error: EnumerationCapExceededError: more than 100000")
         assert elapsed < 2.0, f"took {elapsed:.1f}s to refuse"  # about 0.25 s
 
+    def test_cap_reached_with_letters_left(self, capsys, a3_file, command):
+        """[e, s1 s2 s3] has 8 elements, and its last letter alone fills a
+        cap of 2 while letters are left to read."""
+        code, out, err = run(capsys, "--max-elements", "2", command, a3_file, "s1 s2 s3")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: EnumerationCapExceededError: "
+            "more than 2 elements enumerated (element cap 2)\n"
+        )
+
 
 # sha256 of stdout at a fixed revision: refactors must keep these bytes.
 PINNED_OUTPUTS = [
@@ -371,6 +410,12 @@ PINNED_OUTPUTS = [
     pytest.param(A3, ["--format", "table", "cohomology"], "s1 s2",
                  "89aea31b0923352d68c41752c327484163d2dc3ec22ee24c472d52761f960634",
                  id="cohomology-table"),
+    pytest.param(B3_UNSORTED, ["cohomology"], "s3 s1 s3 s2 s1 s3 s2 s1 s2",
+                 "4380abe6d7a42317278a0cb9b9d65e9c7251b717a0616d7cb10ade83a55daee8",
+                 id="cohomology-B3-unsorted-labels"),
+    pytest.param(G2_BA, ["--format", "table", "cohomology"], "b a b a b a",
+                 "9be587054607176a63b02ccaa85eff48c305ed417c8d8ef7c8995547e8c6fb46",
+                 id="cohomology-G2-unsorted-labels-table"),
 ]
 
 
@@ -926,6 +971,25 @@ def test_parse_leaves_out_the_top_level_parse(monkeypatch):
     for argv in (["word", C, "s1"], ["equiv", "--left", "a:s1", "--right", "b:s2"],
                  ["normal-form", "e1", "--specialize", C], ["automorphisms", C, "--graph"]):
         assert cli._parse(parser, argv).command == argv[0]
+
+
+def test_parse_without_argparse_privates(capsys, monkeypatch, a3_file):
+    """With a private attribute that _parse reads replaced, as a Python
+    release might rename it, _parse gives the full parse's namespace, and
+    main answers as it does with an intact parser."""
+    parser = cli.build_parser()
+    monkeypatch.setattr(parser, "_subparsers", object())
+    for argv in (["word", C, "s1 s2"], ["word", C, "s1", "--canonical"],
+                 ["--format", "table", "word", C, "s1"], ["cohomology", C, "s1 s2"],
+                 ["equiv", "--left", "a:s1", "--right", "b:s2"],
+                 ["automorphisms", C, "--graph"], ["normal-form", "e1", "--specialize", C]):
+        assert vars(cli._parse(parser, argv)) == vars(cli.build_parser().parse_args(argv))
+    request = ["cohomology", a3_file, "s1 s2"]
+    monkeypatch.setattr(cli, "_parser", None)
+    intact = run(capsys, *request)
+    monkeypatch.setattr(cli, "_parser", parser)
+    assert run(capsys, *request) == intact
+    assert intact[0] == 0
 
 
 def test_cap_flags_name_what_they_bound():

@@ -28,6 +28,7 @@ from schubertisom.errors import (
 from schubertisom.weyl import identity_element
 
 from conftest import A2, A2_AFFINE, A3, B3, D4, G2, random_cartan, random_word, top_id, type_a
+from test_weyl import ORACLE_MATRICES
 
 
 def hirzebruch(n):
@@ -261,14 +262,23 @@ class TestOracleExport:
         assert top_id(oracle) == naming[w]
 
     def test_products_match_chevalley(self):
-        w = element_from_word(A2, ["s1", "s2", "s1"])
-        itv = interval(w)
-        oracle, naming = export_oracle_with_map(w, seed=5)
-        label_of = {naming[v]: v.canonical_word[0] for v in itv if v.length == 1}
-        for (gid, uid), terms in oracle.products.items():
-            u = next(v for v, bid in naming.items() if bid == uid)
-            F = chevalley_product(label_of[gid], u, itv)
-            assert dict(terms) == {naming[v]: c for v, c in F.coeffs.items()}
+        """w0 of A2 and seeded intervals over the matrix-oracle matrices, the
+        non-symmetric ones included: every product, keyed and listed in id
+        order, is chevalley_product of its (generator, element)."""
+        tops = [element_from_word(A2, ["s1", "s2", "s1"])]
+        for name, A in ORACLE_MATRICES.items():
+            rng = random.Random(name)
+            tops += [element_from_word(A, random_word(rng, A, 9)) for _ in range(4)]
+        for seed, w in enumerate(tops):
+            itv = interval(w)
+            oracle, naming = export_oracle_with_map(w, seed=seed)
+            element_of = {bid: v for v, bid in naming.items()}
+            label_of = {naming[v]: v.canonical_word[0] for v in itv if v.length == 1}
+            assert list(oracle.products) == [(g, bid) for g in sorted(label_of)
+                                             for bid in sorted(element_of)]
+            for (gid, uid), terms in oracle.products.items():
+                F = chevalley_product(label_of[gid], element_of[uid], itv)
+                assert terms == tuple(sorted((naming[v], c) for v, c in F.coeffs.items()))
 
     def test_json_round_trip(self):
         w = element_from_word(A3, ["s1", "s2", "s3"])

@@ -480,6 +480,18 @@ class TestElementCap:
         assert info.value.cap == 23
         assert str(info.value) == "more than 23 elements enumerated (element cap 23)"
 
+    @pytest.mark.parametrize("build, A, word", [
+        (subword_products, A2, ["s1", "s2"]),
+        (interval, A3, ["s1", "s2", "s3"]),
+    ], ids=["subword_products", "interval"])
+    def test_cap_reached_with_letters_left(self, build, A, word):
+        """The last letter alone fills a cap of 2 while letters are left to
+        read: [e, w] has 4 or 8 elements, so the cap refuses it rather than
+        returning the 2 elements read so far."""
+        with pytest.raises(EnumerationCapExceededError) as info:
+            build(element_from_word(A, word), max_elements=2)
+        assert info.value.cap == 2
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -942,6 +954,24 @@ class TestAgainstMatrixOracle:
         rng = random.Random(name)
         for _ in range(3):
             self._check_cover_reflections(interval(element_from_word(A, random_word(rng, A, 5))))
+
+    @pytest.mark.parametrize("A", [
+        type_a(30),
+        validate_cartan([[2 if i == j else -1 - (i > j) * (i % 3) if abs(i - j) == 1 else 0
+                          for j in range(30)] for i in range(30)],
+                        [f"s{i}" for i in range(1, 31)]),
+    ], ids=["A30", "nonsym-chain30"])
+    def test_words_in_few_letters(self, A):
+        """Roots, coroots and reflections read only the rows at the letters
+        of the word: on a rank-30 chain, words in two or three of its letters
+        match the matrix oracle, as do the covers of their intervals."""
+        rng = random.Random(len(A))
+        for letters in (["s1", "s2"], ["s29", "s30"], ["s14", "s15", "s16"], ["s3", "s20"]):
+            for _ in range(3):
+                word = [rng.choice(letters) for _ in range(rng.randint(1, 6))]
+                w = element_from_word(A, word)
+                assert inversion_set(w) == matrix_inversion_set(A, w.canonical_word)
+                self._check_cover_reflections(interval(w))
 
     @pytest.mark.parametrize("A", [type_a(4), B3], ids=["A4", "B3"])
     def test_cover_reflections_of_longest(self, A):
