@@ -45,7 +45,6 @@ from .weyl import (
     enumerate_elements,
     interval,
     inversion_set,
-    simple_reflection,
     support,
     two_letter_leq,
 )

@@ -49,7 +49,9 @@ class WeylElement:
     holds only its context, that vector and its canonical word as label
     indices, which is computed on first use; the label word, the inverse and
     the hash are computed from them on each read.  Build elements with
-    `element_from_word`, `identity_element` or `simple_reflection`.
+    `element_from_word`: e is the empty word and s_i the word [s_i].
+    `multiply`, `inverse`, `enumerate_elements`, `interval` and
+    `cover_reflection` also return elements.
     """
 
     __slots__ = ("rho", "_ctx", "_indices")
@@ -185,6 +187,7 @@ class _Context:
 
 
 # One context per Cartan matrix, held only while some element refers to it.
+# Equal matrices share it, so their elements compare equal and mix.
 _CONTEXTS = weakref.WeakValueDictionary()
 
 
@@ -193,17 +196,6 @@ def _context(cartan):
     if ctx is None:
         ctx = _CONTEXTS[cartan] = _Context(cartan)
     return ctx
-
-
-def identity_element(A):
-    ctx = _context(A)
-    return WeylElement(ctx, ctx.rho, indices=())
-
-
-def simple_reflection(A, s):
-    i = A.index_set.index(s)
-    ctx = _context(A)
-    return WeylElement(ctx, _apply(ctx.columns, (i,), ctx.rho), indices=(i,))
 
 
 def multiply(x, y):

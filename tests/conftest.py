@@ -7,14 +7,14 @@ import pytest
 
 from schubertisom import (
     check_equivalence,
-    simple_reflection,
+    element_from_word,
     support,
     two_letter_leq,
     validate_cartan,
 )
 from schubertisom import weyl
 from schubertisom.errors import EnumerationCapExceededError
-from schubertisom.weyl import DEFAULT_ELEMENT_CAP, enumerate_elements, identity_element
+from schubertisom.weyl import DEFAULT_ELEMENT_CAP, enumerate_elements
 
 
 def type_a(n):
@@ -176,7 +176,7 @@ def reduced_words(w):
             memo[v] = frozenset({()}) if v.is_identity() else frozenset(
                 (s,) + word
                 for s in v.left_descents()
-                for word in words_of(simple_reflection(v.cartan, s) * v)
+                for word in words_of(element_from_word(v.cartan, [s]) * v)
             )
         return memo[v]
 
@@ -224,8 +224,8 @@ def bfs_enumerate_elements(A, max_length, max_elements=DEFAULT_ELEMENT_CAP):
     if max_length < 0:
         return []
     order = A.index_set.index
-    reflections = {s: simple_reflection(A, s) for s in A.labels}
-    seen = {identity_element(A)}
+    reflections = {s: element_from_word(A, [s]) for s in A.labels}
+    seen = {element_from_word(A, [])}
     frontier = list(seen)
     for _ in range(max_length):
         nxt = []

@@ -25,7 +25,6 @@ from schubertisom.errors import (
     NotInIntervalError,
     UnknownLabelError,
 )
-from schubertisom.weyl import identity_element
 
 from conftest import A2, A2_AFFINE, A3, B3, D4, G2, random_cartan, random_word, top_id, type_a
 from test_weyl import ORACLE_MATRICES
@@ -65,7 +64,7 @@ class TestChevalley:
             if w.is_identity():
                 continue
             itv = interval(w)
-            e = identity_element(A)
+            e = element_from_word(A, [])
             for s in sorted(w.canonical_word):
                 F = chevalley_product(s, e, itv)
                 assert F.coeffs == {element_from_word(A, [s]): 1}
@@ -121,7 +120,7 @@ class TestChevalley:
     def test_unknown_label(self):
         itv = interval(element_from_word(A3, ["s1", "s2"]))
         with pytest.raises(UnknownLabelError):
-            chevalley_product("s3", identity_element(A3), itv)
+            chevalley_product("s3", element_from_word(A3, []), itv)
         with pytest.raises(UnknownLabelError):
             simple_square_closed_form("s3", itv)
 
@@ -140,7 +139,7 @@ class TestSupportClosure:
     def test_full_j_collapses(self):
         itv = interval(element_from_word(A2, ["s1", "s2", "s1"]))
         closure = support_closure({"s1", "s2"}, itv)
-        assert closure == {identity_element(A2)}
+        assert closure == {element_from_word(A2, [])}
 
     def test_empty_j_saturates(self):
         itv = interval(element_from_word(A2, ["s1", "s2", "s1"]))
@@ -150,7 +149,7 @@ class TestSupportClosure:
         itv = interval(element_from_word(A2, ["s1", "s2", "s1"]))
         closure = support_closure({"s2"}, itv)
         assert closure == {
-            identity_element(A2),
+            element_from_word(A2, []),
             element_from_word(A2, ["s1"]),
             element_from_word(A2, ["s2", "s1"]),
         }
@@ -205,7 +204,7 @@ def _product_closure(J, itv):
     """E^J by its definition: the least set holding e and the support of
     xi_s * xi_u for each of its members u and each s in S(w) \\ J."""
     allowed = set(itv.top.canonical_word) - set(J)
-    closure = {identity_element(itv.cartan)}
+    closure = {element_from_word(itv.cartan, [])}
     frontier = list(closure)
     while frontier:
         u = frontier.pop()

@@ -133,8 +133,6 @@ def test_cli_import_loads_no_dataclasses():
 # acceptance gate refers to, each kept on purpose.
 DOCUMENTED = {
     ("reconstruct", "descent_sets"): "the README describes it: every abstract descent set of an oracle",
-    ("weyl", "identity_element"): "the WeylElement docstring names it as a constructor of e",
-    ("weyl", "simple_reflection"): "the WeylElement docstring names it as the constructor of a simple reflection",
 }
 
 

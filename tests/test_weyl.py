@@ -17,7 +17,6 @@ from schubertisom import (
     interval,
     inversion_set,
     isom_classes,
-    simple_reflection,
     transport_interval,
     two_letter_leq,
 )
@@ -30,7 +29,6 @@ from schubertisom.errors import (
 )
 from schubertisom import weyl
 from schubertisom.weyl import (
-    identity_element,
     multiply,
     subword_products,
     support,
@@ -82,31 +80,31 @@ class TestSimpleReflection:
     s_i s_j is {alpha_i, s_i(alpha_j)}."""
 
     def test_a2_neighbor_root(self):
-        s1s2 = simple_reflection(A2, "s1") * simple_reflection(A2, "s2")
+        s1s2 = element_from_word(A2, ["s1"]) * element_from_word(A2, ["s2"])
         assert inversion_set(s1s2) == {simple_root(A2, "s1"), (1, 1)}
 
     def test_own_root_negated(self):
         """s2 sends alpha_2, and no other positive root, negative."""
-        assert inversion_set(simple_reflection(A3, "s2")) == {simple_root(A3, "s2")}
+        assert inversion_set(element_from_word(A3, ["s2"])) == {simple_root(A3, "s2")}
 
     def test_affine_doubled(self):
-        s1s2 = simple_reflection(A1_AFFINE, "s1") * simple_reflection(A1_AFFINE, "s2")
+        s1s2 = element_from_word(A1_AFFINE, ["s1"]) * element_from_word(A1_AFFINE, ["s2"])
         assert inversion_set(s1s2) == {simple_root(A1_AFFINE, "s1"), (2, 1)}
 
     def test_unknown_label(self):
         with pytest.raises(UnknownLabelError):
-            simple_reflection(A2, "s9")
+            element_from_word(A2, ["s9"])
 
 
 class TestMultiply:
     def test_identity(self):
-        e = identity_element(A3)
+        e = element_from_word(A3, [])
         w = element_from_word(A3, ["s1", "s2"])
         assert multiply(w, e) == w
         assert multiply(e, w) == w
 
     def test_involution(self):
-        s1 = simple_reflection(A3, "s1")
+        s1 = element_from_word(A3, ["s1"])
         assert multiply(s1, s1).is_identity()
 
     def test_canonical_word_of_product(self):
@@ -116,7 +114,7 @@ class TestMultiply:
 
     def test_mixed_contexts(self):
         with pytest.raises(MixedContextsError):
-            multiply(simple_reflection(A3, "s1"), simple_reflection(C3, "s1"))
+            multiply(element_from_word(A3, ["s1"]), element_from_word(C3, ["s1"]))
 
     def test_context_table_keeps_only_held_matrices(self):
         """The per-matrix context goes with the last element that uses it."""
@@ -213,7 +211,7 @@ class TestElementState:
 
 class TestDescents:
     def test_identity_empty(self):
-        e = identity_element(A3)
+        e = element_from_word(A3, [])
         assert e.left_descents() == set()
         assert e.right_descents() == set()
 
@@ -232,14 +230,14 @@ class TestDescents:
             A = random_cartan(rng)
             w = element_from_word(A, random_word(rng, A, 6))
             for s in A.labels:
-                g = simple_reflection(A, s)
+                g = element_from_word(A, [s])
                 dropped = multiply(w, g).length == w.length - 1
                 assert dropped == (s in w.right_descents())
 
 
 class TestBruhat:
     def test_identity_below_everything(self, rng):
-        e = identity_element(A3)
+        e = element_from_word(A3, [])
         for _ in range(10):
             assert bruhat_leq(e, element_from_word(A3, random_word(rng, A3)))
 
@@ -255,7 +253,7 @@ class TestBruhat:
 
     def test_mixed_contexts(self):
         with pytest.raises(MixedContextsError):
-            bruhat_leq(identity_element(A3), identity_element(C3))
+            bruhat_leq(element_from_word(A3, []), element_from_word(C3, []))
 
     def test_against_subword_oracle(self, rng):
         for _ in range(25):
@@ -330,8 +328,17 @@ class TestTwoLetter:
 
 class TestInterval:
     def test_identity(self):
-        itv = interval(identity_element(A3))
+        itv = interval(element_from_word(A3, []))
         assert len(itv) == 1
+
+    def test_non_elements_are_not_members(self):
+        """`in` answers False, and raises nothing, for None, a label, an
+        interval and an element of another matrix whose vector is in it."""
+        itv = interval(element_from_word(A3, ["s1", "s2"]))
+        s1 = element_from_word(C3, ["s1"])
+        assert s1.rho == element_from_word(A3, ["s1"]).rho
+        for other in (None, "s1", itv, s1):
+            assert other not in itv
 
     def test_a2_longest(self):
         itv = interval(element_from_word(A2, ["s1", "s2", "s1"]))
@@ -506,7 +513,7 @@ class TestElementCap:
     )
     def test_cap_counts_the_identity(self, build):
         """[e, e] and the elements of length 0 are {e}: a cap of 0 refuses them."""
-        e = identity_element(A3)
+        e = element_from_word(A3, [])
         built = build(e, max_elements=1)
         assert len(getattr(built, "basis", built)) == 1
         with pytest.raises(EnumerationCapExceededError) as info:
@@ -556,7 +563,7 @@ class TestElementCap:
 
 class TestSupport:
     def test_identity(self):
-        assert support(identity_element(A3)) == set()
+        assert support(element_from_word(A3, [])) == set()
 
     def test_full(self):
         w = element_from_word(A3, ["s2", "s1", "s3", "s2"])
@@ -592,7 +599,7 @@ class TestReducedWords:
 
 class TestInversionSet:
     def test_identity(self):
-        assert inversion_set(identity_element(A2)) == frozenset()
+        assert inversion_set(element_from_word(A2, [])) == frozenset()
 
     def test_a2_pair(self):
         w = element_from_word(A2, ["s1", "s2"])
@@ -613,7 +620,7 @@ class TestInversionSet:
 
 class TestCoverReflection:
     def test_from_identity(self):
-        e = identity_element(A2)
+        e = element_from_word(A2, [])
         s = element_from_word(A2, ["s1"])
         refl = cover_reflection(e, s)
         assert refl.element == s
@@ -639,7 +646,7 @@ class TestCoverReflection:
         """e under a length-2 element: s1 is no descent of e."""
         with pytest.raises(NotACoverError):
             cover_reflection(
-                identity_element(A2), element_from_word(A2, ["s1", "s2"])
+                element_from_word(A2, []), element_from_word(A2, ["s1", "s2"])
             )
 
     @pytest.mark.parametrize(
@@ -674,7 +681,7 @@ class TestCoverReflection:
     def test_mixed_contexts(self):
         """e <| s1 in A3, but s1 is taken over C3."""
         with pytest.raises(MixedContextsError):
-            cover_reflection(identity_element(A3), element_from_word(C3, ["s1"]))
+            cover_reflection(element_from_word(A3, []), element_from_word(C3, ["s1"]))
 
     def test_reflection_properties(self, rng):
         for _ in range(10):
@@ -690,6 +697,35 @@ class TestCoverReflection:
                     r = MatrixElement.from_word(A, refl.element.canonical_word)
                     flipped = _matvec(r.mat, refl.root)
                     assert flipped == tuple(-c for c in refl.root)
+
+
+class TestEqualMatrices:
+    """Two distinct CartanMatrix objects with equal entries and labels give
+    one group: their elements compare equal and mix in every operation."""
+
+    def test_elements_mix(self):
+        A, B = type_a(3), type_a(3)
+        assert A is not B and A == B
+        u = element_from_word(A, ["s1", "s2"])
+        v = element_from_word(B, ["s1", "s2"])
+        assert u == v and hash(u) == hash(v)
+        s1, s3 = element_from_word(A, ["s1"]), element_from_word(B, ["s3"])
+        assert multiply(v, s3) == element_from_word(A, ["s1", "s2", "s3"])
+        assert multiply(s1, v) == element_from_word(B, ["s2"])
+        assert bruhat_leq(s1, v) and not bruhat_leq(v, s1)
+        assert multiply(cover_reflection(s1, v).element, s1) == u
+        below_u, below_v = interval(u), interval(v)
+        assert u in below_v and v in below_u
+        assert all(x in below_u for x in below_v)
+
+    def test_unequal_matrix_still_refused(self):
+        """C3 has A3's labels and first column, but another matrix."""
+        u = element_from_word(type_a(3), ["s1", "s2"])
+        s1 = element_from_word(C3, ["s1"])
+        for op in (multiply, bruhat_leq, cover_reflection):
+            with pytest.raises(MixedContextsError):
+                op(s1, u)
+        assert s1 not in interval(u)
 
 
 class TestEnumeration:
