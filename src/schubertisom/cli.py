@@ -248,13 +248,7 @@ def cmd_automorphisms(args):
         autos = graph_automorphisms(simple_graph(A))
     else:
         autos = diagram_automorphisms(A)
-    payload = {
-        "count": len(autos),
-        "automorphisms": [
-            {s: sigma[s] for s in A.labels} for sigma in autos
-        ],
-    }
-    return _emit(args, payload)
+    return _emit(args, {"count": len(autos), "automorphisms": autos})
 
 
 def build_parser():

@@ -7,9 +7,9 @@ the vector determines w for every generalized Cartan matrix (Kac, Infinite
 Dimensional Lie Algebras, 3.12).  Left multiplication by s_i is the O(n)
 update v_j -= v_i * A[j][i], the left descents are the negative coordinates,
 and equality is a tuple compare.  The ShortLex word, inverse, right descents,
-inversion set and cover reflections come from the canonical word in
-O(n * length).  Root and coroot vectors are integer tuples in the simple
-root / coroot bases, in label order; all arithmetic is exact.
+inversion set, Bruhat test and cover reflections come from the canonical
+word in O(n * length).  Root and coroot vectors are integer tuples in the
+simple root / coroot bases, in label order; all arithmetic is exact.
 """
 
 import weakref
@@ -216,27 +216,22 @@ def support(w):
 
 
 def bruhat_leq(u, w):
-    """Bruhat order test by descent recursion on the two vectors.
+    """Bruhat order test by descent recursion, walking w's canonical word.
 
-    Strip the least left descent s from w; replace u by su whenever s is
-    also a left descent of u.  Terminates at w = e with u <= w iff u = e.
+    The word's letters are w's successive least left descents s; u is
+    replaced by su whenever s is also a left descent of u.  At the word's
+    end w is stripped to e, and u <= w iff u is then e.
     """
     if u._ctx is not w._ctx:
         raise MixedContextsError()
     columns = u._ctx.columns
-    x, y = list(u.rho), list(w.rho)
-    while True:
-        for i, c in enumerate(y):  # the least left descent of y, if any
-            if c < 0:
-                break
-        else:
-            return min(x) >= 0
-        for j, a in columns[i]:
-            y[j] -= c * a
+    x = list(u.rho)
+    for i in w._index_word():
         d = x[i]
         if d < 0:
             for j, a in columns[i]:
                 x[j] -= d * a
+    return min(x) >= 0
 
 
 def two_letter_leq(A, s, t, w):
@@ -359,7 +354,7 @@ def interval(w, max_elements=DEFAULT_ELEMENT_CAP):
     elements, parents = _walk(ctx, w.length, max_elements, _subword_vectors(w, max_elements))
     position = {v.rho: q for q, v in enumerate(elements)}
     up = [[] for _ in elements]
-    # The lower covers, (p, coroot) with p increasing, of each position one
+    # The lower covers (p, coroot), in no set order, of each position one
     # length down (below) and of the length being built (current)
     below, current = {}, {0: ()}
     for q in range(1, len(elements)):
@@ -386,7 +381,6 @@ def interval(w, max_elements=DEFAULT_ELEMENT_CAP):
                 for j, a in column:
                     x[j] -= c * a
                 covers.append((position[tuple(x)], inherited))
-        covers.sort()
         for u, gamma in covers:
             up[u].append((q, gamma))
         current[q] = covers

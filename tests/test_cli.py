@@ -428,6 +428,45 @@ def test_output_bytes_pinned(capsys, tmp_path, A, argv, word, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of automorphisms stdout, recorded while each automorphism was still
+# rebuilt in label order before it was written.
+PINNED_AUTOMORPHISM_OUTPUTS = [
+    pytest.param(D4_AFFINE, ["--format", "json", "automorphisms"],
+                 "668299b5e5b128ac46e63dc91ee2db1fec3094fc210457746c173886b4beb096",
+                 id="D4-affine-json"),
+    pytest.param(D4_AFFINE, ["--format", "json", "automorphisms", "--graph"],
+                 "668299b5e5b128ac46e63dc91ee2db1fec3094fc210457746c173886b4beb096",
+                 id="D4-affine-graph-json"),
+    pytest.param(D4_AFFINE, ["--format", "table", "automorphisms"],
+                 "3bb7f16872e07b433d4902bff92b1398dc0d73b50f2d38c73b05fc02dbb1b75c",
+                 id="D4-affine-table"),
+    pytest.param(D4_AFFINE, ["--format", "table", "automorphisms", "--graph"],
+                 "3bb7f16872e07b433d4902bff92b1398dc0d73b50f2d38c73b05fc02dbb1b75c",
+                 id="D4-affine-graph-table"),
+    pytest.param(B3_UNSORTED, ["--format", "json", "automorphisms"],
+                 "de665851f4b8c2df461da35234acf61799bd829451a58b26da28a30f90859676",
+                 id="B3-unsorted-labels-json"),
+    pytest.param(B3_UNSORTED, ["--format", "json", "automorphisms", "--graph"],
+                 "44324adf2236b1109f3c5d9264042be07babc5eb34f57d0e7eb4617ed450c257",
+                 id="B3-unsorted-labels-graph-json"),
+    pytest.param(B3_UNSORTED, ["--format", "table", "automorphisms"],
+                 "37139010dd748d96af3e826b5e336ce86bc994c63a86478d8887271eb1a3adbc",
+                 id="B3-unsorted-labels-table"),
+    pytest.param(B3_UNSORTED, ["--format", "table", "automorphisms", "--graph"],
+                 "199ee9aef84ed2fb93d03ef938ed55e6090ea811cd3f3f2afd6c92b1b8653278",
+                 id="B3-unsorted-labels-graph-table"),
+]
+
+
+@pytest.mark.parametrize("A, argv, digest", PINNED_AUTOMORPHISM_OUTPUTS)
+def test_automorphisms_bytes_pinned(capsys, tmp_path, A, argv, digest):
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps(A.to_json()))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of isom-classes stdout, recorded before the bottom-up enumeration.
 PINNED_CLASS_OUTPUTS = [
     pytest.param(type_a(4), "10", "json",

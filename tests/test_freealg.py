@@ -87,6 +87,10 @@ class TestPoly:
     def test_long_labels(self):
         assert str(A("s1", "s2")) == "a[s1,s2]"
 
+    def test_repr(self):
+        assert repr(A("1", "2") - Poly.const(1)) == "Poly(a12-1)"
+        assert repr(Poly()) == "Poly(0)"
+
 
 _ETA_CHILD = """
 import json, sys, time
@@ -330,6 +334,10 @@ class TestParse:
     def test_long_label_round_trip(self):
         tau = eta(H("s1") * F("s2"))
         assert parse(str(tau)) == tau
+
+    def test_repr(self):
+        assert repr(eta(H("1") * F("2"))) == "FreeAlgebraElement((-a12)*f2 + f2*h1)"
+        assert repr(FreeAlgebraElement({})) == "FreeAlgebraElement(0)"
 
     def test_basic_forms(self):
         assert parse("f2*e2") == F("2") * E("2")

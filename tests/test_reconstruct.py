@@ -27,6 +27,7 @@ from schubertisom.cli import main
 from conftest import (
     A2,
     A3,
+    B2,
     D4,
     random_cartan,
     random_word,
@@ -287,6 +288,21 @@ class TestReconstruct:
         flat = sorted(c for row in rp.cartan.entries for c in row)
         assert flat == [-2, -1, 2, 2]
         assert len(rp.word) == 2
+
+    def test_word_not_reduced_under_recovered_matrix(self):
+        """The oracle of w0 in B2 with the 2 in one generator's square forged
+        to 1 validates, but the recovered matrix is then of type A2, where
+        the top word, of length 4, is not reduced."""
+        oracle = export_oracle(element_from_word(B2, ["s1", "s2", "s1", "s2"]))
+        products = dict(oracle.products)
+        g = next(g for g in oracle.generators if products[g, g][0][1] == 2)
+        ((nu, _),) = products[g, g]
+        products[g, g] = ((nu, 1),)
+        forged = CohomologyOracle(oracle.basis, oracle.generators, products)
+        cartan, _ = recover_cartan(forged)
+        assert sorted(c for row in cartan.entries for c in row) == [-1, -1, 2, 2]
+        with pytest.raises(MalformedOracleError, match="reconstructed word is not reduced"):
+            reconstruct(forged)
 
     def test_projective_line(self):
         A1 = validate_cartan([[2]], ["s1"])
