@@ -199,7 +199,7 @@ class CohomologyOracle(_Record):
 
     def to_json(self):
         """The oracle as JSON-ready data, for serialising only: the products
-        share one term dict per (id, coeff)."""
+        share one term dict per (id, coeff) and keep the oracle's order."""
         shared = {}
         return {
             "basis": [{"id": bid, "degree": d} for bid, d in self.basis],
@@ -209,7 +209,7 @@ class CohomologyOracle(_Record):
                     shared.get(vc) or shared.setdefault(vc, {"id": vc[0], "coeff": vc[1]})
                     for vc in terms
                 ]
-                for (g, bid), terms in sorted(self.products.items())
+                for (g, bid), terms in self.products.items()
             },
         }
 
@@ -289,7 +289,7 @@ def export_oracle_with_map(w, seed=0, max_elements=weyl.DEFAULT_ELEMENT_CAP):
     basis = tuple(sorted(zip(ids, [2 * v.length for v in elements])))
     table = _product_table(itv, ids)
     del itv  # before the table is built, which lowers the peak memory
-    products = {(ids[g], ids[p]): terms for g, p, terms in table}  # sorted, for to_json
+    products = {(ids[g], ids[p]): terms for g, p, terms in table}  # sorted, as to_json keeps it
     generators = tuple([bid for bid, d in basis if d == 2])
     return CohomologyOracle(basis, generators, products), dict(zip(elements, ids))
 

@@ -37,45 +37,42 @@ def recover_cartan(oracle):
     """Validate the oracle, then recover the Cartan matrix over its degree-2
     generators.
 
-    For each ordered pair of distinct generators exactly one case applies:
-    disjoint supports force a 0; a singleton overlap of supp(z1*z2) with
-    supp(z2^2) reads the entry off a coefficient; overlap only on the z1^2
-    side leaves the entry unconstrained (any negative integer works), fixed
-    here at -1 and reported in free_entries.  With no generators the oracle
-    is that of a point, X(e, A) for every A, and the rank-1 matrix over the
-    unit's id presents it.
+    Each square is read once, as an id -> coefficient dict.  For each
+    ordered pair of distinct generators, the ids of supp(z1*z2) in
+    supp(z2^2) decide: two or more are ambiguous; one gives minus its
+    coefficient; none, with some in supp(z1^2), leaves the entry free (any
+    negative integer works), fixed at -1 and reported in free_entries; else
+    it is 0.  With no generators the oracle is that of a point, X(e, A) for
+    every A, and the rank-1 matrix over the unit's id presents it.
     """
     oracle.validate()
-    if not oracle.generators:
-        return CartanMatrix(IndexSet([oracle.unit_id]), [[2]]), frozenset()
     gens = oracle.generators
-    n = len(gens)
-    pos = {g: i for i, g in enumerate(gens)}
-    entries = [[2 if i == j else None for j in range(n)] for i in range(n)]
-    free = set()
-    squares = {g: dict(oracle.products[(g, g)]) for g in gens}
-    for z1 in gens:
-        for z2 in gens:
+    if not gens:
+        return CartanMatrix(IndexSet([oracle.unit_id]), [[2]]), frozenset()
+    squares = [dict(oracle.products[g, g]) for g in gens]
+    rows, free = [], set()
+    for z1, sq1 in zip(gens, squares):
+        row = []
+        for z2, sq2 in zip(gens, squares):
             if z1 == z2:
+                row.append(2)
                 continue
-            p = frozenset(dict(oracle.products[z1, z2]))
-            sq1 = frozenset(squares[z1])
-            sq2 = frozenset(squares[z2])
-            overlap = p & sq2
-            if not (p & (sq1 | sq2)):
-                entries[pos[z1]][pos[z2]] = 0
-            elif len(overlap) == 1:
-                (nu,) = overlap
-                entries[pos[z1]][pos[z2]] = -squares[z2][nu]
-            elif not overlap and (p & sq1):
-                entries[pos[z1]][pos[z2]] = -1
-                free.add((z1, z2))
-            else:
+            p = {v for v, _ in oracle.products[z1, z2]}
+            overlap = sq2.keys() & p
+            if len(overlap) > 1:
                 raise MalformedOracleError(
                     f"ambiguous support overlap for generators ({z1}, {z2})"
                 )
+            if overlap:
+                row.append(-sq2[overlap.pop()])
+            elif sq1.keys() & p:
+                row.append(-1)
+                free.add((z1, z2))
+            else:
+                row.append(0)
+        rows.append(row)
     try:
-        cartan = CartanMatrix(IndexSet(gens), entries)
+        cartan = CartanMatrix(IndexSet(gens), rows)
     except SchubertError as exc:
         raise MalformedOracleError(f"recovered matrix is not Cartan: {exc}") from exc
     return cartan, frozenset(free)

@@ -26,7 +26,7 @@ from schubertisom.errors import (
     UnknownLabelError,
 )
 
-from conftest import A2, A2_AFFINE, A3, B3, D4, G2, random_cartan, random_word, top_id, type_a
+from conftest import A2, A2_AFFINE, A3, B2, B3, D4, G2, random_cartan, random_word, top_id, type_a
 from test_weyl import ORACLE_MATRICES
 
 
@@ -278,6 +278,23 @@ class TestOracleExport:
             for (gid, uid), terms in oracle.products.items():
                 F = chevalley_product(label_of[gid], element_of[uid], itv)
                 assert terms == tuple(sorted((naming[v], c) for v, c in F.coeffs.items()))
+
+    def test_products_and_json_keys_sorted(self):
+        """to_json keeps the oracle's order, so the export must insert its
+        products sorted: w0 of A3, B2 and G2, and seeded rank-4 elements."""
+        tops = [
+            element_from_word(A3, "s1 s2 s1 s3 s2 s1".split()),
+            element_from_word(B2, ["s1", "s2"] * 2),
+            element_from_word(G2, ["s1", "s2"] * 3),
+        ]
+        rng = random.Random(4)
+        for A in (M for M in ORACLE_MATRICES.values() if len(M) == 4):
+            tops += [element_from_word(A, random_word(rng, A, 8)) for _ in range(3)]
+        for seed, w in enumerate(tops):
+            oracle = export_oracle(w, seed=seed)
+            keys = list(oracle.to_json()["products"])
+            assert list(oracle.products) == sorted(oracle.products)
+            assert keys == sorted(keys) == [f"{g}|{bid}" for g, bid in oracle.products]
 
     def test_json_round_trip(self):
         w = element_from_word(A3, ["s1", "s2", "s3"])

@@ -348,6 +348,47 @@ class TestReconstruct:
         assert data["cartan"]["matrix"][0][0] == 2
 
 
+class TestProductOrder:
+    """No reader of an oracle depends on the order its products were
+    inserted in: the exporter's sorted order, reversed and shuffled give
+    equal results."""
+
+    READERS = (
+        CohomologyOracle.validate,
+        recover_cartan,
+        descent_sets,
+        reduced_word_sets,
+        reconstruct,
+    )
+
+    def test_reversed_and_shuffled_products(self, rng):
+        tops = [
+            element_from_word(A3, "s1 s2 s1 s3 s2 s1".split()),
+            element_from_word(hirzebruch(2), ["s1", "s2"]),
+        ]
+        while len(tops) < 12:
+            A = random_cartan(rng, max_rank=4)
+            w = element_from_word(A, random_word(rng, A, 7))
+            if w.length >= 2:
+                tops.append(w)
+        for seed, w in enumerate(tops):
+            oracle = export_oracle(w, seed=seed)
+            items = list(oracle.products.items())
+            shuffled = rng.sample(items, len(items))
+            expected = [reader(oracle) for reader in self.READERS]
+            for order in (items[::-1], shuffled):
+                again = CohomologyOracle(oracle.basis, oracle.generators, dict(order))
+                assert [reader(again) for reader in self.READERS] == expected
+
+    def test_ambiguous_overlap_reversed(self):
+        oracle = _ambiguous_overlap()
+        products = dict(reversed(list(oracle.products.items())))
+        again = CohomologyOracle(oracle.basis, oracle.generators, products)
+        message = re.escape("ambiguous support overlap for generators (a, b)")
+        with pytest.raises(MalformedOracleError, match=message):
+            recover_cartan(again)
+
+
 # the module, which the package's `reconstruct` function shadows as an attribute
 reconstruct_module = importlib.import_module("schubertisom.reconstruct")
 cohomology_module = importlib.import_module("schubertisom.cohomology")
