@@ -29,6 +29,51 @@ from .errors import (
 AUTOMORPHISM_CAP = 12
 
 
+class _Record:
+    """A plain record over the fields named in `__slots__`, in order: built
+    from one value per field, given in order or by name, equal only to a
+    record of the same type with equal fields, unhashable, and shown as
+    Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        if named:  # the fields after the positional ones, each once by name
+            values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
+        if named or len(values) != len(fields):
+            raise TypeError(f"{self.__class__.__qualname__}() takes each field of {fields} once")
+        for field, value in zip(fields, values):
+            object.__setattr__(self, field, value)
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A record that hashes by its fields, set once by `_Record.__init__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
 class IndexSet:
     """An ordered sequence of distinct generator labels."""
 
@@ -146,34 +191,19 @@ def validate_cartan(entries, labels):
 
 def submatrix(A, J):
     """Restrict A to the labels in J, preserving the input label order."""
-    for s in J:
-        A.index_set.index(s)
-    J = set(J)
-    keep = [i for i, s in enumerate(A.labels) if s in J]
+    keep = sorted({A.index_set.index(s) for s in J})  # the first unknown label raises
     rows = [[A.entries[i][j] for j in keep] for i in keep]
     return CartanMatrix(IndexSet(A.labels[i] for i in keep), rows)
 
 
-class SimpleCoxeterGraph:
+class SimpleCoxeterGraph(_FrozenRecord):
     """The underlying simple graph: edge {s,t} iff A[s][t] != 0, s != t."""
 
     __slots__ = ("vertices", "edges")
 
     def __init__(self, vertices, edges):
-        if not isinstance(vertices, IndexSet):
-            vertices = IndexSet(vertices)
-        self.vertices = vertices
-        self.edges = frozenset(frozenset(e) for e in edges)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SimpleCoxeterGraph)
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
+        vertices = vertices if isinstance(vertices, IndexSet) else IndexSet(vertices)
+        super().__init__(vertices, frozenset(frozenset(e) for e in edges))
 
 
 def simple_graph(A):

@@ -12,10 +12,21 @@ from .cartan import CartanMatrix, diagram_automorphisms, graph_automorphisms, si
 from .errors import SchubertError
 
 
+def _converted(convert, value):
+    """convert(value), with an integer past sys.get_int_max_str_digits(), which
+    int() and str() refuse with a plain ValueError, as a typed error."""
+    try:
+        return convert(value)
+    except json.JSONDecodeError:  # a ValueError too, which main reports as it is
+        raise
+    except ValueError as exc:
+        raise SchubertError(f"integer too long to convert: {exc}") from None
+
+
 def _json_loads(text):
     """json.loads, reporting input nested too deep for the decoder as a typed error."""
     try:
-        return json.loads(text)
+        return _converted(json.loads, text)
     except RecursionError:
         raise SchubertError("JSON input is nested too deeply") from None
 
@@ -107,10 +118,7 @@ def _count(text):
 
 
 def _emit(args, payload, exit_code=0):
-    if args.format == "table":
-        text = _render_table(payload)
-    else:
-        text = _json_text(payload)
+    text = _converted(_render_table if args.format == "table" else _json_text, payload)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)  # not text + "\n", which copies the whole output
@@ -235,10 +243,10 @@ def cmd_reconstruct(args):
 def cmd_normal_form(args):
     tau = freealg.parse(args.expression)
     normal = freealg.eta(tau)
-    payload = {"input": str(tau), "normal_form": str(normal)}
+    payload = {"input": _converted(str, tau), "normal_form": _converted(str, normal)}
     if args.specialize:
         A = _load_cartan(args.specialize)
-        payload["specialized"] = str(freealg.specialize(normal, A))
+        payload["specialized"] = _converted(str, freealg.specialize(normal, A))
     return _emit(args, payload)
 
 

@@ -16,9 +16,10 @@ from collections import defaultdict
 from itertools import compress
 from operator import itemgetter
 
+from .cartan import _Record
 from .errors import MalformedOracleError, NotInIntervalError, UnknownLabelError
 from . import weyl
-from .weyl import _Record, element_from_word
+from .weyl import element_from_word
 
 
 class SchubertClass(_Record):
@@ -116,14 +117,11 @@ def support_closure(J, itv):
 
 
 class CohomologyOracle(_Record):
-    """An anonymized graded basis with its degree-2 multiplication table."""
+    """An anonymized graded basis with its degree-2 multiplication table:
+    `basis` is a tuple of (id, degree) pairs, `generators` a tuple of the ids of
+    degree 2, `products` maps (generator id, basis id) to a tuple of (basis id, coeff)."""
 
     __slots__ = ("basis", "generators", "products")
-
-    def __init__(self, basis, generators, products):
-        self.basis = basis  # tuple of (id, degree) pairs
-        self.generators = generators  # tuple of the ids of degree 2
-        self.products = products  # (generator id, basis id) -> tuple of (basis id, coeff)
 
     @property
     def unit_id(self):

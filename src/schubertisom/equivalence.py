@@ -12,10 +12,10 @@ elements by it.
 
 from bisect import bisect_left
 
-from .cartan import search_injections, submatrix
+from .cartan import _FrozenRecord, search_injections, submatrix
 from .errors import InvalidIndexSetError, InvalidWitnessError
 from . import weyl
-from .weyl import WeylElement, _FrozenRecord, _apply, element_from_word, support
+from .weyl import WeylElement, _apply, element_from_word, support
 
 
 class EquivalenceWitness(_FrozenRecord):
@@ -23,11 +23,6 @@ class EquivalenceWitness(_FrozenRecord):
     `sigma` maps the support of `source` onto that of `target`."""
 
     __slots__ = ("source", "target", "sigma")
-
-    def __init__(self, source, target, sigma):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "sigma", sigma)
 
     @property
     def source_word(self):
@@ -432,7 +427,6 @@ def restriction_witness(w):
     point), and raises InvalidIndexSetError."""
     if w.is_identity():
         raise InvalidIndexSetError("e has an empty support: there is no matrix to restrict to")
-    A = w.cartan
-    sub = submatrix(A, sorted(support(w), key=A.index_set.index))
+    sub = submatrix(w.cartan, support(w))
     w_restricted = element_from_word(sub, w.canonical_word)
     return check_equivalence(w, w_restricted)

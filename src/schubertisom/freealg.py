@@ -306,7 +306,10 @@ def _tokenize(text):
             break
         pos = m.end()
         if m.group("num"):
-            tokens.append(("num", int(m.group("num"))))
+            try:
+                tokens.append(("num", int(m.group("num"))))
+            except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+                raise ParseError(f"number too long to read: {exc}") from None
         elif m.group("name"):
             tokens.append(("name", m.group("name")))
         else:

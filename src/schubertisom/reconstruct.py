@@ -9,9 +9,9 @@ Cartan equivalent to the reconstructed one.
 
 from operator import itemgetter
 
-from .cartan import CartanMatrix, IndexSet
+from .cartan import CartanMatrix, IndexSet, _Record
 from .errors import MalformedOracleError, SchubertError
-from .weyl import _Record, element_from_word
+from .weyl import element_from_word
 
 
 class ReconstructedPresentation(_Record):
@@ -19,11 +19,6 @@ class ReconstructedPresentation(_Record):
     ordered generator pairs whose entry was a free choice."""
 
     __slots__ = ("cartan", "word", "free_entries")
-
-    def __init__(self, cartan, word, free_entries):
-        self.cartan = cartan
-        self.word = word
-        self.free_entries = free_entries
 
     def to_json(self):
         return {
@@ -159,7 +154,6 @@ def reconstruct(oracle):
     # validate() leaves one id of top degree, and it comes last
     word = least[v]
     element = element_from_word(cartan, word)
-    expected_length = degree // 2
-    if element.length != expected_length or len(word) != expected_length:
+    if element.length != degree // 2:
         raise MalformedOracleError("reconstructed word is not reduced")
     return ReconstructedPresentation(cartan, word, free)

@@ -14,6 +14,7 @@ simple root / coroot bases, in label order; all arithmetic is exact.
 
 import weakref
 
+from .cartan import _FrozenRecord
 from .errors import (
     EnumerationCapExceededError,
     MixedContextsError,
@@ -126,51 +127,10 @@ class WeylElement:
         return {labels[j] for j, c in enumerate(self.rho) if c < 0}
 
 
-class _Record:
-    """A plain record over the fields named in `__slots__`, in order: equal
-    only to a record of the same type with equal fields, unhashable, and
-    shown as Name(field=value, ...)."""
-
-    __slots__ = ()
-
-    def _values(self):
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-
-class _FrozenRecord(_Record):
-    """A record whose fields are set once, in `__init__` through
-    `object.__setattr__`, and that hashes by its fields."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self):
-        return hash(self._values())
-
-
 class Reflection(_FrozenRecord):
     """A reflection s_beta with its positive root and coroot."""
 
     __slots__ = ("element", "root", "coroot")
-
-    def __init__(self, element, root, coroot):
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "coroot", coroot)
 
 
 class _Context:

@@ -132,6 +132,64 @@ class TestInputErrors:
     def test_deeply_nested_json_word(self, capsys, a3_file):
         self.assert_typed(capsys, "word", a3_file, self.DEEP_JSON)
 
+    # Python refuses to convert an int of more digits than this between text
+    # and int (0: no limit, as before 3.10.7); the tests below size from it.
+    DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    TOO_LONG = "9" * (DIGIT_LIMIT + 1)
+    digit_limited = pytest.mark.skipif(not DIGIT_LIMIT, reason="no integer digit limit")
+
+    def assert_too_long(self, capsys, *argv):
+        """One typed error line that names the digit limit, and no output."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"limit ({self.DIGIT_LIMIT}" in err
+
+    @digit_limited
+    def test_too_long_integer_in_cartan_file(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(f'{{"index_set": ["a", "b"], "matrix": [[2, -{self.TOO_LONG}], [-1, 2]]}}')
+        self.assert_too_long(capsys, "validate", str(path))
+
+    @digit_limited
+    def test_too_long_integer_in_oracle_file(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(
+            f'{{"basis": [{{"id": "b0", "degree": {self.TOO_LONG}}}], "generators": [], '
+            '"products": {}}'
+        )
+        self.assert_too_long(capsys, "reconstruct", str(path))
+
+    @digit_limited
+    def test_too_long_integer_in_word(self, capsys, a3_file):
+        self.assert_too_long(capsys, "word", a3_file, f"[{self.TOO_LONG}]")
+
+    @digit_limited
+    @pytest.mark.parametrize("template", ["{}", "f[{}]", "(a12+{})*f1"])
+    def test_too_long_number_in_expression(self, capsys, template):
+        self.assert_too_long(capsys, "normal-form", template.format(self.TOO_LONG))
+
+    @digit_limited
+    def test_too_long_coefficient_in_output(self, capsys):
+        """Each factor is short enough to read, but not their product to write."""
+        factor = "9" * (self.DIGIT_LIMIT // 2 + 1)
+        self.assert_too_long(capsys, "normal-form", f"{factor}*{factor}*f1")
+
+    @digit_limited
+    @pytest.mark.parametrize(
+        "argv",
+        [["cohomology"], ["export-oracle"], ["--format", "table", "cohomology"]],
+        ids=["cohomology", "export-oracle", "cohomology-table"],
+    )
+    def test_too_long_coroot_in_output(self, capsys, tmp_path, argv):
+        """The entry -(10^k - 1) is short enough to read, but the coroots over
+        this word reach about 10^(5k), too long to write."""
+        path = tmp_path / "long.json"
+        entry = "9" * (self.DIGIT_LIMIT // 3)
+        path.write_text(f'{{"index_set": ["a", "b"], "matrix": [[2, -1], [-{entry}, 2]]}}')
+        word = "a b a b a b a b a b a b"
+        self.assert_too_long(capsys, *argv, str(path), word)
+
     @pytest.mark.parametrize("expression", ["f[", "a[s1,", "h1 *"])
     def test_truncated_expression(self, capsys, expression):
         self.assert_typed(capsys, "normal-form", expression)

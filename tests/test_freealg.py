@@ -327,6 +327,16 @@ class TestDependence:
 
 
 class TestParse:
+    DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no integer digit limit")
+    @pytest.mark.parametrize("template", ["{}", "f[{}]", "a[s1,{}]*f1", "(a12+{})*f1"])
+    def test_number_too_long_to_read(self, template):
+        """A number of more digits than Python converts is a ParseError that
+        names the limit, not a ValueError."""
+        with pytest.raises(ParseError, match=f"limit \\({self.DIGIT_LIMIT}"):
+            parse(template.format("9" * (self.DIGIT_LIMIT + 1)))
+
     def test_round_trip(self):
         tau = eta(H("1") * E("2") * E("3") * F("2"))
         assert parse(str(tau)) == tau

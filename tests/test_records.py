@@ -1,6 +1,7 @@
-"""The package's five records: positional and keyword construction, equality
-field by field and only within one type, the Name(field=value, ...) repr,
-hashing, and assignment refused by the two frozen ones."""
+"""The package's six records: positional and keyword construction, refusal
+of a missing, extra, unknown or doubly given field, equality field by field
+and only within one type, the Name(field=value, ...) repr, hashing, and
+assignment refused by the three frozen ones."""
 
 import pytest
 
@@ -10,10 +11,12 @@ from schubertisom import (
     ReconstructedPresentation,
     Reflection,
     SchubertClass,
+    SimpleCoxeterGraph,
     check_equivalence,
     cover_reflection,
     element_from_word,
     interval,
+    simple_graph,
 )
 
 from conftest import A2, A3, C3
@@ -36,6 +39,8 @@ def _records():
          (u, v, {"s1": "s1", "s2": "s2", "s3": "s3"})),
         (Reflection, ("element", "root", "coroot"),
          (element_from_word(A3, ["s1"]), (1, 0, 0), (1, 0, 0))),
+        (SimpleCoxeterGraph, ("vertices", "edges"),
+         (A3.index_set, frozenset({frozenset({"s1", "s2"}), frozenset({"s2", "s3"})}))),
     ]
 
 
@@ -54,10 +59,29 @@ def test_keyword_construction_equals_positional(cls, names, values):
 
 
 @_params()
+def test_missing_extra_unknown_or_repeated_fields_are_refused(cls, names, values):
+    named = dict(zip(names, values))
+    for args, kwargs in [
+        ((), {}),  # missing
+        (values[:-1], {}),
+        ((), dict(zip(names[1:], values[1:]))),
+        (values[:1], {names[-1]: values[-1]} if len(names) > 2 else {}),  # a gap
+        ((*values, None), {}),  # extra
+        (values, {"extra": None}),  # unknown
+        ((), {**named, "extra": None}),
+        (values, {names[0]: values[0]}),  # doubly given
+        (values[:1], named),
+        (values[:1], {names[0]: values[0], names[-1]: values[-1]}),  # and one missing
+    ]:
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*args, **kwargs)
+
+
+@_params()
 def test_equality_is_field_wise_and_type_strict(cls, names, values):
     record = cls(*values)
     assert record == cls(*values) and not record != cls(*values)
-    last = {S1S2: 2} if cls is SchubertClass else None
+    last = {SchubertClass: {S1S2: 2}, SimpleCoxeterGraph: ()}.get(cls)
     assert record != cls(*values[:-1], last)
     assert record != values and values != record
     assert record != object()
@@ -108,7 +132,16 @@ def test_frozen_records_hash_by_their_fields():
         hash(check_equivalence(S1S2, S1S2))
 
 
-@_params(EquivalenceWitness, Reflection)
+def test_simple_coxeter_graph_hashes_by_its_fields_and_shows_them():
+    graph = simple_graph(A3)
+    assert hash(graph) == hash((graph.vertices, graph.edges))
+    assert len({graph, SimpleCoxeterGraph(["s1", "s2", "s3"], graph.edges)}) == 1
+    assert repr(SimpleCoxeterGraph(["s1"], [])) == (
+        "SimpleCoxeterGraph(vertices=IndexSet(['s1']), edges=frozenset())"
+    )
+
+
+@_params(EquivalenceWitness, Reflection, SimpleCoxeterGraph)
 def test_frozen_records_refuse_assignment(cls, names, values):
     record = cls(*values)
     for field in names:
