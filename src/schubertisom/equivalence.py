@@ -61,7 +61,9 @@ def _constraints(w):
     (`two_letter_leq`); one pass over the canonical word finds each letter's
     first and last position.  Zero entries are left out (`canonical_key`):
     each letter's nonzero entries are read off its column, as A[i][j] = 0
-    exactly when A[j][i] = 0, so the walk is O(edges).
+    exactly when A[j][i] = 0, so the walk is O(edges).  This is the one
+    table of constrained pairs: `check_equivalence` searches it,
+    `canonical_key` and `_extend` rename it (`_renamed`).
     """
     first, last = {}, {}
     for k, i in enumerate(w._index_word()):
@@ -129,23 +131,6 @@ def transport_interval(witness):
     return {v: target.elements[q] for v, q in zip(source, image)}
 
 
-def _entries(word, named, entries):
-    """The nonzero constrained entries (x, y, A[n[x]][n[y]]) of an element
-    with renamed right-read word `word` under the naming `named` (its letters
-    in naming order), x then y ascending, so sorted.  By the subword property
-    (Bjorner-Brenti, Thm 2.2.2) all reduced words have the same constrained
-    pairs: one with a nonzero entry is (x, y) with y first occurring in
-    `word` before x last does, that is y below reach[x], the number of names
-    seen before the last x.
-    """
-    reach, seen = [0] * len(named), 0
-    for x in word:
-        reach[x] = seen
-        seen += x == seen
-    return tuple([(x, y, row[j]) for x, row in enumerate([entries[i] for i in named])
-                  for y, j in enumerate(named[:reach[x]]) if y != x and row[j]])
-
-
 def _least_word(w, letters):
     """(M, N) of the factor of w on `letters`, as label indices: its least
     renamed right-read word M and the namings N that reach M, each its
@@ -187,6 +172,14 @@ def _least_word(w, letters):
                 states.add((tuple(x), after))
         word.append(best)
     return tuple(word), {n for _, n in states}
+
+
+def _renamed(pairs, named):
+    """The constrained entries (x, y, a) of `pairs` on the letters of
+    `named`, whole components in naming order, each index renamed to its
+    place there, sorted."""
+    name = {i: x for x, i in enumerate(named)}
+    return tuple(sorted([(name[i], name[j], a) for (i, j), a in pairs.items() if i in name]))
 
 
 def canonical_key(w):
@@ -232,17 +225,17 @@ def canonical_key(w):
     witnesses of the factors combine into one of w.
     The key of w is therefore (length, sorted keys of the factors), which
     avoids the k! namings of k commuting letters.  A factor's key is its
-    least renamed word and the least entries read off it under the namings
-    that reach it (`_least_word`, then `_entries`).  This is the path for
-    one element; `isom_classes` keys all of W up to a length by one
-    recurrence over the walk (`_keys`).
+    least renamed word (`_least_word`) and the least, over the namings that
+    reach it, of the constrained entries of w (`_constraints`) renamed by
+    the naming.  This is the path for one element; `isom_classes` keys all
+    of W up to a length by one recurrence over the walk (`_keys`).
     """
-    word, entries = w._index_word(), w.cartan.entries
+    sup, pairs = _constraints(w)
     factors = []
-    for letters in _components(entries, sorted(set(word))):
+    for letters in _components(w.cartan.entries, sup):
         m, namings = _least_word(w, letters)
-        factors.append((m, min(_entries(m, named, entries) for named in namings)))
-    return len(word), tuple(sorted(factors))
+        factors.append((m, min(_renamed(pairs, named) for named in namings)))
+    return w.length, tuple(sorted(factors))
 
 
 def _extend(ctx, x, u, previous, shared, intern):
@@ -250,8 +243,9 @@ def _extend(ctx, x, u, previous, shared, intern):
     vector x, by the recurrence of `_keys` from the data of its predecessors
     in `previous`.  u is the vector of v's parent, its predecessor through
     its least left descent; the others come from the O(rank) column update
-    of x.  A predecessor missing from `previous` gets its data from
-    `_least_word` and `_entries`, and keeps it there.
+    of x.  A predecessor missing from `previous` gets its data as
+    `canonical_key` does, without the split into components, and keeps it
+    there.
     """
     columns, entries = ctx.columns, ctx.cartan.entries
     best, sources = None, []
@@ -264,10 +258,10 @@ def _extend(ctx, x, u, previous, shared, intern):
                 u = tuple(u)
             data = previous.get(u)
             if data is None:
-                m, namings = _least_word(WeylElement(ctx, u), range(len(u)))
-                namings = tuple(namings)
-                tables = [tuple(map(intern, t, t))
-                          for t in (_entries(m, named, entries) for named in namings)]
+                v = WeylElement(ctx, u)
+                m, namings = _least_word(v, range(len(u)))
+                namings, pairs = tuple(namings), _constraints(v)[1]
+                tables = [tuple(map(intern, t, t)) for t in (_renamed(pairs, n) for n in namings)]
                 data = previous[u] = m, namings, tuple(map(shared.setdefault, tables, tables))
             m, namings, tables = data
             u = None
@@ -314,20 +308,23 @@ def _keys(elements, parents):
     the left descents j and the namings n in N(u), the namings that reach
     M(u); the symbol of j is n.index(j) when j is in n, else len(n), and n
     grows by j when j is new.  N(v) holds the namings that reach M(v).  u is
-    one length shorter, so M, N and the entries E(u, n) of each naming
-    (`_entries`) are kept for the previous length only, in a dict keyed by
+    one length shorter, so M, N and the constrained entries E(u, n) renamed
+    by each naming are kept for the previous length only, in a dict keyed by
     vector, N and its entries as two parallel tuples; the last length keeps
     none, as no length follows it (`_extend` runs one step).  A connected v
     takes (length, ((M(v), E(v)),)), E(v) the least E(v, n) over N(v).
 
     E(v, n) is spliced from E(u, n_u), where n is n_u, or n_u + (j,) when
-    the symbol s of j is the new name len(n_u).  A name x's constrained
-    pairs depend only on reach[x] (`_entries`), and appending s changes
-    reach[s] alone, to len(n_u).  So row s becomes full, (s, y,
-    A[n[s]][n[y]]) for every y != s with a nonzero entry; E(u, n_u) is
-    reused when its row s is that long.  A new s joins no other row, being
-    below no reach[x], so its row, the last, is appended.  Every other entry
-    is E(u, n_u)'s, already interned.  Entry tuples are stored once per
+    the symbol s of j is the new name len(n_u).  Names x and y with a
+    nonzero entry make a constrained pair (x, y) exactly when y first occurs
+    in the right-read word before x last does, that is when y < reach[x],
+    the number of names seen before the last x (st <= w reads "t after the
+    first s" in a left-to-right word).  Appending s changes reach[s] alone,
+    to len(n_u), so row s becomes full, (s, y, A[n[s]][n[y]]) for every
+    y != s with a nonzero entry; E(u, n_u) is reused when its row s is that
+    long.  A new s joins no other row, being below no reach[x], so its row,
+    the last, is appended.  Every other entry is E(u, n_u)'s, already
+    interned.  Entry tuples are stored once per
     length, so the k! namings of commuting letters share a few tuples.
 
     A disconnected v takes (length, sorted factor keys), as `canonical_key`

@@ -152,6 +152,28 @@ def _imported(tree):
     return found
 
 
+def _src_references(trees):
+    """(module, name) for each module-level function and class that the
+    modules in trees refer to outside its own body: by name in its own
+    module, imported (`from .module import name`) or read as `module.name`."""
+    used = set()
+    for module, tree in trees.items():
+        used |= _imported(tree)
+        used |= {(node.value.id, node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+        for k, node in enumerate(tree.body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                others = tree.body[:k] + tree.body[k + 1:]
+                if any(isinstance(n, ast.Name) and n.id == node.name
+                       for other in others for n in ast.walk(other)):
+                    used.add((module, node.name))
+    return used
+
+
+def _src_trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE_SRC.glob("*.py"))}
+
+
 def test_src_names_have_a_caller():
     """Every public module-level function and class in src/ is used: by
     name in its own module outside its own body, imported (`from .module
@@ -160,30 +182,35 @@ def test_src_names_have_a_caller():
     by the benchmark, imported by the acceptance gate, or listed in
     DOCUMENTED with its reason.  Being exported is not a use on its own:
     helpers that only tests call belong in the tests."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE_SRC.glob("*.py"))}
+    trees = _src_trees()
     exports = _imported(trees.pop("__init__"))
     exported = {name: module for module, name in exports}
     readme = set(re.findall(r"\w+", README.read_text()))
     used = {(module, name) for module, name in exports if name in readme} | set(_span_targets())
     used |= {(module or exported.get(name), name)
              for module, name in _imported(ast.parse(ACCEPTANCE.read_text()))}
+    used |= _src_references(trees)
     mentioned = {getattr(node, "id", None) or getattr(node, "attr", None)
                  for node in ast.walk(ast.parse(WORKER.read_text()))}
-    public = []
-    for module, tree in trees.items():
-        used |= _imported(tree)
-        used |= {(node.value.id, node.attr) for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
-        for k, node in enumerate(tree.body):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                public.append((module, node.name))
-                others = tree.body[:k] + tree.body[k + 1:]
-                if any(isinstance(n, ast.Name) and n.id == node.name
-                       for other in others for n in ast.walk(other)):
-                    used.add((module, node.name))
+    public = [(module, node.name) for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
     unused = [f"{module}.{name}" for module, name in public
               if (module, name) not in used and name not in mentioned
               and (module, name) not in DOCUMENTED]
+    assert not unused, unused
+
+
+def test_src_private_names_have_a_caller():
+    """Every private module-level function and class in src/ is used in
+    src/ outside its own body, as `test_src_names_have_a_caller` counts
+    uses there; tests do not count, so a helper that only they reach, or
+    one a refactor left behind, fails."""
+    trees = _src_trees()
+    used = _src_references(trees)
+    unused = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and (module, node.name) not in used]
     assert not unused, unused
 
 
@@ -199,7 +226,7 @@ def test_src_members_have_a_caller():
     as `.name` by the acceptance gate, or listed in DOCUMENTED as
     ("module", "Class.name") with its reason.  Dunder methods are the
     language's to call and are not checked."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE_SRC.glob("*.py"))}
+    trees = _src_trees()
     reads = Counter(name for tree in trees.values() for name in _attributes(tree))
     outside = set(re.findall(r"\w+", README.read_text()))
     outside |= set(_attributes(ast.parse(ACCEPTANCE.read_text())))
