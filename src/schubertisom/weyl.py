@@ -321,18 +321,11 @@ def interval(w, max_elements=DEFAULT_ELEMENT_CAP):
         p = parents[q]
         if p in current:  # q is the first of its length
             below, current = current, {}
-        word = elements[p]._indices
         i = elements[q]._indices[0]
         column = columns[i]
-        coroot = [0] * rank
-        coroot[i] = 1
-        for k in word:  # p^{-1} = s_m...s_1 for p = s_1...s_m
-            c = coroot[k]
-            for j, a in columns[k]:
-                c -= a * coroot[j]
-            coroot[k] = c
+        coroot = _root(columns, elements[p]._indices[::-1], i, rank)  # p^{-1}(alpha_vee_i)
         assert min(coroot) >= 0, "a cover's coroot must be positive"
-        covers = [(p, tuple(coroot))]
+        covers = [(p, coroot)]
         for u, inherited in below[p]:
             x = elements[u].rho
             c = x[i]
@@ -348,14 +341,17 @@ def interval(w, max_elements=DEFAULT_ELEMENT_CAP):
     return BruhatInterval(w, tuple(elements), position, up)
 
 
-def _root(vectors, word, k, rank):
-    """The root s_1...s_{k-1}(alpha_{s_k}) of the word s_1...s_m of label
-    indices at its 0-based position k, in simple-root coordinates, with
-    `vectors` the rows of A at word[:k]; with its columns, the coroot."""
+def _root(vectors, letters, i, rank):
+    """The root s_1...s_m(alpha_i) for the label indices `letters` s_1...s_m,
+    in simple-root coordinates, with `vectors` the rows of A at the letters;
+    with its columns, the coroot s_1...s_m(alpha_vee_i)."""
     v = [0] * rank
-    v[word[k]] = 1
-    for i in reversed(word[:k]):
-        v[i] -= sum(a * v[j] for j, a in vectors[i])
+    v[i] = 1
+    for k in reversed(letters):
+        c = v[k]
+        for j, a in vectors[k]:
+            c -= a * v[j]
+        v[k] = c
     return tuple(v)
 
 
@@ -363,7 +359,7 @@ def inversion_set(w):
     """The positive roots sent negative by w^{-1}; size equals length(w)."""
     word = w._index_word()
     rows, rank = _rows(w.cartan, word), len(w.rho)
-    roots = frozenset(_root(rows, word, k, rank) for k in range(len(word)))
+    roots = frozenset(_root(rows, word[:k], word[k], rank) for k in range(len(word)))
     assert all(min(beta) >= 0 and any(beta) for beta in roots)
     return roots
 
@@ -391,9 +387,9 @@ def cover_reflection(u, v):
         for j, a in columns[i]:
             y[j] -= c * a
         if x == y:
-            root = _root(_rows(u.cartan, word[:k]), word, k, len(x))
+            root = _root(_rows(u.cartan, word[:k]), word[:k], i, len(x))
             element = WeylElement(ctx, _apply(columns, word[:k + 1] + word[:k][::-1], ctx.rho))
-            return Reflection(element, root, _root(columns, word, k, len(x)))
+            return Reflection(element, root, _root(columns, word[:k], i, len(x)))
         d = x[i]
         if d >= 0:
             break

@@ -1,6 +1,6 @@
 """Invariants from outside the package: Poincare series of W, Betti numbers
-and smoothness of the Schubert varieties in a class, and large random
-factors.
+and smoothness of the Schubert varieties in a class, on finite types and on
+random GCMs, and large random factors.
 
 Each expected value comes from a closed form or a count written here, never
 from package code: Chevalley's degrees, Bott's formula for affine W,
@@ -29,7 +29,7 @@ from schubertisom import (
 from schubertisom.equivalence import _constraints
 from schubertisom.weyl import subword_products
 
-from conftest import A2_AFFINE, B3, B4, D4, D4_AFFINE, G2, type_a
+from conftest import A2_AFFINE, B3, B4, D4, D4_AFFINE, G2, random_cartan, type_a
 
 
 def _diagram(n, links):
@@ -47,7 +47,12 @@ def _chain(*entries):
 
 
 SIMPLE = (-1, -1)
+B5, C5 = _chain(SIMPLE, SIMPLE, SIMPLE, (-2, -1)), _chain(SIMPLE, SIMPLE, SIMPLE, (-1, -2))
+B6, C6 = (_chain(SIMPLE, SIMPLE, SIMPLE, SIMPLE, (-2, -1)),
+          _chain(SIMPLE, SIMPLE, SIMPLE, SIMPLE, (-1, -2)))
 D5 = _diagram(5, [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -1, -1), (2, 4, -1, -1)])
+D6 = _diagram(6, [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -1, -1), (3, 4, -1, -1),
+                  (3, 5, -1, -1)])
 F4 = _chain(SIMPLE, (-2, -1), SIMPLE)
 E6 = _diagram(6, [(0, 2, -1, -1), (2, 3, -1, -1), (3, 4, -1, -1), (4, 5, -1, -1),
                   (1, 3, -1, -1)])
@@ -57,8 +62,14 @@ A3_AFFINE = _diagram(4, [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -1, -1), (3, 0, 
 
 # The degrees of the finite Weyl groups (Humphreys, Reflection Groups and
 # Coxeter Groups, Table 3.1); the affine ones are those of their finite part.
+# B_n and C_n have the degrees 2, 4, ..., 2n, and D_n has 2, 4, ..., 2n - 2
+# and n.  C_n's matrix is B_n's transpose, so the two walk the one double
+# link in both orientations.
 FINITE = {"G2": (G2, (2, 6)), "B4": (B4, (2, 4, 6, 8)), "D5": (D5, (2, 4, 5, 6, 8)),
-          "F4": (F4, (2, 6, 8, 12)), "E6": (E6, (2, 5, 6, 8, 9, 12))}
+          "F4": (F4, (2, 6, 8, 12)), "E6": (E6, (2, 5, 6, 8, 9, 12)),
+          "B5": (B5, (2, 4, 6, 8, 10)), "C5": (C5, (2, 4, 6, 8, 10)),
+          "B6": (B6, (2, 4, 6, 8, 10, 12)), "C6": (C6, (2, 4, 6, 8, 10, 12)),
+          "D6": (D6, (2, 4, 6, 8, 10, 6))}
 AFFINE = {"A2aff": (A2_AFFINE, (2, 3)), "C2aff": (C2_AFFINE, (2, 4)),
           "G2aff": (G2_AFFINE, (2, 6)), "A3aff": (A3_AFFINE, (2, 3, 4)),
           "D4aff": (D4_AFFINE, (2, 4, 4, 6))}
@@ -165,6 +176,35 @@ def test_classes_share_betti_numbers(name):
         assert all(len(found) == 1 for found in smooth)
         assert [found == {True} for found in smooth] == [s == s[::-1] for s in sizes]
         assert sum(_smooth(n, w) for members in classes for w in members) == SMOOTH_COUNTS[name]
+
+
+def test_a6_smoothness_is_a_class_invariant():
+    """All of A6: smoothness by pattern avoidance is constant on each of the
+    2,114 classes, and 1,552 elements are smooth (OEIS A032351)."""
+    classes = isom_classes(type_a(6), 21)
+    smooth = [{_smooth(7, w) for w in members} for members in classes]
+    assert all(len(found) == 1 for found in smooth)
+    assert sum(len(members) for members, found in zip(classes, smooth) if True in found) == 1552
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_random_gcm_classes_share_betti_numbers(seed):
+    """Twelve random GCMs of rank 2-4, to length 6.  Each class has one list
+    of rank sizes, and so do the elements of one `canonical_key` pooled over
+    all twelve matrices: Schubert varieties in potentially different flag
+    varieties that the key calls isomorphic have the same Betti numbers."""
+    rng = random.Random(seed)
+    sizes, matrices = {}, {}
+    for m in range(12):
+        for members in isom_classes(random_cartan(rng, 4), 6):
+            found = {_rank_sizes(w) for w in members}
+            assert len(found) == 1, (m, members[0], found)
+            for w in members:
+                key = canonical_key(w)
+                sizes.setdefault(key, set()).update(found)
+                matrices.setdefault(key, set()).add(m)
+    assert all(len(found) == 1 for found in sizes.values())
+    assert any(len(ms) > 1 for ms in matrices.values())
 
 
 def _draw(n, seed):

@@ -246,3 +246,17 @@ def test_src_members_have_a_caller():
                         and (module, f"{cls.name}.{node.name}") not in DOCUMENTED):
                     unused.append(f"{module}.{cls.name}.{node.name}")
     assert not unused, unused
+
+
+def test_linecov_runs_and_lists_every_module():
+    """tools/linecov.py (outside tier-1) on one test file: it exits with
+    pytest's status and reports every module of the package."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "linecov.py"), "-q", "-p", "no:cacheprovider",
+         "tests/test_records.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    report = done.stdout.split("statement lines of src/schubertisom/ that never ran:")[1]
+    for path in PACKAGE_SRC.glob("*.py"):
+        assert f"schubertisom/{path.name}: " in report, path.name
