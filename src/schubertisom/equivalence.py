@@ -418,12 +418,12 @@ def isom_classes(A, max_length, max_elements=weyl.DEFAULT_ELEMENT_CAP):
 
 
 def restriction_witness(w):
-    """Witness for X(w,A) = X(w,A_{S(w)}), the reduction to the support
-    submatrix: the identity sigma onto it.  w = e has no restriction, as A
-    restricted to the empty support is not a Cartan matrix (X(e) is a
-    point), and raises InvalidIndexSetError."""
+    """Witness for X(w,A) = X(w,A_{S(w)}): the identity sigma onto the support
+    submatrix, built as `check_equivalence` would find it first (equal tables
+    in one label order, so no backtracking).  w = e raises InvalidIndexSetError:
+    A restricted to its empty support is not a Cartan matrix (X(e) is a point)."""
     if w.is_identity():
         raise InvalidIndexSetError("e has an empty support: there is no matrix to restrict to")
     sub = submatrix(w.cartan, support(w))
-    w_restricted = element_from_word(sub, w.canonical_word)
-    return check_equivalence(w, w_restricted)
+    sigma = {s: s for s in sub.labels}
+    return EquivalenceWitness(w, element_from_word(sub, w.canonical_word), sigma)

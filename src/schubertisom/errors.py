@@ -1,43 +1,51 @@
 """Exception types shared across the package."""
 
 
+def _shown(value):
+    """repr(value), or `<int of N bits>` for an integer too long to print."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<int of {value.bit_length()} bits>"
+
+
 class SchubertError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for the package's errors: a subclass declares `fields`, in
+    order, and a `message` over their reprs, or keeps Exception's arguments."""
+
+    fields = ()
+    message = None
+
+    def __init__(self, *args):
+        if self.message is not None:
+            self.__dict__.update(zip(self.fields, args, strict=True))
+            args = (self.message.format(**{f: _shown(v) for f, v in vars(self).items()}),)
+        super().__init__(*args)
 
 
 class NonSquareError(SchubertError):
-    """The rows are not n x n over the n labels: there are `nrows` rows, or,
-    when `label` is given, its row is the first of the wrong length, `ncols`."""
+    """Not n x n over the n labels: `nrows` rows, or, when `label` is given, its
+    row, the first of the wrong length, has `ncols`; its own __init__ picks which."""
 
     def __init__(self, nlabels, nrows, label=None, ncols=None):
         where = f"row count {nrows}" if label is None else f"row {label!r} has length {ncols}"
         super().__init__(f"matrix is not square over {nlabels} labels: {where}")
-        self.nrows = nrows
-        self.ncols = ncols
+        self.nrows, self.ncols = nrows, ncols
 
 
 class DiagonalNotTwoError(SchubertError):
-    def __init__(self, label, value):
-        super().__init__(f"diagonal entry at {label!r} is {value}, expected 2")
-        self.label = label
-        self.value = value
+    fields = ("label", "value")
+    message = "diagonal entry at {label} is {value}, expected 2"
 
 
 class PositiveOffDiagonalError(SchubertError):
-    def __init__(self, s, t, value):
-        super().__init__(f"off-diagonal entry ({s!r},{t!r}) is {value}, expected <= 0")
-        self.s = s
-        self.t = t
-        self.value = value
+    fields = ("s", "t", "value")
+    message = "off-diagonal entry ({s},{t}) is {value}, expected <= 0"
 
 
 class ZeroAsymmetryError(SchubertError):
-    def __init__(self, s, t):
-        super().__init__(
-            f"entry ({s!r},{t!r}) is zero but ({t!r},{s!r}) is not (or vice versa)"
-        )
-        self.s = s
-        self.t = t
+    fields = ("s", "t")
+    message = "entry ({s},{t}) is zero but ({t},{s}) is not (or vice versa)"
 
 
 class InvalidIndexSetError(SchubertError, ValueError):
@@ -49,21 +57,17 @@ class MalformedCartanError(SchubertError):
 
 
 class UnknownLabelError(SchubertError):
-    def __init__(self, label):
-        super().__init__(f"unknown generator label {label!r}")
-        self.label = label
+    fields = ("label",)
+    message = "unknown generator label {label}"
 
 
 class TooLargeError(SchubertError):
-    def __init__(self, size, cap):
-        super().__init__(f"index set of size {size} exceeds search cap {cap}")
-        self.size = size
-        self.cap = cap
+    fields = ("size", "cap")
+    message = "index set of size {size} exceeds search cap {cap}"
 
 
 class MixedContextsError(SchubertError):
-    def __init__(self):
-        super().__init__("elements belong to different Cartan matrices")
+    message = "elements belong to different Cartan matrices"
 
 
 class InvalidWitnessError(SchubertError):
@@ -71,34 +75,29 @@ class InvalidWitnessError(SchubertError):
 
 
 class NotInSupportError(SchubertError):
-    def __init__(self, label):
-        super().__init__(f"generator {label!r} is not in the support of the element")
-        self.label = label
+    fields = ("label",)
+    message = "generator {label} is not in the support of the element"
 
 
 class NotInIntervalError(SchubertError):
+    # Its own constructor: the text joins the word's letters, or reads e.
     def __init__(self, word):
         super().__init__(f"element {' '.join(word) or 'e'} is not in the interval")
         self.word = word
 
 
 class EnumerationCapExceededError(SchubertError):
-    def __init__(self, cap):
-        super().__init__(f"more than {cap} elements enumerated (element cap {cap})")
-        self.cap = cap
+    fields = ("cap",)
+    message = "more than {cap} elements enumerated (element cap {cap})"
 
 
 class RewriteCapExceededError(SchubertError):
-    def __init__(self, cap):
-        super().__init__(
-            f"normal form needs more than {cap} monomial symbols (rewrite cap {cap})"
-        )
-        self.cap = cap
+    fields = ("cap",)
+    message = "normal form needs more than {cap} monomial symbols (rewrite cap {cap})"
 
 
 class NotACoverError(SchubertError):
-    def __init__(self):
-        super().__init__("second element does not cover the first in Bruhat order")
+    message = "second element does not cover the first in Bruhat order"
 
 
 class MalformedOracleError(SchubertError):

@@ -877,6 +877,19 @@ class TestRestrictionWitness:
         wit = restriction_witness(w)
         assert wit.target.cartan == submatrix(A3, ["s1", "s2"])
 
+    def test_equals_the_searched_witness(self, rng):
+        """The identity witness, built without a search, is the one that
+        check_equivalence finds first on the same pair."""
+        elements = [element_from_word(A3, ["s1", "s2", "s1"])]
+        for _ in range(20):
+            A = random_cartan(rng)
+            elements.append(element_from_word(A, random_word(rng, A)))
+        for w in elements:
+            if w.is_identity():
+                continue
+            wit = restriction_witness(w)
+            assert wit == check_equivalence(w, wit.target)
+
     def test_identity_has_no_restriction(self):
         """A restricted to the empty support of e is not a Cartan matrix."""
         with pytest.raises(InvalidIndexSetError, match="e has an empty support"):

@@ -24,6 +24,8 @@ from schubertisom import (
     element_from_word,
     enumerate_elements,
     isom_classes,
+    restriction_witness,
+    support,
     validate_cartan,
 )
 from schubertisom.equivalence import _constraints
@@ -58,6 +60,7 @@ E6 = _diagram(6, [(0, 2, -1, -1), (2, 3, -1, -1), (3, 4, -1, -1), (4, 5, -1, -1)
                   (1, 3, -1, -1)])
 C2_AFFINE = _chain((-2, -1), (-1, -2))
 G2_AFFINE = _chain(SIMPLE, (-3, -1))
+C4 = validate_cartan([list(column) for column in zip(*B4.entries)], B4.labels)
 A3_AFFINE = _diagram(4, [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -1, -1), (3, 0, -1, -1)])
 
 # The degrees of the finite Weyl groups (Humphreys, Reflection Groups and
@@ -65,7 +68,8 @@ A3_AFFINE = _diagram(4, [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -1, -1), (3, 0, 
 # B_n and C_n have the degrees 2, 4, ..., 2n, and D_n has 2, 4, ..., 2n - 2
 # and n.  C_n's matrix is B_n's transpose, so the two walk the one double
 # link in both orientations.
-FINITE = {"G2": (G2, (2, 6)), "B4": (B4, (2, 4, 6, 8)), "D5": (D5, (2, 4, 5, 6, 8)),
+FINITE = {"G2": (G2, (2, 6)), "B4": (B4, (2, 4, 6, 8)), "C4": (C4, (2, 4, 6, 8)),
+          "D4": (D4, (2, 4, 4, 6)), "D5": (D5, (2, 4, 5, 6, 8)),
           "F4": (F4, (2, 6, 8, 12)), "E6": (E6, (2, 5, 6, 8, 9, 12)),
           "B5": (B5, (2, 4, 6, 8, 10)), "C5": (C5, (2, 4, 6, 8, 10)),
           "B6": (B6, (2, 4, 6, 8, 10, 12)), "C6": (C6, (2, 4, 6, 8, 10, 12)),
@@ -262,6 +266,15 @@ def test_random_factor_decisions(n, seed):
     assert witness is not None
     assert element_from_word(same.cartan, witness.target_word) == same
     assert check_equivalence(w, lowered) is None
+
+
+@pytest.mark.parametrize("n, seed", [(n, s) for n in (40, 100, 200, 300) for s in range(1, 7)])
+def test_random_factor_restrictions(n, seed):
+    """The restriction witness maps each support label to itself, and the
+    canonical word multiplies back to the element."""
+    w = _element(*_draw(n, seed)[:2])
+    assert restriction_witness(w).sigma == {s: s for s in support(w)}
+    assert element_from_word(w.cartan, w.canonical_word) == w
 
 
 @pytest.mark.parametrize("n, seed", [(n, s) for n in (200, 300) for s in range(1, 7)])

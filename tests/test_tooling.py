@@ -260,3 +260,27 @@ def test_linecov_runs_and_lists_every_module():
     report = done.stdout.split("statement lines of src/schubertisom/ that never ran:")[1]
     for path in PACKAGE_SRC.glob("*.py"):
         assert f"schubertisom/{path.name}: " in report, path.name
+
+
+# Error types that keep their own constructor, each with its reason; every
+# other one is built by SchubertError.__init__ from its `fields` and `message`.
+OWN_CONSTRUCTORS = {
+    "NonSquareError": "its text picks one of two clauses by whether a label is given",
+    "NotInIntervalError": "its text joins the word's letters, or reads e for the empty word",
+}
+
+
+def test_errors_use_the_base_constructor():
+    """No error type in src/ defines __init__ but SchubertError and those in
+    OWN_CONSTRUCTORS: the others declare fields and a message, or keep
+    Exception's own arguments."""
+    for path in PACKAGE_SRC.glob("*.py"):
+        importlib.import_module(f"schubertisom.{path.stem}".removesuffix(".__init__"))
+    base = importlib.import_module("schubertisom.errors").SchubertError
+    kinds, own = [base], []
+    while kinds:
+        for kind in kinds.pop().__subclasses__():
+            kinds.append(kind)
+            if kind.__module__.startswith("schubertisom.") and "__init__" in vars(kind):
+                own.append(kind.__name__)
+    assert sorted(own) == sorted(OWN_CONSTRUCTORS)
