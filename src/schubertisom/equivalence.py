@@ -166,10 +166,7 @@ def _least_word(w, letters):
             else:
                 moves = ((i, named),)
             for i, after in moves:
-                x, c = list(v), v[i]
-                for j, a in columns[i]:
-                    x[j] -= c * a
-                states.add((tuple(x), after))
+                states.add((_apply(columns, (i,), v), after))
         word.append(best)
     return tuple(word), {n for _, n in states}
 

@@ -2,11 +2,14 @@
 
 
 def _shown(value):
-    """repr(value), or `<int of N bits>` for an integer too long to print."""
+    """repr(value); for a value too long to print, `<int of N bits>` if it is
+    an integer, else `<T too long to print>` with T its type."""
     try:
         return repr(value)
     except ValueError:
-        return f"<int of {value.bit_length()} bits>"
+        if isinstance(value, int):
+            return f"<int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} too long to print>"
 
 
 class SchubertError(Exception):

@@ -381,20 +381,16 @@ def cover_reflection(u, v):
     ctx = u._ctx
     columns = ctx.columns
     word = v._index_word()
-    x, y = list(u.rho), list(v.rho)
+    x, y = u.rho, v.rho
     for k, i in enumerate(word):
-        c = y[i]
-        for j, a in columns[i]:
-            y[j] -= c * a
+        y = _apply(columns, (i,), y)
         if x == y:
             root = _root(_rows(u.cartan, word[:k]), word[:k], i, len(x))
             element = WeylElement(ctx, _apply(columns, word[:k + 1] + word[:k][::-1], ctx.rho))
             return Reflection(element, root, _root(columns, word[:k], i, len(x)))
-        d = x[i]
-        if d >= 0:
+        if x[i] >= 0:
             break
-        for j, a in columns[i]:
-            x[j] -= d * a
+        x = _apply(columns, (i,), x)
     raise NotACoverError()
 
 

@@ -124,6 +124,23 @@ def relabeled(rng, A):
     return validate_cartan(rows, names), pi
 
 
+def random_draw(n, seed):
+    """A random rank-n matrix, a word of 3n letters and a label permutation.
+    Each pair j < i is linked with probability 3/n, its two entries drawn
+    from -1, -2, -3."""
+    rng = random.Random(seed)
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            if rng.random() < 3 / n:
+                rows[i][j] = rng.choice((-1, -2, -3))
+                rows[j][i] = rng.choice((-1, -2, -3))
+    word = [rng.randrange(n) for _ in range(3 * n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return rows, word, perm
+
+
 # A_11 affine: the 12-cycle s1 - s2 - ... - s12 - s1
 A11_AFFINE = validate_cartan(
     [

@@ -46,6 +46,7 @@ from conftest import (
     brute_force_key,
     pairwise_isom_classes,
     random_cartan,
+    random_draw,
     random_word,
     relabeled,
     star,
@@ -678,6 +679,14 @@ class TestWalkKeys:
     )
     def test_matches_canonical_key_on_affine(self, A, max_length):
         _assert_walk_keys_match(A, max_length)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("n, max_length", [(40, 3), (100, 2)])
+    def test_matches_canonical_key_on_large_random_matrices(self, n, max_length, seed):
+        """The random-factor matrices of `tests/test_invariants.py` at ranks
+        40 and 100, where most elements are disconnected."""
+        rows = random_draw(n, seed)[0]
+        _assert_walk_keys_match(validate_cartan(rows, [f"s{i}" for i in range(n)]), max_length)
 
     def test_matches_canonical_key_deep(self):
         """Seeded rank 3-4 matrices (entries in [-3, 0]) and the 4- and 5-leaf

@@ -1,6 +1,6 @@
 """The package's typed errors: for each one built from sample values, its
 exact text, type name, bases and attributes; and an integer too long to
-print keeps the error that reports it typed."""
+print, alone or inside a label, keeps the error that reports it typed."""
 
 import pytest
 
@@ -98,7 +98,9 @@ SHOWN = f"<int of {HUGE.bit_length()} bits>"
      f"diagonal entry at 'a' is {SHOWN}, expected 2"),
     (lambda: element_from_word(A2, [HUGE]), errors.UnknownLabelError,
      f"unknown generator label {SHOWN}"),
-], ids=["positive-off-diagonal", "diagonal", "unknown-label"])
+    (lambda: element_from_word(A2, [(HUGE,)]), errors.UnknownLabelError,
+     "unknown generator label <tuple too long to print>"),
+], ids=["positive-off-diagonal", "diagonal", "unknown-label", "unknown-tuple-label"])
 def test_too_long_integer_keeps_the_error_typed(call, kind, text):
     with pytest.raises(kind) as raised:
         call()

@@ -19,8 +19,10 @@ from pathlib import Path
 import pytest
 
 from schubertisom import (
+    bruhat_leq,
     canonical_key,
     check_equivalence,
+    cover_reflection,
     element_from_word,
     enumerate_elements,
     isom_classes,
@@ -29,9 +31,10 @@ from schubertisom import (
     validate_cartan,
 )
 from schubertisom.equivalence import _constraints
-from schubertisom.weyl import subword_products
+from schubertisom.errors import NotACoverError
+from schubertisom.weyl import multiply, subword_products
 
-from conftest import A2_AFFINE, B3, B4, D4, D4_AFFINE, G2, random_cartan, type_a
+from conftest import A2_AFFINE, B3, B4, D4, D4_AFFINE, G2, random_cartan, random_draw, type_a
 
 
 def _diagram(n, links):
@@ -211,23 +214,6 @@ def test_random_gcm_classes_share_betti_numbers(seed):
     assert any(len(ms) > 1 for ms in matrices.values())
 
 
-def _draw(n, seed):
-    """A random rank-n matrix, a word of 3n letters and a label permutation.
-    Each pair j < i is linked with probability 3/n, its two entries drawn
-    from -1, -2, -3."""
-    rng = random.Random(seed)
-    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            if rng.random() < 3 / n:
-                rows[i][j] = rng.choice((-1, -2, -3))
-                rows[j][i] = rng.choice((-1, -2, -3))
-    word = [rng.randrange(n) for _ in range(3 * n)]
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return rows, word, perm
-
-
 def _element(rows, word):
     labels = [f"s{i}" for i in range(len(rows))]
     return element_from_word(validate_cartan(rows, labels), [labels[i] for i in word])
@@ -236,7 +222,7 @@ def _element(rows, word):
 def _factors(n, seed):
     """(rows, word) of the draw, of its relabelled copy, and of that copy
     with the first constrained pair's entry lowered by 1."""
-    rows, word, perm = _draw(n, seed)
+    rows, word, perm = random_draw(n, seed)
     moved = [[0] * n for _ in range(n)]
     for i, row in enumerate(rows):
         for j, a in enumerate(row):
@@ -272,9 +258,28 @@ def test_random_factor_decisions(n, seed):
 def test_random_factor_restrictions(n, seed):
     """The restriction witness maps each support label to itself, and the
     canonical word multiplies back to the element."""
-    w = _element(*_draw(n, seed)[:2])
+    w = _element(*random_draw(n, seed)[:2])
     assert restriction_witness(w).sigma == {s: s for s in support(w)}
     assert element_from_word(w.cartan, w.canonical_word) == w
+
+
+@pytest.mark.parametrize("n, seed", [(n, s) for n in (40, 100, 200, 300) for s in range(1, 7)])
+def test_random_factor_covers(n, seed):
+    """The canonical word without its last letter, or without its first,
+    is a reduced word of a lower cover u of w: its cover reflection r has
+    r u = w, a nonnegative root and coroot, and r^2 = e.  Without both
+    letters it is no cover."""
+    w = _element(*random_draw(n, seed)[:2])
+    A, word = w.cartan, w.canonical_word
+    identity = element_from_word(A, ())
+    for u in (element_from_word(A, word[:-1]), element_from_word(A, word[1:])):
+        assert bruhat_leq(u, w) and not bruhat_leq(w, u)
+        r = cover_reflection(u, w)
+        assert multiply(r.element, u) == w
+        assert min(r.root) >= 0 and min(r.coroot) >= 0
+        assert multiply(r.element, r.element) == identity
+    with pytest.raises(NotACoverError):
+        cover_reflection(element_from_word(A, word[1:-1]), w)
 
 
 @pytest.mark.parametrize("n, seed", [(n, s) for n in (200, 300) for s in range(1, 7)])

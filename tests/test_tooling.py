@@ -284,3 +284,65 @@ def test_errors_use_the_base_constructor():
             if kind.__module__.startswith("schubertisom.") and "__init__" in vars(kind):
                 own.append(kind.__name__)
     assert sorted(own) == sorted(OWN_CONSTRUCTORS)
+
+
+# The loops in src/ that apply a simple reflection by hand, written as
+# `for j, a in columns[i]: v[j] -= c * a`, each with its reason.  `_apply` is
+# the step; every other loop stays because routing it through `_apply` was
+# measured slower: the median per-pair time ratio of in-process interleaved
+# passes over seed-1 inputs, ranged over 2-3 sets, on a 2-vCPU x86-64 host
+# with Python 3.11.7 (CHANGES.md has each set).  Any other reflection calls
+# `_apply`.
+HAND_REFLECTIONS = {
+    ("weyl", "_apply"): "the step itself, letter by letter",
+    ("weyl", "_walk"):
+        "through _apply: classes +3.5-5.0%, roundtrip +1.2-4.7%, the interval layer +6.1-6.4%",
+    ("equivalence", "_extend"): "through _apply: classes +1.5-2.6%",
+    ("weyl", "_subword_vectors"):
+        "through _apply: the interval layer +4.2-4.4% (roundtrip passes -1.1 to +0.5%)",
+    ("weyl", "interval"):
+        "through _apply: the interval layer +3.7-4.6% (roundtrip passes +0.2-1.3%)",
+    ("weyl", "WeylElement._index_word"):
+        "through _apply: word requests -0.9 to +2.6%; with bruhat_leq's, "
+        "word and bruhat requests +1.3-2.2%",
+    ("weyl", "bruhat_leq"):
+        "through _apply with _index_word's: word and bruhat requests +1.3-2.2% "
+        "(bruhat requests alone -0.1 to +2.5%)",
+}
+
+
+def _is_hand_reflection(node):
+    """Whether node is a loop `for j, a in ...:` whose body holds `v[j] -= c * a`."""
+    if not (isinstance(node, ast.For) and isinstance(node.target, ast.Tuple)
+            and len(node.target.elts) == 2
+            and all(isinstance(e, ast.Name) for e in node.target.elts)):
+        return False
+    j, a = (e.id for e in node.target.elts)
+    return any(
+        isinstance(s, ast.AugAssign) and isinstance(s.op, ast.Sub)
+        and isinstance(s.target, ast.Subscript) and getattr(s.target.slice, "id", None) == j
+        and isinstance(s.value, ast.BinOp) and isinstance(s.value.op, ast.Mult)
+        and a in (getattr(s.value.left, "id", None), getattr(s.value.right, "id", None))
+        for s in node.body
+    )
+
+
+def _hand_reflections(tree, scope=()):
+    """The dotted name of the function around each hand reflection in tree,
+    once per loop."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = scope + (node.name,)
+        elif _is_hand_reflection(node):
+            yield ".".join(scope)
+        yield from _hand_reflections(node, inner)
+
+
+def test_hand_reflections_are_measured():
+    """Every hand-written reflection loop in src/ is listed in
+    HAND_REFLECTIONS, once, with the cost that keeps it; anywhere else a
+    reflection is a call to `weyl._apply`."""
+    found = [(module, name) for module, tree in _src_trees().items()
+             for name in _hand_reflections(tree)]
+    assert sorted(found) == sorted(HAND_REFLECTIONS)
