@@ -17,7 +17,7 @@ def _converted(convert, value):
     int() and str() refuse with a plain ValueError, as a typed error."""
     try:
         return convert(value)
-    except json.JSONDecodeError:  # a ValueError too, which main reports as it is
+    except (json.JSONDecodeError, UnicodeError):  # ValueErrors too, which main reports
         raise
     except ValueError as exc:
         raise SchubertError(f"integer too long to convert: {exc}") from None
@@ -31,17 +31,20 @@ def _json_loads(text):
         raise SchubertError("JSON input is nested too deeply") from None
 
 
+def _read_json(path):
+    """The JSON value of a file's bytes, which json.loads decodes whatever the
+    locale: UTF-8, with or without a BOM, or UTF-16 or UTF-32."""
+    with open(path, "rb") as fh:
+        return _json_loads(fh.read())
+
+
 def _load_cartan(path):
-    with open(path) as fh:
-        data = _json_loads(fh.read())
-    return CartanMatrix.from_json(data)
+    return CartanMatrix.from_json(_read_json(path))
 
 
 def _parse_word(text):
     text = text.strip()
-    if text.startswith("["):
-        return tuple(_json_loads(text))
-    return tuple(text.split())
+    return tuple(_json_loads(text) if text.startswith("[") else text.split())
 
 
 def _parse_pair(value, matrices):
@@ -120,9 +123,8 @@ def _count(text):
 def _emit(args, payload, exit_code=0):
     text = _converted(_render_table if args.format == "table" else _json_text, payload)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)  # not text + "\n", which copies the whole output
-            fh.write("\n")
+        with open(args.output, "w", encoding="utf-8") as fh:
+            print(text, file=fh)
     else:
         print(text)
     return exit_code
@@ -234,10 +236,8 @@ def cmd_export_oracle(args):
 
 
 def cmd_reconstruct(args):
-    with open(args.oracle) as fh:
-        oracle = cohomology.CohomologyOracle.from_json(_json_loads(fh.read()))
-    presentation = _reconstruct_oracle(oracle)
-    return _emit(args, presentation.to_json())
+    oracle = cohomology.CohomologyOracle.from_json(_read_json(args.oracle))
+    return _emit(args, _reconstruct_oracle(oracle).to_json())
 
 
 def cmd_normal_form(args):
@@ -392,7 +392,7 @@ def main(argv=None):
     except SchubertError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

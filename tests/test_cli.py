@@ -971,6 +971,89 @@ class TestFormatting:
         assert one == two
 
 
+GREEK = {"index_set": ["α", "β"], "matrix": [[2, -1], [-1, 2]]}
+
+
+@pytest.fixture
+def greek_file(tmp_path):
+    path = tmp_path / "greek.json"
+    path.write_bytes(json.dumps(GREEK, ensure_ascii=False).encode("utf-8"))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def ascii_locale_env():
+    """The environment of a child whose locale encoding is ASCII, so that
+    only the CLI's own choice of codec decides how it reads and writes."""
+    src = str(Path(schubertisom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env.pop("PYTHONIOENCODING", None)
+    probe = "import codecs, locale; print(codecs.lookup(locale.getpreferredencoding(False)).name)"
+    encoding = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True, timeout=60).stdout.strip()
+    if encoding == "utf-8":
+        pytest.skip("the C locale's encoding is UTF-8 here")
+    return env
+
+
+def _cli_process(env, *argv):
+    return subprocess.run([sys.executable, "-m", "schubertisom.cli", *argv], env=env,
+                          capture_output=True, timeout=60)
+
+
+class TestTextBoundary:
+    """Input files are JSON bytes, which json.loads decodes whatever the
+    locale; --output files are UTF-8; stdout that cannot take the answer
+    is an error, not a traceback."""
+
+    def test_input_file_is_utf8_under_an_ascii_locale(self, ascii_locale_env, greek_file):
+        done = _cli_process(ascii_locale_env, "validate", greek_file)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["cartan"]["index_set"] == ["α", "β"]
+
+    def test_output_file_is_utf8_under_an_ascii_locale(self, ascii_locale_env, greek_file,
+                                                       tmp_path):
+        dest = tmp_path / "out.txt"
+        argv = ["--format", "table", "validate", greek_file]
+        done = _cli_process(ascii_locale_env, "--output", str(dest), *argv)
+        assert (done.returncode, done.stdout) == (0, b""), done.stderr
+        utf8 = _cli_process(dict(ascii_locale_env, PYTHONUTF8="1"), *argv)
+        assert utf8.returncode == 0 and "α".encode() in utf8.stdout
+        assert dest.read_bytes() == utf8.stdout
+
+    def test_unencodable_stdout_exits_2(self, capsys, monkeypatch, greek_file):
+        raw = io.BytesIO()
+        stdout = io.TextIOWrapper(raw, encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["--format", "table", "validate", greek_file]) == 2
+        stdout.flush()
+        assert raw.getvalue() == b""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["validate", "reconstruct"])
+    def test_undecodable_input_file_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"index_set": ["\xce", "s2"], "matrix": [[2, -1], [-1, 2]]}')
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "integer too long" not in err
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-le", "utf-32"])
+    def test_input_file_in_any_json_encoding(self, capsys, tmp_path, a3_file, encoding):
+        path = tmp_path / f"{encoding}.json"
+        path.write_bytes(json.dumps(GREEK, ensure_ascii=False).encode(encoding))
+        assert run_json(capsys, "validate", str(path))["cartan"] == GREEK
+        oracle = run_json(capsys, "export-oracle", a3_file, "s1 s2 s1")
+        path.write_bytes(json.dumps(oracle, ensure_ascii=False).encode(encoding))
+        assert run_json(capsys, "reconstruct", str(path))["word"]
+        expected = run_json(capsys, "equiv", "--left", f"{a3_file}:s1", "--right", f"{a3_file}:s2")
+        path.write_bytes(json.dumps(A3.to_json()).encode(encoding))
+        pair = f"{path}:s1"
+        assert run_json(capsys, "equiv", "--left", pair, "--right", f"{a3_file}:s2") == expected
+        specialized = run_json(capsys, "normal-form", "e1*f1", "--specialize", str(path))
+        assert specialized == run_json(capsys, "normal-form", "e1*f1", "--specialize", a3_file)
+
+
 def _mixed_requests(cartan, tmp_path):
     """Requests that set each global option, and the same requests without
     it, with typed errors, usage errors and help among them."""

@@ -25,6 +25,7 @@ from schubertisom import (
     cover_reflection,
     element_from_word,
     enumerate_elements,
+    interval,
     isom_classes,
     restriction_witness,
     support,
@@ -212,6 +213,25 @@ def test_random_gcm_classes_share_betti_numbers(seed):
                 matrices.setdefault(key, set()).add(m)
     assert all(len(found) == 1 for found in sizes.values())
     assert any(len(ms) > 1 for ms in matrices.values())
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n, max_length", [(40, 3), (100, 2)])
+def test_random_factor_classes_share_betti_numbers(n, max_length, seed):
+    """The rank-40 and rank-100 draws at `TestWalkKeys`' lengths (item 22):
+    every member of a class has the class's one list of rank sizes, and
+    `interval` gives that list on up to eight sampled members per class."""
+    A = validate_cartan(random_draw(n, seed)[0], [f"s{i}" for i in range(n)])
+    rng = random.Random(seed)
+    sizes = set()
+    for members in isom_classes(A, max_length):
+        found = {_rank_sizes(w) for w in members}
+        assert len(found) == 1, (members[0], found)
+        for w in rng.sample(members, min(len(members), 8)):
+            counts = Counter(v.length for v in interval(w).elements)
+            assert tuple(counts[k] for k in range(w.length + 1)) in found, w
+        sizes |= found
+    assert len(sizes) > 1
 
 
 def _element(rows, word):

@@ -346,3 +346,20 @@ def test_hand_reflections_are_measured():
     found = [(module, name) for module, tree in _src_trees().items()
              for name in _hand_reflections(tree)]
     assert sorted(found) == sorted(HAND_REFLECTIONS)
+
+
+def test_cli_opens_files_in_two_places():
+    """The CLI reads every input file through `_read_json`, in binary, so
+    json.loads decodes the bytes whatever the locale; the one other open
+    is `_emit`'s UTF-8 --output file."""
+    tree = ast.parse((PACKAGE_SRC / "cli.py").read_text())
+    opens = [
+        (fn.name, ast.unparse(node))
+        for fn in tree.body if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
+    ]
+    assert opens == [
+        ("_read_json", "open(path, 'rb')"),
+        ("_emit", "open(args.output, 'w', encoding='utf-8')"),
+    ]
