@@ -123,6 +123,8 @@ def _count(text):
 def _emit(args, payload, exit_code=0):
     text = _converted(_render_table if args.format == "table" else _json_text, payload)
     if args.output:
+        if not text.isascii():  # JSON always is; a table fails here, before the file opens
+            text.encode("utf-8")
         with open(args.output, "w", encoding="utf-8") as fh:
             print(text, file=fh)
     else:

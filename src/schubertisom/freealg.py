@@ -296,6 +296,7 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text):
+    """(kind, value) pairs: ("num", int), ("name", str), or an operator as both."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -305,15 +306,13 @@ def _tokenize(text):
                 raise ParseError(f"unexpected character at {text[pos:]!r}")
             break
         pos = m.end()
-        if m.group("num"):
+        kind, value = m.lastgroup, m.group(m.lastgroup)
+        if kind == "num":
             try:
-                tokens.append(("num", int(m.group("num"))))
+                value = int(value)
             except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
                 raise ParseError(f"number too long to read: {exc}") from None
-        elif m.group("name"):
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append((m.group("op"), None))
+        tokens.append((value if kind == "op" else kind, value))
     return tokens
 
 
@@ -325,38 +324,47 @@ class _Parser:
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
-    def next(self):
+    def take(self, kind=None):
+        """The next token's value, once its kind is checked against `kind`."""
+        if kind is not None and self.peek() != kind:
+            raise ParseError(f"expected {kind!r} at token {self.pos}")
         if self.pos == len(self.tokens):
             raise ParseError("unexpected end of input")
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1][1]
 
-    def expect(self, kind):
-        if self.peek() != kind:
-            raise ParseError(f"expected {kind!r} at token {self.pos}")
-        return self.next()
+    def bracket(self, count):
+        """The labels of ``[s]`` (count 1) or ``[s,t]`` (count 2), as text."""
+        self.take("[")
+        labels = []
+        for close in ",]"[2 - count:]:
+            kind = self.peek()
+            labels.append(str(self.take()))
+            if kind not in ("name", "num"):
+                raise ParseError("expected an index label")
+            self.take(close)
+        return labels
 
     def parse_sum(self, coefficient=False):
         """Signed products joined by + and -.  In a coefficient (inside
         parentheses) only numbers and a-variables may appear."""
         terms, op = {}, "+"
         if self.peek() == "-":
-            op, _ = self.next()
+            op = self.take()
         while True:
             term = self.parse_product(coefficient)
             for mono, coeff in (term if op == "+" else -term).terms.items():
                 terms[mono] = terms[mono] + coeff if mono in terms else coeff
             if self.peek() not in ("+", "-"):
                 return FreeAlgebraElement(terms)
-            op, _ = self.next()
+            op = self.take()
 
     def parse_product(self, coefficient):
         """Factors joined by *, multiplied pairwise in order, so that no
         monomial is recopied once per factor."""
         factors = [self.parse_factor(coefficient)]
         while self.peek() == "*":
-            self.next()
+            self.take()
             factors.append(self.parse_factor(coefficient))
         while len(factors) > 1:
             factors = [a * b for a, b in zip(factors[::2], factors[1::2] + [1])]
@@ -365,53 +373,25 @@ class _Parser:
     def parse_factor(self, coefficient):
         kind = self.peek()
         if kind == "num":
-            return FreeAlgebraElement.scalar(self.next()[1])
+            return FreeAlgebraElement.scalar(self.take())
         if kind == "(" and not coefficient:
-            self.next()
+            self.take()
             out = self.parse_sum(coefficient=True)
-            self.expect(")")
+            self.take(")")
             return out
-        if kind == "name":
-            return self.parse_name(coefficient)
-        raise ParseError(f"unexpected token at position {self.pos}")
-
-    def parse_name(self, coefficient):
-        _, name = self.next()
+        if kind != "name":
+            raise ParseError(f"unexpected token at position {self.pos}")
+        name = self.take()
         head, rest = name[0], name[1:]
         if head == "a":
-            return FreeAlgebraElement.scalar(self.parse_var_indices(rest))
+            if len(rest) not in (0, 2):
+                raise ParseError(f"ambiguous variable index {rest!r}; use a[s,t] for long labels")
+            return FreeAlgebraElement.scalar(Poly.variable(*(rest or self.bracket(2))))
         if coefficient:
             raise ParseError(f"only a-variables allowed in coefficients: {name!r}")
-        if head in "fhe":
-            if rest:
-                return FreeAlgebraElement.generator(head, rest)
-            self.expect("[")
-            idx = self.parse_index_token()
-            self.expect("]")
-            return FreeAlgebraElement.generator(head, idx)
-        raise ParseError(f"unknown symbol {name!r}")
-
-    def parse_var_indices(self, rest):
-        if rest:
-            if len(rest) != 2:
-                raise ParseError(
-                    f"ambiguous variable index {rest!r}; use a[s,t] for long labels"
-                )
-            return Poly.variable(rest[0], rest[1])
-        self.expect("[")
-        s = self.parse_index_token()
-        self.expect(",")
-        t = self.parse_index_token()
-        self.expect("]")
-        return Poly.variable(s, t)
-
-    def parse_index_token(self):
-        kind, value = self.next()
-        if kind == "name":
-            return value
-        if kind == "num":
-            return str(value)
-        raise ParseError("expected an index label")
+        if head not in "fhe":
+            raise ParseError(f"unknown symbol {name!r}")
+        return FreeAlgebraElement.generator(head, rest or self.bracket(1)[0])
 
 
 def parse(text):

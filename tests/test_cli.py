@@ -1030,6 +1030,25 @@ class TestTextBoundary:
         assert raw.getvalue() == b""
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+    def test_unencodable_answer_leaves_output_file_alone(self, capsys, tmp_path, existing):
+        """A lone surrogate label has no UTF-8 form: the request exits 2
+        before --output opens, so an existing file keeps its bytes and no
+        new file appears."""
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"index_set": ["\ud800", "b"], "matrix": [[2, -1], [-1, 2]]}))
+        dest = tmp_path / "out.txt"
+        if existing:
+            dest.write_bytes(b"kept\n")
+        argv = ["--format", "table", "--output", str(dest), "validate", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if existing:
+            assert dest.read_bytes() == b"kept\n"
+        else:
+            assert not dest.exists()
+
     @pytest.mark.parametrize("command", ["validate", "reconstruct"])
     def test_undecodable_input_file_exits_2(self, capsys, tmp_path, command):
         path = tmp_path / "bad.json"
