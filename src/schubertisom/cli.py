@@ -262,23 +262,28 @@ def cmd_automorphisms(args):
 
 
 def build_parser():
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--format", choices=("json", "table"), default="json")
+    options.add_argument("--output", metavar="FILE", default=None)
+    options.add_argument("--strict", action="store_true",
+                         help="exit 1 on negative domain results")
+    options.add_argument("--max-length", type=_count, default=20,
+                         help="isom-classes: classify the elements of at most this length "
+                              "(default %(default)s)")
+    options.add_argument("--max-elements", type=_count, default=weyl.DEFAULT_ELEMENT_CAP,
+                         help="isom-classes, cohomology, export-oracle: exit 2 rather "
+                              "than enumerate more than this many elements "
+                              "(default %(default)s)")
+    options.add_argument("--seed", type=int, default=0)
     parser = argparse.ArgumentParser(
         prog="schubertisom",
         description="Exact Schubert variety isomorphism toolkit",
+        parents=[options],
     )
-    parser.add_argument("--format", choices=("json", "table"), default="json")
-    parser.add_argument("--output", metavar="FILE", default=None)
-    parser.add_argument("--strict", action="store_true",
-                        help="exit 1 on negative domain results")
-    parser.add_argument("--max-length", type=_count, default=20,
-                        help="isom-classes: classify the elements of at most this length "
-                             "(default %(default)s)")
-    parser.add_argument("--max-elements", type=_count, default=weyl.DEFAULT_ELEMENT_CAP,
-                        help="isom-classes, cohomology, export-oracle: exit 2 rather "
-                             "than enumerate more than this many elements "
-                             "(default %(default)s)")
-    parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
+    # What _parse reads: each subcommand's parser, and the global options' defaults
+    parser.subcommands = sub.choices
+    parser.global_defaults = vars(options.parse_args([]))  # immutable: requests share them
 
     p = sub.add_parser("validate", help="validate a Cartan matrix JSON file")
     p.add_argument("cartan")
@@ -341,33 +346,14 @@ _parser = None
 
 
 def _parse(parser, argv):
-    """parser.parse_args(argv), leaving out the top-level pass when it has
-    nothing to read.
-
-    When argv starts with a subcommand and each later token that starts
-    with "-" is one of that subcommand's own option strings, the top level
-    would only hand argv[1:] to the subcommand's parser, so that parser
-    parses it alone, into the namespace of top-level defaults and command
-    that the nested parse builds.  Anything else takes the full parse:
-    global options first, help, no command or an unknown one, "--", an
-    abbreviation (the top level refuses "--s", which could name --strict
-    or --seed), and tokens left over, reported with the top-level usage,
-    and any request when argparse lacks an attribute read here."""
-    try:  # private argparse attributes, which a Python release may rename
-        sub = parser._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
-        known = sub._option_string_actions if sub is not None else {}
-        actions = parser._actions
-    except AttributeError:
-        sub = None
-    if sub is not None and all(arg in known for arg in argv[1:] if arg.startswith("-")):
-        namespace = argparse.Namespace(**{
-            a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS
-        })
-        namespace.command = argv[0]
-        namespace, extras = sub.parse_known_args(argv[1:], namespace)
-        if not extras:
-            return namespace
-    return parser.parse_args(argv)
+    """parser.parse_args(argv), but a request that starts with a subcommand is
+    parsed by that subcommand's parser alone, into the global defaults: global
+    options go before the subcommand, so the top level would only hand argv[1:]
+    on.  A usage error then shows the subcommand's usage."""
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0], **parser.global_defaults))
 
 
 def main(argv=None):

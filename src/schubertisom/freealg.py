@@ -20,7 +20,7 @@ rules, but holds only numbers and a-variables and no nested parentheses.
 import re
 from collections import defaultdict
 
-from .errors import RewriteCapExceededError, SchubertError, UnknownLabelError
+from .errors import RewriteCapExceededError, SchubertError
 
 # Symbols `eta` may store, each addition charged its monomial's length, so
 # the cap bounds the work: e1^k*f1^k needs 3,385,976 at k = 12, 7,972,093 at 13.
@@ -272,14 +272,12 @@ def eta(tau):
 
 
 def specialize(tau, A):
-    """Substitute a_st -> A[s][t] (and a_ss -> 2), merging like terms."""
+    """Substitute a_st -> A[s][t] (so a_ss -> 2), merging like terms."""
     values = {}
     for mono, poly in tau.terms.items():
         for s, t in poly.variables():
-            if (s, t) not in values:
-                if s not in A.index_set or t not in A.index_set:
-                    raise UnknownLabelError(s if s not in A.index_set else t)
-                values[(s, t)] = 2 if s == t else A.entry(s, t)
+            if (s, t) not in values:  # an unknown label raises, s before t
+                values[(s, t)] = A.entry(s, t)
     return FreeAlgebraElement(
         {mono: Poly.const(poly.substitute(values)) for mono, poly in tau.terms.items()}
     )

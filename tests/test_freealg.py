@@ -258,6 +258,15 @@ class TestSpecialize:
         with pytest.raises(UnknownLabelError):
             specialize(FreeAlgebraElement.scalar(A("s9", "s1")), A2)
 
+    @pytest.mark.parametrize("text, label", [("a[s1,s9]", "s9"), ("a[s8,s9]", "s8"),
+                                             ("a[s9,s9]", "s9")])
+    def test_unknown_label_named(self, text, label):
+        """The first unknown label of a_st is named, s before t."""
+        with pytest.raises(UnknownLabelError) as raised:
+            specialize(parse(text) * F("s1"), A2)
+        assert raised.value.label == label
+        assert str(raised.value) == f"unknown generator label {label!r}"
+
     def test_specialization_commutes_with_eta(self, rng):
         """Specializing then rewriting numerically equals eta then specializing."""
         labels = ("s1", "s2", "s3")

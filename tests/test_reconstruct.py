@@ -20,7 +20,7 @@ from schubertisom import (
     recover_cartan,
     validate_cartan,
 )
-from schubertisom.errors import MalformedOracleError
+from schubertisom.errors import MalformedOracleError, SchubertError
 from schubertisom.reconstruct import descent_sets, reduced_word_sets
 from schubertisom.cli import main
 
@@ -655,3 +655,33 @@ def test_round_trip_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _coefficients(oracle):
+    return sorted(c for terms in oracle.products.values() for _, c in terms)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 16: reconstruct does not certify its answer")
+def test_forged_coefficients_are_refused():
+    """Raise one coefficient of the w0-of-A3 oracle (seed 3) by 1, 2 or 3:
+    reconstruct refuses the forgery with a typed error, or returns a
+    presentation whose oracle has the forgery's coefficient multiset.  Today
+    249 of the 258 forgeries reconstruct, and none re-exports that multiset."""
+    w0 = element_from_word(type_a(3), ["s1", "s2", "s3", "s1", "s2", "s1"])
+    oracle = export_oracle(w0, seed=3)
+    accepted = []
+    for key, terms in oracle.products.items():
+        for i, (vid, coeff) in enumerate(terms):
+            for raise_by in (1, 2, 3):
+                products = dict(oracle.products)
+                products[key] = terms[:i] + ((vid, coeff + raise_by),) + terms[i + 1:]
+                forged = CohomologyOracle(oracle.basis, oracle.generators, products)
+                try:
+                    rp = reconstruct(forged)
+                except SchubertError:
+                    continue
+                again = export_oracle(element_from_word(rp.cartan, rp.word), seed=3)
+                if _coefficients(again) != _coefficients(forged):
+                    accepted.append((key, vid, raise_by))
+    assert not accepted, f"{len(accepted)} forgeries reconstruct to another ring"

@@ -363,3 +363,14 @@ def test_cli_opens_files_in_two_places():
         ("_read_json", "open(path, 'rb')"),
         ("_emit", "open(args.output, 'w', encoding='utf-8')"),
     ]
+
+
+def test_cli_reads_no_private_attributes():
+    """cli.py reads no private attribute of argparse or any other module, as a
+    Python release may rename one; dunders such as `__name__` are the
+    language's.  The one it reads is the package's own
+    `cohomology._product_table`."""
+    tree = ast.parse((PACKAGE_SRC / "cli.py").read_text())
+    private = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and node.attr.startswith("_") and not node.attr.endswith("__")]
+    assert private == ["cohomology._product_table"]
