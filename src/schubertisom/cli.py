@@ -134,23 +134,17 @@ def _emit(args, payload, exit_code=0):
 
 def _render_table(payload, indent=0):
     pad = "  " * indent
-    lines = []
-    if isinstance(payload, dict):
+    if isinstance(payload, dict):  # else a list
         width = max((len(str(k)) for k in payload), default=0)
-        for key in sorted(payload):
-            value = payload[key]
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.append(_render_table(value, indent + 1))
-            else:
-                lines.append(f"{pad}{str(key).ljust(width)}  {value}")
-    elif isinstance(payload, list):
-        for value in payload:
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.append(_render_table(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {value}")
+        items = [(f"{k}:", str(k).ljust(width) + " ", payload[k]) for k in sorted(payload)]
+    else:
+        items = [("-", "-", value) for value in payload]
+    lines = []
+    for header, lead, value in items:
+        if isinstance(value, (dict, list)):
+            lines += [pad + header, _render_table(value, indent + 1)]
+        else:
+            lines.append(f"{pad}{lead} {value}")
     return "\n".join(lines)
 
 
@@ -347,13 +341,21 @@ _parser = None
 
 def _parse(parser, argv):
     """parser.parse_args(argv), but a request that starts with a subcommand is
-    parsed by that subcommand's parser alone, into the global defaults: global
-    options go before the subcommand, so the top level would only hand argv[1:]
-    on.  A usage error then shows the subcommand's usage."""
+    parsed by that subcommand's parser alone, into the global defaults, as
+    global options go before it.  Its usage error shows the subcommand's usage,
+    and a hint if a token before "--" is, or abbreviates, a global option."""
     sub = parser.subcommands.get(argv[0]) if argv else None
     if sub is None:
         return parser.parse_args(argv)
-    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0], **parser.global_defaults))
+    try:
+        return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0], **parser.global_defaults))
+    except SystemExit as exc:
+        names = ["--" + name.replace("_", "-") for name in sorted(parser.global_defaults)]
+        heads = [t.partition("=")[0] for t in (argv[:argv.index("--")] if "--" in argv else argv)]
+        if exc.code and any(len(h) > 2 and n.startswith(h) for h in heads for n in names):
+            print(f"hint: the global options ({', '.join(names)}) go before the subcommand",
+                  file=sys.stderr)
+        raise
 
 
 def main(argv=None):

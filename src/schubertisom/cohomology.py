@@ -47,7 +47,7 @@ def chevalley_product(s, u, itv):
     """Expand xi_s * xi_u on the Schubert basis of the interval: the
     coefficient at each upper cover of u is entry k, for s of index k, of
     the cover's coroot in `itv.up`, kept when nonzero."""
-    if s not in weyl.support(itv.top):
+    if s not in itv.top.canonical_word:
         raise UnknownLabelError(s)
     if u not in itv:
         raise NotInIntervalError(u.canonical_word)
@@ -64,7 +64,7 @@ def simple_square_closed_form(t, itv):
     """
     A = itv.cartan
     sup = weyl.support(itv.top)
-    if t not in sup:
+    if t not in itv.top.canonical_word:
         raise UnknownLabelError(t)
     coeffs = {}
     for s_prime in sup:
@@ -81,8 +81,7 @@ def _label_set(J, itv):
     not have raises UnknownLabelError; a string J is read as its characters."""
     J = tuple(J)
     for s in J:
-        if s not in itv.cartan.index_set:
-            raise UnknownLabelError(s)
+        itv.cartan.index_set.index(s)
     return set(J)
 
 

@@ -114,7 +114,8 @@ def transport_interval(witness):
     missing = sup - sigma.keys()
     if missing:
         raise InvalidWitnessError(f"sigma does not map the support labels {sorted(missing)}")
-    strays = {sigma[s] for s in sup} - set(B.labels)
+    images = [sigma[s] for s in sup]  # a list: a label may be unhashable
+    strays = [x for k, x in enumerate(images) if x not in B.labels and x not in images[:k]]
     if strays:
         raise InvalidWitnessError(f"sigma maps onto labels {sorted(strays, key=str)} that A' lacks")
     source = weyl.interval(witness.source)

@@ -204,10 +204,9 @@ def two_letter_leq(A, s, t, w):
     if w.cartan != A:
         raise MixedContextsError()
     word = w.canonical_word
-    sup = set(word)
-    if s not in sup:
+    if s not in word:
         raise NotInSupportError(s)
-    if t not in sup:
+    if t not in word:
         raise NotInSupportError(t)
     if s == t or A.entry(s, t) == 0:
         return True

@@ -1187,6 +1187,32 @@ def test_parse_leaves_out_the_top_level_parse(monkeypatch):
         assert cli._parse(parser, argv).command == argv[0]
 
 
+HINT = ("hint: the global options (--format, --max-elements, --max-length, --output, --seed, "
+        "--strict) go before the subcommand\n")
+
+
+@pytest.mark.parametrize("argv, hinted", [
+    (["word", C, "s1", "--format", "table"], True),
+    (["validate", C, "--seed", "3"], True),
+    (["automorphisms", C, "--ma"], True),
+    (["word", C, "s1", "--bogus"], False),
+    (["word", "--help"], False),
+    (["word", C, "s1", "--", "--format"], False),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_late_global_option_gets_a_hint(capsys, monkeypatch, argv, hinted):
+    """A subcommand-first request refused while a token before "--" is a
+    global option, or a prefix of one, gets one stderr line after argparse's
+    that says where global options go.  Its exit status, stdout and
+    argparse's own lines are the subcommand parser's."""
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli.build_parser()
+    alone = _parsed(capsys, parser.subcommands[argv[0]].parse_args, argv[1:])
+    result, out, err = _parsed(capsys, lambda a: cli._parse(parser, a), argv)
+    assert (result, out) == alone[:2]
+    assert result == (0 if "--help" in argv else 2)
+    assert err == alone[2] + (HINT if hinted else "")
+
+
 def test_cap_flags_name_what_they_bound():
     helps = {a.dest: a.help for a in cli.build_parser()._actions}
     assert helps["max_length"].startswith("isom-classes:")

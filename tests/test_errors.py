@@ -6,12 +6,20 @@ import pytest
 
 from schubertisom import (
     CohomologyOracle,
+    EquivalenceWitness,
+    chevalley_product,
     element_from_word,
     export_oracle,
+    interval,
     reconstruct,
+    simple_square_closed_form,
+    support_closure,
+    transport_interval,
+    two_letter_leq,
     validate_cartan,
 )
 from schubertisom import errors
+from schubertisom.cohomology import minimal_coset_reps
 from schubertisom.errors import SchubertError
 from schubertisom.freealg import ParseError
 
@@ -127,3 +135,26 @@ def test_too_long_integer_keeps_its_value():
     exc = errors.DiagonalNotTwoError("a", HUGE)
     assert exc.value == HUGE
     assert str(exc) == f"diagonal entry at 'a' is {SHOWN}, expected 2"
+
+
+S1S2 = element_from_word(A2, ["s1", "s2"])
+S1S2_INTERVAL = interval(S1S2)
+
+
+@pytest.mark.parametrize("call, kind", [
+    (lambda s: chevalley_product(s, S1S2, S1S2_INTERVAL), errors.UnknownLabelError),
+    (lambda s: simple_square_closed_form(s, S1S2_INTERVAL), errors.UnknownLabelError),
+    (lambda s: two_letter_leq(A2, s, "s1", S1S2), errors.NotInSupportError),
+    (lambda s: minimal_coset_reps([s], S1S2_INTERVAL), errors.UnknownLabelError),
+    (lambda s: support_closure([s], S1S2_INTERVAL), errors.UnknownLabelError),
+    (lambda s: transport_interval(EquivalenceWitness(S1S2, S1S2, {"s1": s, "s2": "s2"})),
+     errors.InvalidWitnessError),
+], ids=["chevalley_product", "simple_square_closed_form", "two_letter_leq",
+        "minimal_coset_reps", "support_closure", "transport_interval"])
+def test_unhashable_label_gets_the_typed_error(call, kind):
+    """A label that cannot be hashed, such as ['s1'], gets the typed error
+    that a hashable label A lacks gets, never a bare TypeError."""
+    for label in ("x", ["s1"]):
+        with pytest.raises(kind) as raised:
+            call(label)
+        assert repr(label) in str(raised.value)

@@ -4,10 +4,13 @@ import ast
 import importlib
 import os
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
@@ -374,3 +377,68 @@ def test_cli_reads_no_private_attributes():
     private = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                and node.attr.startswith("_") and not node.attr.endswith("__")]
     assert private == ["cohomology._product_table"]
+
+
+CI_SH = ROOT / "tools" / "ci.sh"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+
+
+def _ci(script, tmp_path):
+    """The exit status of script run under `bash -eo pipefail`, as a CI step
+    runs, after sourcing tools/ci.sh; `python` is this interpreter."""
+    path = os.pathsep.join([str(Path(sys.executable).parent), os.environ.get("PATH", "")])
+    done = subprocess.run(["bash", "-eo", "pipefail", "-c", f'. "{CI_SH}"\n{script}'],
+                          cwd=tmp_path, env=dict(os.environ, PATH=path, RUNNER_TEMP=str(tmp_path)),
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode
+
+
+# A positive and a negative control per helper: (id, script, whether it passes).
+CI_CONTROLS = [
+    ("exits-2-on-2", "exits 2 bash -c 'exit 2'", True),
+    ("exits-2-on-0", "exits 2 true", False),
+    ("exits-2-on-3", "exits 2 bash -c 'exit 3'", False),
+    ("bounded-pass", "bounded 20 64 python -c pass", True),
+    ("bounded-past-time", "bounded 1 64 python -c 'import time; time.sleep(30)'", False),
+    ("bounded-past-mb", "bounded 20 64 python -c 'b = b\"x\" * (128 << 20)'", False),
+    ("canonical", "python -c 'import json; print(json.dumps({\"b\": [1], \"a\": 2}, indent=2, "
+     "sort_keys=True))' > x.json && canonical x.json", True),
+    ("canonical-reindented", "python -c 'import json; print(json.dumps({\"b\": [1], \"a\": 2}, "
+     "indent=4, sort_keys=True))' > x.json && canonical x.json", False),
+    ("refused", "printf 'error: bad\\n' > err && : > out && refused out err", True),
+    ("refused-with-stdout", "printf 'error: bad\\n' > err && echo 1 > out && refused out err",
+     False),
+    ("refused-with-traceback",
+     "printf 'Traceback (most recent call last):\\n' > err && : > out && refused out err", False),
+    ("type_a", """test "$(type_a 3)" = '{"index_set": ["s1", "s2", "s3"], "matrix": """
+               """[[2, -1, 0], [-1, 2, -1], [0, -1, 2]]}' """
+               """&& test "$(type_a 1 0)" = '{"index_set": ["s0"], "matrix": [[2]]}'""", True),
+]
+
+
+@pytest.mark.skipif(not (shutil.which("bash") and shutil.which("timeout")),
+                    reason="needs bash and timeout, as the CI steps do")
+@pytest.mark.parametrize("script, passes", [c[1:] for c in CI_CONTROLS],
+                         ids=[c[0] for c in CI_CONTROLS])
+def test_ci_helpers(tmp_path, script, passes):
+    """Each CI helper passes what it should and fails the step otherwise."""
+    assert (_ci(script, tmp_path) == 0) == passes
+
+
+def test_workflow_checks_live_in_ci_sh():
+    """The workflow keeps no inline copy of a check tools/ci.sh defines: no
+    exit-status capture, peak-RSS wrapper, json.tool comparison or benchmark
+    loop.  Every step that calls a helper sources tools/ci.sh before it, and
+    every helper is called.  Read as text: PyYAML is not a test dependency."""
+    text = WORKFLOW.read_text()
+    for idiom in ("status=0", "ru_maxrss", "json.tool", "bench/run.py"):
+        assert idiom not in text, idiom
+    helpers = re.findall(r"^(\w+)\(\) \{$", CI_SH.read_text(), re.M)
+    call = re.compile(rf"(?:^|run:|&&|;|\|)\s*(?:\w+=\S*\s+)*({'|'.join(helpers)})\b", re.M)
+    called = set()
+    for step in re.split(r"^\s*- (?=name:|uses:)", text, flags=re.M):
+        calls = [(m.start(), m.group(1)) for m in call.finditer(step)]
+        if calls:
+            assert 0 <= step.find(". tools/ci.sh") < calls[0][0], step.splitlines()[0]
+            called |= {name for _, name in calls}
+    assert called == set(helpers)
