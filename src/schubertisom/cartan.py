@@ -96,9 +96,6 @@ class IndexSet:
     def __iter__(self):
         return iter(self.labels)
 
-    def __contains__(self, label):
-        return label in self.position
-
     def __eq__(self, other):
         return isinstance(other, IndexSet) and self.labels == other.labels
 

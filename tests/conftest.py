@@ -1,7 +1,12 @@
-"""Shared matrices, random generators, and brute-force oracles."""
+"""Shared matrices, random generators, brute-force oracles, and a runner for
+code that needs a fresh interpreter."""
 
+import os
 import random
-from itertools import permutations
+import subprocess
+import sys
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -17,79 +22,119 @@ from schubertisom.errors import EnumerationCapExceededError
 from schubertisom.weyl import DEFAULT_ELEMENT_CAP, enumerate_elements
 
 
+# The matrix catalogue: every named Cartan matrix a test or a CI step reads
+# (`tools/ci.sh`'s `matrix EXPR`) is built here, through `cartan`.
+
+
+def cartan(n, links=(), labels=None, first=1):
+    """The Cartan matrix of rank n with A[i][j], A[j][i] = a, b for each
+    (i, j, a, b) in links (rows counted from 0), 2 on the diagonal and 0
+    elsewhere, over labels or else s<first>, s<first+1>, ..."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, a, b in links:
+        rows[i][j], rows[j][i] = a, b
+    return validate_cartan(rows, labels or [f"s{i}" for i in range(first, first + n)])
+
+
+def finite_type(name, first=1):
+    """A finite type such as "E6", its nodes numbered as in Bourbaki (Lie
+    Groups and Lie Algebras, ch. VI, plates I-IX): the path 1 - 2 - ... - n
+    of A_n with the one link that sets B, C, D, E, F4 or G2 apart changed."""
+    family, n = name[0], int(name[1:])
+    links = [(i, i + 1, -1, -1) for i in range(n - 1)]
+    if family == "B":
+        links[-1] = (n - 2, n - 1, -2, -1)
+    elif family == "C":
+        links[-1] = (n - 2, n - 1, -1, -2)
+    elif family == "D":
+        links[-1] = (n - 3, n - 1, -1, -1)
+    elif family == "E":
+        links[:2] = [(0, 2, -1, -1), (1, 3, -1, -1)]
+    elif name == "F4":
+        links[1] = (1, 2, -2, -1)
+    elif name == "G2":
+        links[0] = (0, 1, -3, -1)
+    elif family != "A":
+        raise ValueError(f"no finite type {name!r}")
+    return cartan(n, links, first=first)
+
+
 def type_a(n):
-    labels = [f"s{i}" for i in range(1, n + 1)]
-    entries = [
-        [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    return validate_cartan(entries, labels)
+    return finite_type(f"A{n}")
 
 
-A3 = type_a(3)
-A2 = type_a(2)
-
-C3 = validate_cartan(
-    [[2, -1, 0], [-1, 2, -1], [0, -2, 2]], ["s1", "s2", "s3"]
-)
-B3 = validate_cartan(
-    [[2, -1, 0], [-1, 2, -2], [0, -1, 2]], ["s1", "s2", "s3"]
-)
-B4 = validate_cartan(
-    [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
-    ["s1", "s2", "s3", "s4"],
-)
-B2 = validate_cartan([[2, -2], [-1, 2]], ["s1", "s2"])
-G2 = validate_cartan([[2, -3], [-1, 2]], ["s1", "s2"])
-A1_AFFINE = validate_cartan([[2, -2], [-2, 2]], ["s1", "s2"])
-A2_AFFINE = validate_cartan(
-    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], ["s0", "s1", "s2"]
-)
-# Hyperbolic and not symmetrizable: the two cycle products -4 and -1 differ.
-H3 = validate_cartan(
-    [[2, -2, -1], [-1, 2, -1], [-2, -1, 2]], ["s1", "s2", "s3"]
-)
-
-# star with center s2
-D4 = validate_cartan(
-    [
-        [2, -1, 0, 0],
-        [-1, 2, -1, -1],
-        [0, -1, 2, 0],
-        [0, -1, 0, 2],
-    ],
-    ["s1", "s2", "s3", "s4"],
-)
-
-# star with center s0 and four leaves
-D4_AFFINE = validate_cartan(
-    [
-        [2, -1, -1, -1, -1],
-        [-1, 2, 0, 0, 0],
-        [-1, 0, 2, 0, 0],
-        [-1, 0, 0, 2, 0],
-        [-1, 0, 0, 0, 2],
-    ],
-    ["s0", "s1", "s2", "s3", "s4"],
-)
-
-# Rank 5 with every m_st infinite.  The word s0 s1 s2 s3 s4 repeated four
-# times is reduced, of length 20, and has 612,256 elements below it.
-UNIVERSAL_5 = validate_cartan(
-    [[2 if i == j else -2 for j in range(5)] for i in range(5)],
-    [f"s{i}" for i in range(5)],
-)
-UNIVERSAL_5_WORD = tuple(UNIVERSAL_5.labels) * 4
+def cycle(n, first=1):
+    """Affine A_(n-1) for n >= 3 (Kac, Infinite Dimensional Lie Algebras,
+    ch. 4): the cycle s<first> - ... - s<first+n-1> - s<first>."""
+    return cartan(n, [(i, (i + 1) % n, -1, -1) for i in range(n)], first=first)
 
 
 def star(k):
-    """A centre c joined to k leaves by entries -1."""
-    n = k + 1
-    rows = [
-        [2 if i == j else (-1 if (i == k) != (j == k) else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    return validate_cartan(rows, [f"l{i}" for i in range(k)] + ["c"])
+    """A centre c joined to k leaves l0 ... l(k-1) by entries -1."""
+    return cartan(k + 1, [(i, k, -1, -1) for i in range(k)], [f"l{i}" for i in range(k)] + ["c"])
+
+
+def universal(n):
+    """Rank n with every m_st infinite: each entry off the diagonal is -2,
+    labels s0 ... s(n-1)."""
+    return cartan(n, [(i, j, -2, -2) for i, j in combinations(range(n), 2)], first=0)
+
+
+def hirzebruch(n):
+    """Rank-2 matrix whose X(s1 s2) is the n-th Hirzebruch-type surface."""
+    return cartan(2, [(0, 1, -n, -1)] if n else [])
+
+
+A2, A3 = type_a(2), type_a(3)
+B2, B3, B4, C3, D4, G2 = map(finite_type, ["B2", "B3", "B4", "C3", "D4", "G2"])
+A1_AFFINE = cartan(2, [(0, 1, -2, -2)])
+A2_AFFINE, A3_AFFINE = cycle(3, first=0), cycle(4, first=0)
+A11_AFFINE = cycle(12)
+C2_AFFINE = cartan(3, [(0, 1, -2, -1), (1, 2, -1, -2)], first=0)
+G2_AFFINE = cartan(3, [(0, 1, -1, -1), (1, 2, -3, -1)], first=0)
+# star with centre s0 and four leaves
+D4_AFFINE = cartan(5, [(0, i, -1, -1) for i in range(1, 5)], first=0)
+# Hyperbolic and not symmetrizable: the two cycle products -4 and -1 differ.
+H3 = cartan(3, [(0, 1, -2, -1), (0, 2, -1, -2), (1, 2, -1, -1)])
+
+# The word s0 s1 s2 s3 s4 repeated four times is reduced, of length 20, and
+# has 612,256 elements below it.
+UNIVERSAL_5 = universal(5)
+UNIVERSAL_5_WORD = tuple(UNIVERSAL_5.labels) * 4
+
+
+def non_symmetrizable_rank_4(rng):
+    """A random rank-4 matrix with a triangle whose cycle products differ,
+    which rules out a symmetrization."""
+    labels = ["s1", "s2", "s3", "s4"]
+    while True:
+        e = [[2 if i == j else -rng.randint(1, 3) for j in range(4)] for i in range(4)]
+        if any(
+            e[i][j] * e[j][k] * e[k][i] != e[j][i] * e[k][j] * e[i][k]
+            for i, j, k in combinations(range(4), 3)
+        ):
+            return validate_cartan(e, labels)
+
+
+ORACLE_MATRICES = {
+    "A4": type_a(4),
+    "B4": B4,
+    "D4": D4,
+    "G2": G2,
+    "A2aff": A2_AFFINE,
+    "A1aff": A1_AFFINE,
+    **{f"nonsym4_{k}": non_symmetrizable_rank_4(random.Random(k)) for k in range(3)},
+}
+
+
+def fresh_python(argv, timeout, stdin=None):
+    """The stdout of `python *argv` in a fresh interpreter with src/ on its
+    path, stopped after timeout seconds; a nonzero exit raises
+    CalledProcessError, and the child's stderr goes to the test's own."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, *argv], input=stdin, stdout=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=src), text=True, check=True,
+                          timeout=timeout).stdout
 
 
 def random_cartan(rng, max_rank=4, min_entry=-3):
@@ -139,16 +184,6 @@ def random_draw(n, seed):
     perm = list(range(n))
     rng.shuffle(perm)
     return rows, word, perm
-
-
-# A_11 affine: the 12-cycle s1 - s2 - ... - s12 - s1
-A11_AFFINE = validate_cartan(
-    [
-        [2 if i == j else (-1 if (i - j) % 12 in (1, 11) else 0) for j in range(12)]
-        for i in range(12)
-    ],
-    [f"s{i}" for i in range(1, 13)],
-)
 
 
 def brute_force_graph_automorphisms(G):

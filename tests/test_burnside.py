@@ -19,7 +19,8 @@ counted from group orders alone (ROADMAP item 24):
   subdiagrams, the product over the component types T of H, with
   multiplicity m, of C(f(T) + m - 1, m).
 
-Nothing here uses the package except the comparison with `isom_classes`.
+Nothing here uses the package except the comparison with `isom_classes`, on
+the catalogue's `finite_type` matrices, numbered as `dynkin` numbers them.
 """
 
 import itertools
@@ -28,7 +29,9 @@ from collections import Counter
 
 import pytest
 
-from schubertisom import isom_classes, validate_cartan
+from schubertisom import isom_classes
+
+from conftest import finite_type
 
 
 def dynkin(family, n):
@@ -156,13 +159,6 @@ def class_count(family, n):
     return total
 
 
-def cartan_matrix(family, n):
-    edges = dynkin(family, n)
-    rows = [[2 if s == t else -1 if (s, t) in edges or (t, s) in edges else 0
-             for t in range(1, n + 1)] for s in range(1, n + 1)]
-    return validate_cartan(rows, [f"s{i}" for i in range(1, n + 1)])
-
-
 TIER_1 = {("A", 2): 4, ("A", 3): 14, ("A", 4): 54, ("A", 5): 315, ("A", 6): 2_114,
           ("A", 7): 17_197, ("D", 4): 58, ("D", 5): 1_032, ("D", 6): 12_903,
           ("E", 6): 25_616}
@@ -173,7 +169,7 @@ def test_burnside_count_matches_isom_classes(family, n):
     """The count from group orders equals the number of classes that
     `isom_classes` finds by walking all of W (n * n is at least the length
     of the longest element)."""
-    classes = isom_classes(cartan_matrix(family, n), n * n)
+    classes = isom_classes(finite_type(f"{family}{n}"), n * n)
     assert class_count(family, n) == len(classes) == TIER_1[family, n]
 
 

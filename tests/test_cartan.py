@@ -41,6 +41,7 @@ from conftest import (
     G2,
     brute_force_diagram_automorphisms,
     brute_force_graph_automorphisms,
+    cartan,
     random_cartan,
     type_a,
 )
@@ -48,9 +49,8 @@ from conftest import (
 
 class TestValidate:
     def test_a3_valid(self):
-        A = validate_cartan([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], ["s1", "s2", "s3"])
-        assert A.entry("s1", "s2") == -1
-        assert A.entry("s1", "s3") == 0
+        assert A3.entry("s1", "s2") == -1
+        assert A3.entry("s1", "s3") == 0
 
     def test_zero_asymmetry(self):
         with pytest.raises(ZeroAsymmetryError):
@@ -189,8 +189,7 @@ class TestSimpleGraph:
         assert simple_graph(C3).edges == simple_graph(A3).edges
 
     def test_disconnected(self):
-        A = validate_cartan([[2, 0], [0, 2]], ["s1", "s2"])
-        assert simple_graph(A).edges == frozenset()
+        assert simple_graph(cartan(2)).edges == frozenset()
 
     def test_degree(self):
         edges = simple_graph(D4).edges
@@ -216,6 +215,14 @@ class TestSimpleGraph:
         assert g == simple_graph(A3)
         with pytest.raises(InvalidIndexSetError):
             SimpleCoxeterGraph(["s1", "s1"], [])
+
+    @pytest.mark.parametrize("label, present", [("s1", True), ("x", False), (["s1"], False)],
+                             ids=["s1", "x", "unhashable"])
+    @pytest.mark.parametrize("labels", [A3.index_set, simple_graph(A3).vertices],
+                             ids=["index_set", "vertices"])
+    def test_membership(self, labels, label, present):
+        """A label an IndexSet lacks, hashable or not, is not in it."""
+        assert (label in labels) == present
 
 
 def _random_pair_table(rng, labels):
@@ -346,8 +353,7 @@ class TestAutomorphisms:
         assert len(graph_automorphisms(simple_graph(D4))) == 6
 
     def test_single_vertex(self):
-        A = validate_cartan([[2]], ["s1"])
-        assert len(graph_automorphisms(simple_graph(A))) == 1
+        assert len(graph_automorphisms(simple_graph(type_a(1)))) == 1
 
     def test_a3_diagram(self):
         autos = diagram_automorphisms(A3)

@@ -16,7 +16,6 @@ from schubertisom import (
     reconstruct,
     simple_square_closed_form,
     support_closure,
-    validate_cartan,
 )
 from schubertisom import cohomology as cohomology_module
 from schubertisom.cohomology import _fresh_ids, minimal_coset_reps
@@ -26,17 +25,8 @@ from schubertisom.errors import (
     UnknownLabelError,
 )
 
-from conftest import A2, A2_AFFINE, A3, B2, B3, D4, G2, random_cartan, random_word, top_id, type_a
-from test_weyl import ORACLE_MATRICES
-
-
-def hirzebruch(n):
-    """Rank-2 matrix whose X(s1 s2) is the n-th Hirzebruch-type surface."""
-    if n == 0:
-        entries = [[2, 0], [0, 2]]
-    else:
-        entries = [[2, -n], [-1, 2]]
-    return validate_cartan(entries, ["s1", "s2"])
+from conftest import (A2, A2_AFFINE, A3, B2, B3, D4, G2, ORACLE_MATRICES, hirzebruch,
+                      random_cartan, random_word, top_id, type_a)
 
 
 def hirzebruch_interval(n):

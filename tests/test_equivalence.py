@@ -1,12 +1,9 @@
 import gc
 import itertools
 import json
-import os
 import random
-import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +34,7 @@ from conftest import (
     A2,
     A2_AFFINE,
     A3,
+    A3_AFFINE,
     B3,
     B4,
     C3,
@@ -44,6 +42,8 @@ from conftest import (
     G2,
     H3,
     brute_force_key,
+    cartan,
+    fresh_python,
     pairwise_isom_classes,
     random_cartan,
     random_draw,
@@ -51,6 +51,7 @@ from conftest import (
     relabeled,
     star,
     type_a,
+    universal,
     walk,
 )
 
@@ -219,12 +220,12 @@ class TestCheckEquivalence:
         gc.collect()
         gc.disable()
         try:
-            w = element_from_word(_edgeless(4), ["s0", "s1", "s2", "s3"])
+            w = element_from_word(cartan(4, first=0), ["s0", "s1", "s2", "s3"])
             assert check_equivalence(w, w).sigma == {s: s for s in w.cartan.labels}
             u, v = words(A3, "s2 s1 s3", "s1 s3 s2")
             assert check_equivalence(u, v) is None
             assert len(diagram_automorphisms(D4)) == 6
-            assert len(diagram_automorphisms(_edgeless(4))) == 24
+            assert len(diagram_automorphisms(cartan(4, first=0))) == 24
             del w, u, v
             assert gc.collect() == 0
         finally:
@@ -540,9 +541,8 @@ class TestCanonicalKey:
     def test_commuting_letters_key_apart(self):
         """Eight commuting letters give eight one-letter factors, not 8!
         namings of one word."""
-        labels = [f"s{i}" for i in range(1, 9)]
-        A = validate_cartan([[2 if i == j else 0 for j in range(8)] for i in range(8)], labels)
-        assert canonical_key(element_from_word(A, labels)) == (8, (((0,), ()),) * 8)
+        A = cartan(8)
+        assert canonical_key(element_from_word(A, A.labels)) == (8, (((0,), ()),) * 8)
 
     def test_factorises_along_components(self, rng):
         found = 0
@@ -565,12 +565,6 @@ class TestCanonicalKey:
         assert len(isom_classes(type_a(4), 10)) == 54
 
 
-A3_AFFINE = validate_cartan(
-    [[2 if i == j else (-1 if (i - j) % 4 in (1, 3) else 0) for j in range(4)] for i in range(4)],
-    ["s0", "s1", "s2", "s3"],
-)
-
-
 def _symmetrizable(A):
     """Whether every cycle product of A equals its reverse (Kac, Exercise 2.1)."""
     n = len(A)
@@ -584,12 +578,6 @@ def _symmetrizable(A):
             if forward != backward:
                 return False
     return True
-
-
-def _edgeless(n):
-    return validate_cartan(
-        [[2 if i == j else 0 for j in range(n)] for i in range(n)], [f"s{i}" for i in range(n)]
-    )
 
 
 def _assert_walk_keys_match(A, max_length):
@@ -651,11 +639,7 @@ def _in_child(code, argument, timeout):
     argument as JSON in argv[1].  Traced peaks depend on what ran earlier in
     the same process (free lists refill unseen), and timings on the memo
     tables it filled, so a fresh process reads neither."""
-    src = str(Path(equivalence.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code, json.dumps(argument)],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                          text=True, check=True, timeout=timeout)
-    return json.loads(done.stdout)
+    return json.loads(fresh_python(["-c", code, json.dumps(argument)], timeout))
 
 
 class TestWalkKeys:
@@ -721,7 +705,7 @@ class TestWalkKeys:
 
     @pytest.mark.parametrize(
         "A, max_length, joinable, searched",
-        [(_edgeless(12), 12, 0, 0), (star(4), 7, 11, 0), (star(5), 6, 26, 0),
+        [(cartan(12, first=0), 12, 0, 0), (star(4), 7, 11, 0), (star(5), 6, 26, 0),
          (star(6), 7, 57, 0), (A3_AFFINE, 6, 2, 0), (type_a(5), 15, 50, 9)],
         ids=["edgeless12", "star4", "star5", "star6", "A3aff", "A5"],
     )
@@ -787,13 +771,10 @@ class TestWalkKeys:
         # Seconds on a shared 2-vCPU x86-64 host, Python 3.11.7, three runs:
         # isom_classes, then canonical_key on each element.
         [
-            (_edgeless(12), 12, 4_096, 13, 2.0),  # 0.13-0.19 s; 0.29-0.38 s by one search each
+            # edgeless12: 0.13-0.19 s; 0.29-0.38 s by one search each
+            (cartan(12, first=0), 12, 4_096, 13, 2.0),
             (star(6), 7, 7_085, 102, 5.0),  # 0.34-0.46 s; 0.94-1.1 s by one search each
-            (
-                validate_cartan([[2 if i == j else -2 for j in range(4)] for i in range(4)],
-                                [f"s{i}" for i in range(4)]),
-                8, 13_121, 552, 5.0,  # 0.23-0.32 s; 0.46-0.65 s by one search each
-            ),
+            (universal(4), 8, 13_121, 552, 5.0),  # 0.23-0.32 s; 0.46-0.65 s by one search each
         ],
         ids=["edgeless12", "star6", "all-2-rank4"],
     )

@@ -1,9 +1,6 @@
 import json
-import os
 import random
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +9,7 @@ from schubertisom import FreeAlgebraElement, Poly, depends_on, eta, freealg, spe
 from schubertisom.errors import RewriteCapExceededError, UnknownLabelError
 from schubertisom.freealg import ParseError, parse, _violation
 
-from conftest import A2, A3, C3
+from conftest import A2, A3, C3, fresh_python
 
 
 F = lambda i: FreeAlgebraElement.generator("f", i)
@@ -112,10 +109,7 @@ def _eta_in_child(text, timeout):
     """Parse text and take its normal form in a child interpreter, which is
     stopped after timeout seconds: (term count or typed error, seconds to
     parse, seconds in eta), each timed inside the child."""
-    src = str(Path(freealg.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", _ETA_CHILD], input=text, env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, check=True, timeout=timeout)
-    return json.loads(done.stdout)
+    return json.loads(fresh_python(["-c", _ETA_CHILD], timeout, stdin=text))
 
 
 def _power_pair(k, s="1", t="1"):

@@ -8,13 +8,10 @@ pattern avoidance on permutations, and OEIS A032351.
 """
 
 import json
-import os
 import random
 import subprocess
-import sys
 from collections import Counter
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -35,49 +32,24 @@ from schubertisom.equivalence import _constraints
 from schubertisom.errors import NotACoverError
 from schubertisom.weyl import multiply, subword_products
 
-from conftest import A2_AFFINE, B3, B4, D4, D4_AFFINE, G2, random_cartan, random_draw, type_a
-
-
-def _diagram(n, links):
-    """The Cartan matrix of rank n with A[i][j], A[j][i] = a, b for each
-    (i, j, a, b) in links, labels s0 .. s(n-1)."""
-    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j, a, b in links:
-        rows[i][j], rows[j][i] = a, b
-    return validate_cartan(rows, [f"s{i}" for i in range(n)])
-
-
-def _chain(*entries):
-    """A path s0 - s1 - ... with the pairs of entries (a, b) along it."""
-    return _diagram(len(entries) + 1, [(k, k + 1, a, b) for k, (a, b) in enumerate(entries)])
-
-
-SIMPLE = (-1, -1)
-B5, C5 = _chain(SIMPLE, SIMPLE, SIMPLE, (-2, -1)), _chain(SIMPLE, SIMPLE, SIMPLE, (-1, -2))
-B6, C6 = (_chain(SIMPLE, SIMPLE, SIMPLE, SIMPLE, (-2, -1)),
-          _chain(SIMPLE, SIMPLE, SIMPLE, SIMPLE, (-1, -2)))
-D5 = _diagram(5, [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -1, -1), (2, 4, -1, -1)])
-D6 = _diagram(6, [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -1, -1), (3, 4, -1, -1),
-                  (3, 5, -1, -1)])
-F4 = _chain(SIMPLE, (-2, -1), SIMPLE)
-E6 = _diagram(6, [(0, 2, -1, -1), (2, 3, -1, -1), (3, 4, -1, -1), (4, 5, -1, -1),
-                  (1, 3, -1, -1)])
-C2_AFFINE = _chain((-2, -1), (-1, -2))
-G2_AFFINE = _chain(SIMPLE, (-3, -1))
-C4 = validate_cartan([list(column) for column in zip(*B4.entries)], B4.labels)
-A3_AFFINE = _diagram(4, [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -1, -1), (3, 0, -1, -1)])
+from conftest import (A2_AFFINE, A3_AFFINE, B3, B4, C2_AFFINE, D4, D4_AFFINE, G2, G2_AFFINE,
+                      finite_type, fresh_python, random_cartan, random_draw, type_a)
 
 # The degrees of the finite Weyl groups (Humphreys, Reflection Groups and
 # Coxeter Groups, Table 3.1); the affine ones are those of their finite part.
 # B_n and C_n have the degrees 2, 4, ..., 2n, and D_n has 2, 4, ..., 2n - 2
 # and n.  C_n's matrix is B_n's transpose, so the two walk the one double
 # link in both orientations.
-FINITE = {"G2": (G2, (2, 6)), "B4": (B4, (2, 4, 6, 8)), "C4": (C4, (2, 4, 6, 8)),
-          "D4": (D4, (2, 4, 4, 6)), "D5": (D5, (2, 4, 5, 6, 8)),
-          "F4": (F4, (2, 6, 8, 12)), "E6": (E6, (2, 5, 6, 8, 9, 12)),
-          "B5": (B5, (2, 4, 6, 8, 10)), "C5": (C5, (2, 4, 6, 8, 10)),
-          "B6": (B6, (2, 4, 6, 8, 10, 12)), "C6": (C6, (2, 4, 6, 8, 10, 12)),
-          "D6": (D6, (2, 4, 6, 8, 10, 6))}
+FINITE = {"G2": (G2, (2, 6)), "B4": (B4, (2, 4, 6, 8)),
+          "C4": (finite_type("C4"), (2, 4, 6, 8)), "D4": (D4, (2, 4, 4, 6)),
+          "D5": (finite_type("D5", first=0), (2, 4, 5, 6, 8)),
+          "F4": (finite_type("F4", first=0), (2, 6, 8, 12)),
+          "E6": (finite_type("E6", first=0), (2, 5, 6, 8, 9, 12)),
+          "B5": (finite_type("B5", first=0), (2, 4, 6, 8, 10)),
+          "C5": (finite_type("C5", first=0), (2, 4, 6, 8, 10)),
+          "B6": (finite_type("B6", first=0), (2, 4, 6, 8, 10, 12)),
+          "C6": (finite_type("C6", first=0), (2, 4, 6, 8, 10, 12)),
+          "D6": (finite_type("D6", first=0), (2, 4, 6, 8, 10, 6))}
 AFFINE = {"A2aff": (A2_AFFINE, (2, 3)), "C2aff": (C2_AFFINE, (2, 4)),
           "G2aff": (G2_AFFINE, (2, 6)), "A3aff": (A3_AFFINE, (2, 3, 4)),
           "D4aff": (D4_AFFINE, (2, 4, 4, 6))}
@@ -339,8 +311,5 @@ def test_random_factor_stalls(op, n, seed):
     """The key at rank 100 and the decision at rank 300 of seed 1's
     relabelled copy, and the decision at rank 300 of seed 8's, in a child
     process limited to 2 s and 512 MB."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
     original, same, _ = _factors(n, seed)
-    subprocess.run([sys.executable, "-c", _STALL_CHILD], input=json.dumps([op, [original, same]]),
-                   env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-                   check=True, timeout=2)
+    fresh_python(["-c", _STALL_CHILD], 2, stdin=json.dumps([op, [original, same]]))

@@ -18,7 +18,6 @@ from schubertisom import (
     isom_classes,
     reconstruct,
     recover_cartan,
-    validate_cartan,
 )
 from schubertisom.errors import MalformedOracleError, SchubertError
 from schubertisom.reconstruct import descent_sets, reduced_word_sets
@@ -29,6 +28,11 @@ from conftest import (
     A3,
     B2,
     D4,
+    ORACLE_MATRICES,
+    cartan,
+    cycle,
+    hirzebruch,
+    non_symmetrizable_rank_4,
     random_cartan,
     random_word,
     reduced_words,
@@ -36,9 +40,6 @@ from conftest import (
     top_id,
     type_a,
 )
-
-from test_cohomology import hirzebruch
-from test_weyl import ORACLE_MATRICES, _non_symmetrizable_rank_4
 
 
 def _inverse_naming(naming):
@@ -190,13 +191,13 @@ class TestIdentity:
     """X(e, A) is a point for every A: its oracle has one id and no
     generators, and it reconstructs as the rank-1 matrix over that id."""
 
-    @pytest.mark.parametrize("A", [A2, D4, validate_cartan([[2]], ["s1"])], ids=["A2", "D4", "A1"])
+    @pytest.mark.parametrize("A", [A2, D4, type_a(1)], ids=["A2", "D4", "A1"])
     def test_round_trip(self, A):
         e = element_from_word(A, [])
         oracle = export_oracle(e, seed=3)
         assert oracle.generators == ()
         rp = reconstruct(oracle)
-        assert rp.cartan == validate_cartan([[2]], [oracle.unit_id])
+        assert rp.cartan == cartan(1, labels=[oracle.unit_id])
         assert rp.word == ()
         assert rp.free_entries == frozenset()
         assert recover_cartan(oracle) == (rp.cartan, frozenset())
@@ -305,8 +306,7 @@ class TestReconstruct:
             reconstruct(forged)
 
     def test_projective_line(self):
-        A1 = validate_cartan([[2]], ["s1"])
-        w = element_from_word(A1, ["s1"])
+        w = element_from_word(type_a(1), ["s1"])
         rp = reconstruct(export_oracle(w))
         assert rp.cartan.entries == ((2,),)
         assert len(rp.word) == 1
@@ -400,14 +400,9 @@ def _seeded_cases():
     rng = random.Random(7)
     matrices = dict(ORACLE_MATRICES)
     for k in range(4):
-        matrices[f"nonsym_{k}"] = _non_symmetrizable_rank_4(rng)
+        matrices[f"nonsym_{k}"] = non_symmetrizable_rank_4(rng)
     for k in range(4):
-        n = rng.randint(3, 5)
-        matrices[f"affine_{k}"] = validate_cartan(
-            [[2 if i == j else (-1 if (i - j) % n in (1, n - 1) else 0) for j in range(n)]
-             for i in range(n)],
-            [f"s{i}" for i in range(n)],
-        )
+        matrices[f"affine_{k}"] = cycle(rng.randint(3, 5), first=0)
     cases = []
     for name, A in matrices.items():
         for k in range(3):

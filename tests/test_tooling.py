@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import fresh_python
+
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
 WORKER = ROOT / "bench" / "worker.py"
@@ -114,9 +116,7 @@ def test_no_new_module_memo_tables():
 def test_cli_import_builds_no_parser():
     """cli.main builds its parser on first use: the benchmark's workers and
     other importers that never call main do not pay for it."""
-    code = "import schubertisom.cli as cli; assert cli._parser is None"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    fresh_python(["-c", "import schubertisom.cli as cli; assert cli._parser is None"], 60)
 
 
 def test_cli_import_loads_no_dataclasses():
@@ -128,8 +128,25 @@ def test_cli_import_loads_no_dataclasses():
         "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
         "assert not loaded, loaded"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True, timeout=60)
+    fresh_python(["-S", "-c", code], 60)
+
+
+def test_no_test_module_imports_another():
+    """Shared test helpers live in tests/conftest.py: no file under tests/
+    imports a test_* module, whose import would run its module-level code a
+    second time under another name."""
+    offenders = []
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}" for name in names
+                          if name.rpartition(".")[2].startswith("test_")]
+    assert not offenders, offenders
 
 
 # Public names that nothing in src/, the README, the benchmark or the
@@ -410,9 +427,11 @@ CI_CONTROLS = [
      False),
     ("refused-with-traceback",
      "printf 'Traceback (most recent call last):\\n' > err && : > out && refused out err", False),
-    ("type_a", """test "$(type_a 3)" = '{"index_set": ["s1", "s2", "s3"], "matrix": """
-               """[[2, -1, 0], [-1, 2, -1], [0, -1, 2]]}' """
-               """&& test "$(type_a 1 0)" = '{"index_set": ["s0"], "matrix": [[2]]}'""", True),
+    ("matrix", """test "$(matrix A3)" = '{"index_set": ["s1", "s2", "s3"], "matrix": """
+               """[[2, -1, 0], [-1, 2, -1], [0, -1, 2]]}' && test "$(matrix """
+               """'finite_type("A1", first=0)')" = '{"index_set": ["s0"], "matrix": [[2]]}'""",
+     True),
+    ("matrix-unknown", """matrix 'finite_type("Z3")' > z.json""", False),
 ]
 
 
@@ -429,12 +448,14 @@ def test_workflow_checks_live_in_ci_sh():
     """The workflow keeps no inline copy of a check tools/ci.sh defines: no
     exit-status capture, peak-RSS wrapper, json.tool comparison or benchmark
     loop.  Every step that calls a helper sources tools/ci.sh before it, and
-    every helper is called.  Read as text: PyYAML is not a test dependency."""
+    every helper is called; a call is a helper's name and a space, so the
+    job's `matrix:` key is none.  Read as text: PyYAML is not a test
+    dependency."""
     text = WORKFLOW.read_text()
     for idiom in ("status=0", "ru_maxrss", "json.tool", "bench/run.py"):
         assert idiom not in text, idiom
     helpers = re.findall(r"^(\w+)\(\) \{$", CI_SH.read_text(), re.M)
-    call = re.compile(rf"(?:^|run:|&&|;|\|)\s*(?:\w+=\S*\s+)*({'|'.join(helpers)})\b", re.M)
+    call = re.compile(rf"(?:^|run:|&&|;|\|)\s*(?:\w+=\S*\s+)*({'|'.join(helpers)})(?=\s)", re.M)
     called = set()
     for step in re.split(r"^\s*- (?=name:|uses:)", text, flags=re.M):
         calls = [(m.start(), m.group(1)) for m in call.finditer(step)]

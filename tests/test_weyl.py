@@ -46,8 +46,11 @@ from conftest import (
     D4_AFFINE,
     G2,
     H3,
+    ORACLE_MATRICES,
     UNIVERSAL_5,
     UNIVERSAL_5_WORD,
+    cartan,
+    hirzebruch,
     random_cartan,
     random_word,
     bfs_enumerate_elements,
@@ -122,7 +125,7 @@ class TestMultiply:
         gc.collect()
         before = set(weyl._CONTEXTS.keys())
         elements = [
-            element_from_word(validate_cartan([[2, -k - 1], [-1, 2]], ["s1", "s2"]), ["s1", "s2"])
+            element_from_word(hirzebruch(k + 1), ["s1", "s2"])
             for k in range(300)
         ]
         assert len(weyl._CONTEXTS) >= 300
@@ -295,7 +298,7 @@ class TestTwoLetter:
         """s2 s1 in A3 has s1 s2 not below it; read against the edgeless
         matrix over the same labels it would answer True."""
         w = element_from_word(A3, ["s2", "s1"])
-        edgeless = validate_cartan([[2, 0, 0], [0, 2, 0], [0, 0, 2]], ["s1", "s2", "s3"])
+        edgeless = cartan(3)
         assert not two_letter_leq(A3, "s1", "s2", w)
         with pytest.raises(MixedContextsError):
             two_letter_leq(edgeless, "s1", "s2", w)
@@ -315,7 +318,7 @@ class TestTwoLetter:
     def test_equal_letters_match_bruhat(self, rng):
         """s s = e lies below every w, whatever the word: over A2 with labels
         a, b, both a b and a b a hold a a."""
-        ab = validate_cartan([[2, -1], [-1, 2]], ["a", "b"])
+        ab = validate_cartan(A2.entries, ["a", "b"])
         for word in (["a", "b"], ["a", "b", "a"]):
             assert two_letter_leq(ab, "a", "a", element_from_word(ab, word))
         for _ in range(30):
@@ -918,30 +921,6 @@ def matrix_inversion_set(A, word):
         roots.add(_matvec(prefix.mat, simple_root(A, s)))
         prefix = prefix * MatrixElement.generator(A, s)
     return roots
-
-
-def _non_symmetrizable_rank_4(rng):
-    """A random rank-4 matrix with a triangle whose cycle products differ,
-    which rules out a symmetrization."""
-    labels = ["s1", "s2", "s3", "s4"]
-    while True:
-        e = [[2 if i == j else -rng.randint(1, 3) for j in range(4)] for i in range(4)]
-        if any(
-            e[i][j] * e[j][k] * e[k][i] != e[j][i] * e[k][j] * e[i][k]
-            for i, j, k in itertools.combinations(range(4), 3)
-        ):
-            return validate_cartan(e, labels)
-
-
-ORACLE_MATRICES = {
-    "A4": type_a(4),
-    "B4": B4,
-    "D4": D4,
-    "G2": G2,
-    "A2aff": A2_AFFINE,
-    "A1aff": A1_AFFINE,
-    **{f"nonsym4_{k}": _non_symmetrizable_rank_4(random.Random(k)) for k in range(3)},
-}
 
 
 class TestAgainstMatrixOracle:

@@ -4,6 +4,7 @@
 # the step.  Files go to $RUNNER_TEMP.  Failure notes go to the step's own
 # stderr (fd 9), even when a check's caller redirects stderr to a file.
 exec 9>&2
+ci_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 # exits CODE CMD...: CMD exits with status CODE.
 exits() {
@@ -42,10 +43,11 @@ rebuilt() {
     grep -q '"equivalent": true' "$out-equiv.out"
 }
 
-# type_a N [FIRST]: print the Cartan matrix JSON of type A_N over the labels
-# sFIRST, sFIRST+1, ... (FIRST defaults to 1).
-type_a() {
-  python -c 'import json, sys; n, k = map(int, sys.argv[1:]); print(json.dumps({"index_set": [f"s{i + k}" for i in range(n)], "matrix": [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]}))' "$1" "${2:-1}"
+# matrix EXPR: print the JSON of a Cartan matrix from the test catalogue in
+# tests/conftest.py, such as `matrix 'star(6)'` or `matrix B4`.  The
+# repository is found from this file, so a step may run anywhere.
+matrix() {
+  python -c 'import json, sys; sys.path[:0] = sys.argv[2:]; import conftest; print(json.dumps(eval(sys.argv[1], vars(conftest)).to_json()))' "$1" "$ci_root/tests" "$ci_root/src"
 }
 
 # bench_smoke TRACE: each benchmark workload runs for 3 s with --trace TRACE
