@@ -5,14 +5,16 @@ reduced word of w letterwise to a reduced word of w' and matches the Cartan
 entries A[s][t] for every pair with st <= w.  Any reduced word works, so the
 decision procedure searches bijections of supports rather than reduced
 words: `check_equivalence` hands the constrained pairs with nonzero entries
-of both sides to `cartan.search_injections`.  Classes are found without any
-search: `canonical_key` is a complete invariant, so `isom_classes` groups
-elements by it.
+of both sides to `cartan.search_injections`.  Classes are found without
+pairwise checks: `canonical_key` is a complete invariant, so `isom_classes`
+groups elements by it.
 """
 
 from bisect import bisect_left
+from itertools import islice
+from operator import itemgetter
 
-from .cartan import _FrozenRecord, search_injections, submatrix
+from .cartan import AUTOMORPHISM_CAP, _FrozenRecord, search_injections, submatrix
 from .errors import InvalidIndexSetError, InvalidWitnessError
 from . import weyl
 from .weyl import WeylElement, _apply, element_from_word, support
@@ -293,6 +295,26 @@ def _extend(ctx, x, u, previous, shared, intern):
     return best + (symbol,), tuple(namings), tuple(tables)
 
 
+def _symmetry(entries):
+    """sigma^-1 as a list for the diagram automorphism sigma that follows the
+    identity in `search_injections`, or None; searched up to AUTOMORPHISM_CAP
+    when two labels share (sorted row, sorted column), which sigma keeps."""
+    n = len(entries)
+    profiles = {(*sorted(row), *sorted(col)) for row, col in zip(entries, zip(*entries))}
+    if n <= AUTOMORPHISM_CAP and len(profiles) < n:
+        graph = range(n), {(i, j): a for i, r in enumerate(entries) for j, a in enumerate(r) if a}
+        sigma = next(islice(search_injections(graph, graph), 1, None), None)
+        return sigma and sorted(sigma, key=sigma.get)
+    return None
+
+
+def _transport(current, x, y, inverse):
+    """Store in `current` the data of the element with vector x from that of
+    its image y under sigma, each naming mapped by sigma^-1 (`inverse`)."""
+    m, namings, tables = current[y]
+    current[x] = m, tuple([tuple(map(inverse.__getitem__, n)) for n in namings]), tables
+
+
 def _keys(elements, parents):
     """`canonical_key` of each of `elements`, which must be all of W up to
     some length in (length, ShortLex) order, with the position of each
@@ -322,8 +344,8 @@ def _keys(elements, parents):
     y != s with a nonzero entry; E(u, n_u) is reused when its row s is that
     long.  A new s joins no other row, being below no reach[x], so its row,
     the last, is appended.  Every other entry is E(u, n_u)'s, already
-    interned.  Entry tuples are stored once per
-    length, so the k! namings of commuting letters share a few tuples.
+    interned.  Entry tuples are stored once per length, so the k! namings
+    of commuting letters share a few tuples.
 
     A disconnected v takes (length, sorted factor keys), as `canonical_key`
     does.  The factor on a component is a connected element of the walk,
@@ -332,13 +354,18 @@ def _keys(elements, parents):
     the factor.  So the factor is found by bisection among the elements of
     its length.  The recurrence never uses connectivity, and a disconnected
     v below the last length gets its M, N and entries by it too when some
-    letter j outside its support has a neighbour in every component.  Those are exactly the
-    disconnected u = s_j v' below a connected v' one longer, the only ones
-    whose namings a connected element reads, so no other disconnected
-    element builds namings (k commuting letters have k! of them): none on
-    an edgeless diagram, where no letter joins.  A predecessor that is
-    itself disconnected and joined by no letter has no data; only there
+    letter j outside its support has a neighbour in every component.  Those
+    are exactly the disconnected u = s_j v' below a connected v' one
+    longer, the only ones whose namings a connected element reads, so no
+    other disconnected element builds namings (k commuting letters have k!
+    of them): none on an edgeless diagram, where no letter joins.  Only a
+    disconnected predecessor joined by no letter lacks data, and only there
     does `_extend` fall back to the search `canonical_key` runs.
+
+    A diagram automorphism sigma (`_symmetry`) sends Red(v) onto Red(sigma v)
+    letterwise, keeping every entry.  So if sigma v was keyed earlier at v's
+    length (`seen`), v reuses its key and, below the last length, its data
+    with each naming mapped by sigma^-1 (`_transport`), skipping `_extend`.
 
     Supports are bitmasks, each the parent's plus the least left descent,
     and each support's components are computed once and shared.
@@ -371,10 +398,17 @@ def _keys(elements, parents):
     intern = interned.setdefault
     current = {rho: ((), ((),), ((),))}
     last = len(starts) - 2
+    inverse = _symmetry(entries)
+    image = inverse and itemgetter(*inverse)  # y[sigma(j)] = x[j]
     for length in range(1, last + 1):
-        previous, current, shared = current, {}, {}
+        previous, current, shared, seen = current, {}, {}, {}
         for p in range(starts[length], starts[length + 1]):
             x = elements[p].rho
+            if image and (key := seen.get(y := image(x))) is not None:
+                if y in current:
+                    _transport(current, x, y, inverse)
+                keys.append(seen.setdefault(x, key))
+                continue
             components, joined = parts[p]
             if len(components) == 1 or joined and length < last:
                 data = _extend(ctx, x, elements[parents[p]].rho, previous, shared, intern)
@@ -392,19 +426,20 @@ def _keys(elements, parents):
                     factors.append(keys[q][1][0])
                 key = length, tuple(sorted(factors))
             keys.append(intern(key, key))
+            if image:
+                seen[x] = keys[-1]
     return keys
 
 
 def isom_classes(A, max_length, max_elements=weyl.DEFAULT_ELEMENT_CAP):
     """Partition {w : length(w) <= max_length} into Cartan equivalence classes.
 
-    Elements are grouped by `canonical_key`, one key per element and no
-    pairwise checks.  `_keys` computes all of them in one pass over the
-    walk, each key's word and entries from one a length shorter.  Equal
-    keys are one object there, so they are grouped by identity, without
-    hashing a key again.  Elements come in (length, ShortLex) order and a
-    dict keeps its insertion order, so members come out in that order and
-    classes come out sorted by their least member.
+    Elements are grouped by `canonical_key`, with no pairwise checks.  `_keys`
+    computes every key in one pass over the walk, each from the keys one
+    length shorter or from the key of its image under a diagram automorphism,
+    and equal keys are one object there, grouped by identity.  Elements come
+    in (length, ShortLex) order and a dict keeps its insertion order, so
+    members come out in that order and classes by their least member.
     """
     elements, parents = weyl._walk(weyl._context(A), max_length, max_elements)
     if not elements:  # max_length < 0

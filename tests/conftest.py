@@ -1,6 +1,7 @@
 """Shared matrices, random generators, brute-force oracles, and a runner for
 code that needs a fresh interpreter."""
 
+import importlib
 import os
 import random
 import subprocess
@@ -96,6 +97,9 @@ G2_AFFINE = cartan(3, [(0, 1, -1, -1), (1, 2, -3, -1)], first=0)
 D4_AFFINE = cartan(5, [(0, i, -1, -1) for i in range(1, 5)], first=0)
 # Hyperbolic and not symmetrizable: the two cycle products -4 and -1 differ.
 H3 = cartan(3, [(0, 1, -2, -1), (0, 2, -1, -2), (1, 2, -1, -1)])
+# Rows [2,-1,-2], [-2,2,-1], [-1,-2,2]: its only diagram automorphisms are the
+# rotations s1 -> s2 -> s3 -> s1 and back, which are not involutions.
+ORIENTED_3_CYCLE = cartan(3, [(0, 1, -1, -2), (1, 2, -1, -2), (2, 0, -1, -2)])
 
 # The word s0 s1 s2 s3 s4 repeated four times is reduced, of length 20, and
 # has 612,256 elements below it.
@@ -127,14 +131,26 @@ ORACLE_MATRICES = {
 }
 
 
-def fresh_python(argv, timeout, stdin=None):
+def fresh_python(argv, timeout, stdin=None, env=None):
     """The stdout of `python *argv` in a fresh interpreter with src/ on its
     path, stopped after timeout seconds; a nonzero exit raises
-    CalledProcessError, and the child's stderr goes to the test's own."""
+    CalledProcessError, and the child's stderr goes to the test's own.  The
+    child's environment is this process's, or `env`, with PYTHONPATH set;
+    stdin and stdout are UTF-8 text."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     return subprocess.run([sys.executable, *argv], input=stdin, stdout=subprocess.PIPE,
-                          env=dict(os.environ, PYTHONPATH=src), text=True, check=True,
-                          timeout=timeout).stdout
+                          env=dict(os.environ if env is None else env, PYTHONPATH=src),
+                          encoding="utf-8", check=True, timeout=timeout).stdout
+
+
+def bench_workloads():
+    """The module bench/workloads.py, which holds the benchmark's inputs."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
 
 
 def random_cartan(rng, max_rank=4, min_entry=-3):

@@ -6,7 +6,6 @@ import io
 import json
 import os
 import shlex
-import subprocess
 import sys
 import tempfile
 import time
@@ -15,7 +14,6 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import schubertisom
 from schubertisom import (
     CartanMatrix, chevalley_product, element_from_word, enumerate_elements, export_oracle,
     interval,
@@ -24,8 +22,8 @@ from schubertisom import cli, freealg
 from schubertisom.cli import main
 
 from conftest import (
-    A2, A2_AFFINE, A3, B2, B3, B4, C3, D4, D4_AFFINE, G2, UNIVERSAL_5, UNIVERSAL_5_WORD,
-    type_a,
+    A2, A2_AFFINE, A3, B2, B3, B4, C3, D4, D4_AFFINE, G2, ORIENTED_3_CYCLE, UNIVERSAL_5,
+    UNIVERSAL_5_WORD, fresh_python, type_a,
 )
 
 # Non-symmetric matrices whose labels are not listed in sorted order, so
@@ -545,6 +543,16 @@ PINNED_CLASS_OUTPUTS = [
     pytest.param(A2_AFFINE, "6", "table",
                  "3bff8fa6252813beb17eea3bc3af942c3db65db13653a8ef7803994039f2ef80",
                  id="A2-affine-table"),
+    # Recorded before `_keys` handed keys across a diagram automorphism.
+    pytest.param(type_a(5), "15", "json",
+                 "39bf550ad2bd44c8ea8ae797582be60f1ce96864f0c87bf207386a69c77168ab",
+                 id="A5-json"),
+    pytest.param(D4, "12", "json",
+                 "989c5beedf16eeca7c382a754c81d41a72551e5fcf6e243ec733783ee67fd4bc",
+                 id="D4-json"),
+    pytest.param(ORIENTED_3_CYCLE, "8", "json",
+                 "df694f52e2612f848ed566508a67f63021a3b09ec22bed2c1211e13fd0e4b756",
+                 id="oriented-3-cycle-json"),
 ]
 
 
@@ -648,15 +656,9 @@ class TestOracleRoundTrip:
 
     def test_stdout_independent_of_hash_seed(self, a3_file):
         """The oracle's bytes do not depend on str hashing."""
-        src = str(Path(schubertisom.__file__).resolve().parents[1])
-        argv = [sys.executable, "-m", "schubertisom.cli", "--seed", "5",
-                "export-oracle", a3_file, "s1 s2 s3"]
-        outs = []
-        for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-            done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True,
-                                  timeout=60)
-            outs.append(done.stdout)
+        argv = ["-m", "schubertisom.cli", "--seed", "5", "export-oracle", a3_file, "s1 s2 s3"]
+        outs = [fresh_python(argv, 60, env=dict(os.environ, PYTHONHASHSEED=hash_seed))
+                for hash_seed in ("1", "2")]
         assert outs[0] and outs[0] == outs[1]
 
 
@@ -985,20 +987,17 @@ def greek_file(tmp_path):
 def ascii_locale_env():
     """The environment of a child whose locale encoding is ASCII, so that
     only the CLI's own choice of codec decides how it reads and writes."""
-    src = str(Path(schubertisom.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
     env.pop("PYTHONIOENCODING", None)
     probe = "import codecs, locale; print(codecs.lookup(locale.getpreferredencoding(False)).name)"
-    encoding = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, check=True, timeout=60).stdout.strip()
-    if encoding == "utf-8":
+    if fresh_python(["-c", probe], 60, env=env).strip() == "utf-8":
         pytest.skip("the C locale's encoding is UTF-8 here")
     return env
 
 
 def _cli_process(env, *argv):
-    return subprocess.run([sys.executable, "-m", "schubertisom.cli", *argv], env=env,
-                          capture_output=True, timeout=60)
+    """The CLI's stdout in a child with environment `env`; it must exit 0."""
+    return fresh_python(["-m", "schubertisom.cli", *argv], 60, env=env)
 
 
 class TestTextBoundary:
@@ -1007,19 +1006,17 @@ class TestTextBoundary:
     is an error, not a traceback."""
 
     def test_input_file_is_utf8_under_an_ascii_locale(self, ascii_locale_env, greek_file):
-        done = _cli_process(ascii_locale_env, "validate", greek_file)
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout)["cartan"]["index_set"] == ["α", "β"]
+        out = _cli_process(ascii_locale_env, "validate", greek_file)
+        assert json.loads(out)["cartan"]["index_set"] == ["α", "β"]
 
     def test_output_file_is_utf8_under_an_ascii_locale(self, ascii_locale_env, greek_file,
                                                        tmp_path):
         dest = tmp_path / "out.txt"
         argv = ["--format", "table", "validate", greek_file]
-        done = _cli_process(ascii_locale_env, "--output", str(dest), *argv)
-        assert (done.returncode, done.stdout) == (0, b""), done.stderr
+        assert _cli_process(ascii_locale_env, "--output", str(dest), *argv) == ""
         utf8 = _cli_process(dict(ascii_locale_env, PYTHONUTF8="1"), *argv)
-        assert utf8.returncode == 0 and "α".encode() in utf8.stdout
-        assert dest.read_bytes() == utf8.stdout
+        assert "α" in utf8
+        assert dest.read_bytes() == utf8.encode()
 
     def test_unencodable_stdout_exits_2(self, capsys, monkeypatch, greek_file):
         raw = io.BytesIO()

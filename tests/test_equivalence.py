@@ -41,8 +41,12 @@ from conftest import (
     D4,
     G2,
     H3,
+    ORIENTED_3_CYCLE,
+    bench_workloads,
     brute_force_key,
     cartan,
+    cycle,
+    finite_type,
     fresh_python,
     pairwise_isom_classes,
     random_cartan,
@@ -704,53 +708,71 @@ class TestWalkKeys:
         assert checked > 1_000
 
     @pytest.mark.parametrize(
-        "A, max_length, joinable, searched",
-        [(cartan(12, first=0), 12, 0, 0), (star(4), 7, 11, 0), (star(5), 6, 26, 0),
-         (star(6), 7, 57, 0), (A3_AFFINE, 6, 2, 0), (type_a(5), 15, 50, 9)],
+        "A, max_length, joinable, moved, searched",
+        [(cartan(12, first=0), 12, 0, 0, 0), (star(4), 7, 11, 3, 0), (star(5), 6, 26, 7, 0),
+         (star(6), 7, 57, 15, 0), (A3_AFFINE, 6, 2, 0, 0), (type_a(5), 15, 50, 23, 6)],
         ids=["edgeless12", "star4", "star5", "star6", "A3aff", "A5"],
     )
     def test_searches_only_disconnected_predecessors(
-            self, monkeypatch, A, max_length, joinable, searched):
+            self, monkeypatch, A, max_length, joinable, moved, searched):
         """The k! guard, by structure.  A disconnected u builds namings only
         when a connected v = s_j u one longer reads them (`expected`: some
         letter outside u's support joins its components), by the recurrence
-        (`_extend`), or when such a u lacks them for a predecessor, by the
-        search (`_least_word`), once each.  On the star with k leaves there
-        are 2^k - k - 1 such u, on the 4-cycle s0 s2 and s1 s3, and neither
-        needs a search; on an edgeless diagram no letter joins."""
+        (`_extend`) or by transport from its image under a diagram
+        automorphism (`_transport`), never both, or when an element that
+        `_extend` runs on lacks them for a predecessor, by the search
+        (`_least_word`), once each.  On the star with k leaves there are
+        2^k - k - 1 such u, on the 4-cycle s0 s2 and s1 s3, and neither needs
+        a search; on an edgeless diagram no letter joins.  On A5, transport
+        takes the search count from 9 to 6."""
         elements, parents = walk(A, max_length)
+
+        def predecessors(v):
+            return (multiply(element_from_word(A, [s]), v) for s in v.left_descents())
+
         expected = {
             u
             for v in elements if len(_factors(v)) == 1
-            for u in (multiply(element_from_word(A, [s]), v) for s in v.left_descents())
+            for u in predecessors(v)
             if len(_factors(u)) > 1
         }
         assert len(expected) == joinable
-        lacking = {
-            u
-            for v in expected
-            for u in (multiply(element_from_word(A, [s]), v) for s in v.left_descents())
-            if len(_factors(u)) > 1 and u not in expected
-        }
         by_vector = {w.rho: w for w in elements}
-        calls, extended = [], []
+        calls, extended, transported = [], [], []
         least_word, extend = equivalence._least_word, equivalence._extend
+        transport = equivalence._transport
         monkeypatch.setattr(equivalence, "_least_word",
                             lambda w, letters: calls.append(w) or least_word(w, letters))
         monkeypatch.setattr(equivalence, "_extend",
                             lambda ctx, x, *rest: extended.append(by_vector[x])
                             or extend(ctx, x, *rest))
+        monkeypatch.setattr(equivalence, "_transport",
+                            lambda current, x, *rest: transported.append(by_vector[x])
+                            or transport(current, x, *rest))
         equivalence._keys(elements, parents)
+        assert len(extended) == len(set(extended))
+        assert len(transported) == len(set(transported))
+        by_extend = {v for v in extended if len(_factors(v)) > 1}
+        by_transport = {v for v in transported if len(_factors(v)) > 1}
+        assert len(by_transport) == moved
+        assert not by_extend & by_transport
+        assert by_extend | by_transport == expected
+        lacking = {
+            u
+            for v in extended
+            for u in predecessors(v)
+            if len(_factors(u)) > 1 and u not in expected
+        }
         assert len(calls) == len(set(calls)) == searched
         assert set(calls) == lacking
-        assert {v for v in extended if len(_factors(v)) > 1} == expected
 
     @pytest.mark.parametrize(
-        "A, max_length, searches", [(type_a(6), 21, 61), (star(6), 7, 0)], ids=["A6", "star6"]
+        "A, max_length, searches", [(type_a(6), 21, 41), (star(6), 7, 0)], ids=["A6", "star6"]
     )
     def test_search_count(self, monkeypatch, A, max_length, searches):
         """`isom_classes` searches only where the recurrence left a
-        predecessor without data: 61 times on all of A6 and never on the
+        predecessor without data: 41 times on all of A6 (61 before keys
+        were handed across a diagram automorphism) and never on the
         six-leaf star, against 312 and 57 when every disconnected
         predecessor of a connected element was searched."""
         calls, least_word = [], equivalence._least_word
@@ -833,6 +855,67 @@ class TestWalkKeys:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# (matrix, length bound) pairs with and without a diagram automorphism: on
+# the oriented 3-cycle it has order 3, so sigma and sigma^-1 differ; D4's
+# group is S3; H3 has none.
+TRANSPORT_CASES = {
+    "A5": (type_a(5), 15),
+    "D4": (D4, 12),
+    "E6": (finite_type("E6"), 8),
+    "A4aff": (cycle(5), 8),
+    "H3": (H3, 8),
+    "star5": (star(5), 7),
+    "oriented3": (ORIENTED_3_CYCLE, 9),
+}
+
+
+class TestTransport:
+    """`_keys` keys one element v of each pair {v, sigma(v)} for one diagram
+    automorphism sigma, and hands the key and the data mapped by sigma^-1 to
+    the other (`_symmetry`, `_transport`)."""
+
+    @pytest.mark.parametrize("name", TRANSPORT_CASES)
+    def test_matches_canonical_key(self, name):
+        _assert_walk_keys_match(*TRANSPORT_CASES[name])
+
+    @pytest.mark.parametrize("name", TRANSPORT_CASES)
+    def test_symmetry_is_a_diagram_automorphism(self, name):
+        A = TRANSPORT_CASES[name][0]
+        inverse = equivalence._symmetry(A.entries)
+        autos = diagram_automorphisms(A)
+        if inverse is None:
+            assert name == "H3" and len(autos) == 1
+        else:
+            labels = A.labels
+            sigma = {labels[inverse[k]]: labels[k] for k in range(len(labels))}
+            assert sigma in autos[1:]
+
+    def test_no_lookup_above_the_cap(self, monkeypatch):
+        """Rank 13, above AUTOMORPHISM_CAP, keys every element itself: no
+        search runs and nothing is refused, though the cycle has 26
+        automorphisms."""
+        calls, search = [], equivalence.search_injections
+        monkeypatch.setattr(equivalence, "search_injections",
+                            lambda *graphs: calls.append(1) or search(*graphs))
+        found = isom_classes(cycle(13), 3)
+        assert (sum(map(len, found)), len(found)) == (560, 10)
+        assert calls == []
+
+    def test_no_search_without_repeated_profiles(self, monkeypatch):
+        """Of the benchmark's `classes` inputs, B4 and the random rank-4 R1
+        and R2 have no two labels with the same sorted row and column, so
+        they skip the search; the others search once each."""
+        calls, search = [], equivalence.search_injections
+        monkeypatch.setattr(equivalence, "search_injections",
+                            lambda *graphs: calls.append(1) or search(*graphs))
+        searches = {}
+        for name, (labels, rows), bound in bench_workloads().classes_inputs(1):
+            calls.clear()
+            isom_classes(validate_cartan(rows, labels), bound)
+            searches[name] = len(calls)
+        assert searches == {"A3": 1, "A4": 1, "A5": 1, "B4": 0, "A2aff": 1, "R1": 0, "R2": 0}
 
 
 class TestIsomClassBound:

@@ -6,11 +6,8 @@ definitions state them, and `search_injections` must yield the same maps in
 the same order on both.
 """
 
-import importlib
 import math
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -28,9 +25,10 @@ from schubertisom import equivalence
 from schubertisom.cartan import search_injections
 from schubertisom.weyl import enumerate_elements
 
-from conftest import A2_AFFINE, B4, G2, H3, random_cartan, random_word, relabeled, star, type_a, walk
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+from conftest import (
+    A2_AFFINE, B4, G2, H3, bench_workloads, random_cartan, random_word, relabeled, star, type_a,
+    walk,
+)
 
 
 def dense_constraints(w):
@@ -120,11 +118,7 @@ def test_same_stream_on_stars(k, max_length):
 def _bench_automorphism_table():
     """(name, graph, count, labels, rows) for each row of the automorphism
     table of bench/workloads.py."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.path.remove(str(BENCH))
+    workloads = bench_workloads()
     return [(name, graph, count, *workloads.LIBRARY[name])
             for name, graph, count in workloads.AUTOMORPHISMS]
 
