@@ -75,6 +75,13 @@ def star(k):
     return cartan(k + 1, [(i, k, -1, -1) for i in range(k)], [f"l{i}" for i in range(k)] + ["c"])
 
 
+def spider(k):
+    """A centre c joined to k arms o_j - i_j - c by entries -1, labels the
+    outer letters o0 ... o(k-1), then the inner ones i0 ... i(k-1), then c."""
+    links = [(j, k + j, -1, -1) for j in range(k)] + [(k + j, 2 * k, -1, -1) for j in range(k)]
+    return cartan(2 * k + 1, links, [f"{x}{j}" for x in "oi" for j in range(k)] + ["c"])
+
+
 def universal(n):
     """Rank n with every m_st infinite: each entry off the diagonal is -2,
     labels s0 ... s(n-1)."""
@@ -200,6 +207,32 @@ def random_draw(n, seed):
     perm = list(range(n))
     rng.shuffle(perm)
     return rows, word, perm
+
+
+def permutation(n, word):
+    """The one-line notation of the product of the adjacent transpositions
+    s_k = (k-1 k) of `word` in S_n, built without the package."""
+    perm = list(range(n))
+    for label in word:
+        k = int(label[1:])
+        perm[k - 1], perm[k] = perm[k], perm[k - 1]
+    return perm
+
+
+def contains(perm, pattern):
+    """Whether the permutation perm contains the length-4 pattern."""
+    return any(
+        all((perm[p[a]] < perm[p[b]]) == (pattern[a] < pattern[b])
+            for a, b in combinations(range(4), 2))
+        for p in combinations(range(len(perm)), 4)
+    )
+
+
+def type_a_smooth(n, w):
+    """Lakshmibai-Sandhya: X(w) in type A_(n-1) is smooth exactly when w
+    avoids 3412 and 4231."""
+    perm = permutation(n, w.canonical_word)
+    return not contains(perm, (3, 4, 1, 2)) and not contains(perm, (4, 2, 3, 1))
 
 
 def brute_force_graph_automorphisms(G):

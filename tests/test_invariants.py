@@ -11,7 +11,6 @@ import json
 import random
 import subprocess
 from collections import Counter
-from itertools import combinations
 
 import pytest
 
@@ -32,8 +31,9 @@ from schubertisom.equivalence import _constraints
 from schubertisom.errors import NotACoverError
 from schubertisom.weyl import multiply, subword_products
 
-from conftest import (A2_AFFINE, A3_AFFINE, B3, B4, C2_AFFINE, D4, D4_AFFINE, G2, G2_AFFINE,
-                      finite_type, fresh_python, random_cartan, random_draw, type_a)
+from conftest import (A2_AFFINE, A3_AFFINE, B3, B4, C2_AFFINE, D4, D4_AFFINE, G2, G2_AFFINE, cartan,
+                      finite_type, fresh_python, random_cartan, random_draw, spider, star, type_a,
+                      type_a_smooth)
 
 # The degrees of the finite Weyl groups (Humphreys, Reflection Groups and
 # Coxeter Groups, Table 3.1); the affine ones are those of their finite part.
@@ -106,31 +106,6 @@ def _rank_sizes(w):
     return tuple(counts[k] for k in range(w.length + 1))
 
 
-def _permutation(n, word):
-    """The one-line notation of the product of the adjacent transpositions
-    s_k = (k-1 k) of `word` in S_n, built without the package."""
-    perm = list(range(n))
-    for label in word:
-        k = int(label[1:])
-        perm[k - 1], perm[k] = perm[k], perm[k - 1]
-    return perm
-
-
-def _contains(perm, pattern):
-    return any(
-        all((perm[p[a]] < perm[p[b]]) == (pattern[a] < pattern[b])
-            for a, b in combinations(range(4), 2))
-        for p in combinations(range(len(perm)), 4)
-    )
-
-
-def _smooth(n, w):
-    """Lakshmibai-Sandhya: X(w) in type A is smooth exactly when w avoids
-    3412 and 4231."""
-    perm = _permutation(n, w.canonical_word)
-    return not _contains(perm, (3, 4, 1, 2)) and not _contains(perm, (4, 2, 3, 1))
-
-
 BETTI = {"A3": (type_a(3), 6, 12), "A4": (type_a(4), 10, 37), "A5": (type_a(5), 15, 140),
          "B3": (B3, 9, 30), "D4": (D4, 12, 29), "G2": (G2, 6, 11), "A2aff": (A2_AFFINE, 6, 8)}
 SMOOTH_COUNTS = {"A3": 22, "A4": 88, "A5": 366}  # OEIS A032351
@@ -152,17 +127,18 @@ def test_classes_share_betti_numbers(name):
     assert sum(s == s[::-1] for s in sizes) == palindromic
     if name in SMOOTH_COUNTS:
         n = len(A) + 1
-        smooth = [{_smooth(n, w) for w in members} for members in classes]
+        smooth = [{type_a_smooth(n, w) for w in members} for members in classes]
         assert all(len(found) == 1 for found in smooth)
         assert [found == {True} for found in smooth] == [s == s[::-1] for s in sizes]
-        assert sum(_smooth(n, w) for members in classes for w in members) == SMOOTH_COUNTS[name]
+        smooth_count = sum(type_a_smooth(n, w) for members in classes for w in members)
+        assert smooth_count == SMOOTH_COUNTS[name]
 
 
 def test_a6_smoothness_is_a_class_invariant():
     """All of A6: smoothness by pattern avoidance is constant on each of the
     2,114 classes, and 1,552 elements are smooth (OEIS A032351)."""
     classes = isom_classes(type_a(6), 21)
-    smooth = [{_smooth(7, w) for w in members} for members in classes]
+    smooth = [{type_a_smooth(7, w) for w in members} for members in classes]
     assert all(len(found) == 1 for found in smooth)
     assert sum(len(members) for members, found in zip(classes, smooth) if True in found) == 1552
 
@@ -313,3 +289,42 @@ def test_random_factor_stalls(op, n, seed):
     process limited to 2 s and 512 MB."""
     original, same, _ = _factors(n, seed)
     fresh_python(["-c", _STALL_CHILD], 2, stdin=json.dumps([op, [original, same]]))
+
+
+_COST_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from schubertisom import CartanMatrix, canonical_key, diagram_automorphisms, element_from_word
+from schubertisom.errors import SchubertError
+op, data = json.load(sys.stdin)
+A = CartanMatrix.from_json(data)
+try:
+    if op == "key":
+        canonical_key(element_from_word(A, A.labels))
+    else:
+        diagram_automorphisms(A)
+except SchubertError:  # a typed refusal, such as a work budget's, is an answer
+    pass
+"""
+
+
+def _stalls(reason):
+    return pytest.mark.xfail(strict=True, reason=reason,
+                             raises=(subprocess.TimeoutExpired, subprocess.CalledProcessError))
+
+
+@pytest.mark.parametrize("op, A", [
+    pytest.param("key", star(12), id="star-12-key",
+                 marks=_stalls("ROADMAP item 4a: the key keeps every word-tied naming")),
+    pytest.param("key", spider(8), id="spider-8-key",
+                 marks=_stalls("ROADMAP item 4c: an arm swap is no transposition of letters")),
+    pytest.param("automorphisms", cartan(12, first=0), id="edgeless-12-automorphisms",
+                 marks=_stalls("ROADMAP item 5: the listing holds all 12! maps")),
+])
+def test_symmetric_input_stalls(op, A):
+    """The cost gates of ROADMAP items 4 and 5, in a child process limited
+    to 2 s and 512 MB: `canonical_key` of the word of every label in order on
+    the star with 12 leaves (l0 ... l11 c) and on the spider with 8 arms
+    (outer letters, inner letters, c), and `diagram_automorphisms` of the
+    edgeless rank-12 matrix.  A `SchubertError` counts as finishing."""
+    fresh_python(["-c", _COST_CHILD], 2, stdin=json.dumps([op, A.to_json()]))

@@ -402,10 +402,18 @@ WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 def _ci(script, tmp_path):
     """The exit status of script run under `bash -eo pipefail`, as a CI step
-    runs, after sourcing tools/ci.sh; `python` is this interpreter."""
-    path = os.pathsep.join([str(Path(sys.executable).parent), os.environ.get("PATH", "")])
+    runs, after sourcing tools/ci.sh; `python` is this interpreter, and
+    `schubertisom` is README's shim, which runs this checkout's package."""
+    shim = tmp_path / "bin" / "schubertisom"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m schubertisom.cli "$@"\n')
+    shim.chmod(0o755)
+    path = os.pathsep.join([str(shim.parent), str(Path(sys.executable).parent),
+                            os.environ.get("PATH", "")])
+    src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(["bash", "-eo", "pipefail", "-c", f'. "{CI_SH}"\n{script}'],
-                          cwd=tmp_path, env=dict(os.environ, PATH=path, RUNNER_TEMP=str(tmp_path)),
+                          cwd=tmp_path, env=dict(os.environ, PATH=path, PYTHONPATH=src,
+                                                 RUNNER_TEMP=str(tmp_path)),
                           capture_output=True, text=True, timeout=60)
     return done.returncode
 
@@ -422,16 +430,25 @@ CI_CONTROLS = [
      "sort_keys=True))' > x.json && canonical x.json", True),
     ("canonical-reindented", "python -c 'import json; print(json.dumps({\"b\": [1], \"a\": 2}, "
      "indent=4, sort_keys=True))' > x.json && canonical x.json", False),
-    ("refused", "printf 'error: bad\\n' > err && : > out && refused out err", True),
-    ("refused-with-stdout", "printf 'error: bad\\n' > err && echo 1 > out && refused out err",
+    ("refuses", "refuses '^error: bad$' bash -c 'echo error: bad >&2; exit 2'", True),
+    ("refuses-on-0", "refuses '^error: bad$' bash -c 'echo error: bad >&2'", False),
+    ("refuses-with-stdout", "refuses '^error: bad$' bash -c 'echo 1; echo error: bad >&2; exit 2'",
      False),
-    ("refused-with-traceback",
-     "printf 'Traceback (most recent call last):\\n' > err && : > out && refused out err", False),
+    ("refuses-with-traceback", "refuses '^error: bad$' bash -c "
+     "'printf \"Traceback (most recent call last):\\nerror: bad\\n\" >&2; exit 2'", False),
+    ("refuses-other-message", "refuses '^error: bad$' bash -c 'echo error: worse >&2; exit 2'",
+     False),
+    ("field", """echo '{"count": 14, "valid": true}' > x.json && field x.json count 14 && """
+              """field x.json valid true""", True),
+    ("field-146", """echo '{"count": 146}' > x.json && field x.json count 14""", False),
+    ("field-1-for-true", """echo '{"valid": 1}' > x.json && field x.json valid true""", False),
     ("matrix", """test "$(matrix A3)" = '{"index_set": ["s1", "s2", "s3"], "matrix": """
                """[[2, -1, 0], [-1, 2, -1], [0, -1, 2]]}' && test "$(matrix """
                """'finite_type("A1", first=0)')" = '{"index_set": ["s0"], "matrix": [[2]]}'""",
      True),
     ("matrix-unknown", """matrix 'finite_type("Z3")' > z.json""", False),
+    ("classes", "classes 60 A3 6 14", True),
+    ("classes-1-of-14", "classes 60 A3 6 1", False),
 ]
 
 

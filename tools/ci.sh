@@ -24,10 +24,25 @@ canonical() {
   python -m json.tool --indent 2 --sort-keys "$1" | cmp - "$1"
 }
 
-# refused OUT ERR: a refusal left OUT empty and no traceback in ERR.
-refused() {
-  [ ! -s "$1" ] || { echo "refusal wrote to stdout: $1" >&9; return 1; }
-  ! grep Traceback "$2" >&9
+# refuses PATTERN CMD...: CMD is refused as the CLI refuses bad input: it
+# exits 2, writes nothing to stdout and no `Traceback` to stderr, and its
+# stderr matches PATTERN, a Python regular expression in which ^ and $ match
+# at each line.
+refuses() {
+  local pattern=$1 out="$RUNNER_TEMP/refuses.out" err="$RUNNER_TEMP/refuses.err"
+  shift
+  exits 2 "$@" > "$out" 2> "$err" || return 1
+  [ ! -s "$out" ] || { echo "refusal wrote to stdout: $*" >&9; return 1; }
+  ! grep Traceback "$err" >&9 || return 1
+  python -c 'import re, sys; sys.exit(not re.search(sys.argv[1], open(sys.argv[2], encoding="utf-8", errors="replace").read(), re.M))' "$pattern" "$err" ||
+    { echo "stderr does not match $pattern: $*" >&9; cat "$err" >&9; return 1; }
+}
+
+# field FILE KEY JSON: FILE holds a JSON object whose KEY equals the JSON
+# value, both read with the json module, so `true` is not `1` and `14` is
+# not `146`.
+field() {
+  python -c 'import json, sys; got, want = (json.dumps(v, sort_keys=True) for v in (json.load(open(sys.argv[1]))[sys.argv[2]], json.loads(sys.argv[3]))); sys.exit(got != want and f"{sys.argv[1]}: {sys.argv[2]} is {got}, expected {want}")' "$@" 2>&9
 }
 
 # rebuilt CARTAN WORD: the oracle of WORD over CARTAN exports within 60 s as
@@ -40,7 +55,7 @@ rebuilt() {
     schubertisom reconstruct "$out.json" > "$out.out" &&
     word="$(python -c 'import json, sys; d = json.load(open(sys.argv[1])); json.dump(d["cartan"], open(sys.argv[2], "w")); print(" ".join(d["word"]))' "$out.out" "$out-cartan.json")" &&
     schubertisom equiv --left "$1:$2" --right "$out-cartan.json:$word" > "$out-equiv.out" &&
-    grep -q '"equivalent": true' "$out-equiv.out"
+    field "$out-equiv.out" equivalent true
 }
 
 # matrix EXPR: print the JSON of a Cartan matrix from the test catalogue in
@@ -48,6 +63,18 @@ rebuilt() {
 # repository is found from this file, so a step may run anywhere.
 matrix() {
   python -c 'import json, sys; sys.path[:0] = sys.argv[2:]; import conftest; print(json.dumps(eval(sys.argv[1], vars(conftest)).to_json()))' "$1" "$ci_root/tests" "$ci_root/src"
+}
+
+# classes SECONDS EXPR LENGTH COUNT: `isom-classes` on the catalogue matrix
+# EXPR to LENGTH ends within SECONDS under 300 MB and prints COUNT classes as
+# canonical JSON.
+classes() {
+  local out
+  out="$RUNNER_TEMP/classes-$(printf '%s-%s' "$2" "$3" | tr -c 'A-Za-z0-9-' _)"
+  matrix "$2" > "$out.json" &&
+    bounded "$1" 300 schubertisom --max-length "$3" isom-classes "$out.json" > "$out.out" &&
+    field "$out.out" count "$4" &&
+    canonical "$out.out"
 }
 
 # bench_smoke TRACE: each benchmark workload runs for 3 s with --trace TRACE
